@@ -93,6 +93,9 @@ class ConvergentState:
 _RESCALE_LIMIT = 2.0**500
 _RESCALE_SHIFT = 512
 _RESCALE_FACTOR = 2.0**-_RESCALE_SHIFT
+# continuants enter a level at most 2**500 in size, so a level whose
+# |a_k| + |b_k| stays under 2**512 cannot overflow
+_LEVEL_HEADROOM = 2.0**512
 
 
 def _coeff(spec, which, k, x):
@@ -109,6 +112,8 @@ def forward_recurrence(spec, x, n):
 
     Rescales all four continuants by 2**-512 whenever one of them exceeds
     2**500 in magnitude (and back up on underflow), tracking the exponent.
+    A level with |a_k| + |b_k| above 2**512 could overflow even from there,
+    so its inputs are scaled down by 2**-512 before the multiply.
     """
     if n < 0:
         raise ValueError("depth n must be >= 0")
@@ -119,6 +124,10 @@ def forward_recurrence(spec, x, n):
     for k in range(1, n + 1):
         ak = _coeff(spec, "a", k, x)
         bk = _coeff(spec, "b", k, x)
+        if abs(ak) + abs(bk) > _LEVEL_HEADROOM:
+            A, B = A * _RESCALE_FACTOR, B * _RESCALE_FACTOR
+            A_prev, B_prev = A_prev * _RESCALE_FACTOR, B_prev * _RESCALE_FACTOR
+            scale += _RESCALE_SHIFT
         A, A_prev = bk * A + ak * A_prev, A
         B, B_prev = bk * B + ak * B_prev, B
         m = max(abs(A), abs(B), abs(A_prev), abs(B_prev))

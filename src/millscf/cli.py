@@ -3,14 +3,19 @@
 Subcommands: eval (one point), table (CSV error table), maxerr (per-depth
 maximum error report), figure (error-curve CSVs on a fixed grid), verify
 (the invariant suites).  Exit codes: 0 success, 1 verification failure,
-2 usage or domain error, 3 I/O error.
+2 usage, domain or evaluation error, 3 I/O error.
+
+table and figure evaluate their x-grids as numpy arrays in one call per
+column; eval and the refinement inside maxerr work point by point.
 """
 
 import argparse
 import sys
 
+import numpy as np
+
 from . import gauss, verify
-from .reference import reference_mills
+from .reference import OracleError, reference_mills, reference_mills_grid
 from .tails import FAMILIES, custom
 
 _FAMILY_CHOICES = sorted(FAMILIES) + ["custom"]
@@ -47,7 +52,12 @@ def _load_custom_tail(path):
     interp = PchipInterpolator(xs, bs)
     d1 = interp.derivative()
     d2 = interp.derivative(2)
-    return custom(value=lambda n, x: float(interp(x)),
+
+    def value(n, x):
+        # arrays on the grid paths, a float for one point
+        return interp(x) if isinstance(x, np.ndarray) else float(interp(x))
+
+    return custom(value=value,
                   deriv=lambda n, x: float(d1(x)),
                   second=lambda n, x: float(d2(x)))
 
@@ -91,14 +101,14 @@ def run_table(args):
         raise ValueError("step must be > 0")
     fam = _resolve_family(args)
     count = int((args.xmax - args.xmin) / args.step + 1e-9)
-    rows = []
-    for i in range(count + 1):
-        x = args.xmin + i * args.step
-        value = gauss.mills(x, args.n, fam).value
-        ref = reference_mills(x)
-        rows.append((_fmt(x), _fmt(value), _fmt(ref), _fmt(value - ref)))
+    xs = args.xmin + np.arange(count + 1) * args.step
+    values = gauss.mills_grid(xs, args.n, fam)
+    refs = reference_mills_grid(xs)
+    columns = (xs, values, refs, values - refs)
+    # rows are formatted as they are written, never all held at once
+    rows = (map(_fmt, row) for row in zip(*(c.tolist() for c in columns)))
     _write_csv(args.out, "x,approx,reference,error", rows)
-    print(f"wrote {len(rows)} rows to {args.out}")
+    print(f"wrote {xs.size} rows to {args.out}")
     return 0
 
 
@@ -128,13 +138,13 @@ def run_figure(args):
     if args.tail_file is not None:
         fams["custom"] = _load_custom_tail(args.tail_file)
         columns.append("custom")
-    rows = []
-    for i in range(601):  # x in [0, 6] step 0.01
-        x = i / 100.0
-        row = [_fmt(x)]
-        for name in columns:
-            row.append(_fmt(gauss.delta(x, n, fams[name])))
-        rows.append(tuple(row))
+    xs = np.arange(601) / 100.0  # x in [0, 6] step 0.01
+    # gauss.delta's arithmetic, with the reference tail shared by the columns
+    pdf = gauss.phi(xs)
+    tail = pdf * reference_mills_grid(xs)
+    curves = [(tail - pdf * gauss.mills_grid(xs, n, fams[name])).tolist()
+              for name in columns]
+    rows = [tuple(map(_fmt, row)) for row in zip(xs.tolist(), *curves)]
     _write_csv(args.out, ",".join(["x"] + columns), rows)
     print(f"wrote error curves for depth n={n} to {args.out}")
     return 0
@@ -204,7 +214,8 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    # CFEvaluationError and ConvergenceError are ArithmeticErrors
+    except (ValueError, ArithmeticError, OracleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -150,7 +150,7 @@ _RESCALE_LIMIT = 2.0 ** 500
 _RESCALE_FACTOR = 2.0 ** -512
 
 
-def _adaptive(spec, x, rel_tol=ADAPTIVE_REL_TOL, max_depth=ADAPTIVE_MAX_DEPTH):
+def _adaptive(spec, s, x, rel_tol=ADAPTIVE_REL_TOL, max_depth=ADAPTIVE_MAX_DEPTH):
     # forward recursion, stopping on relative agreement of successive
     # convergents; only ratios are consumed, so rescaling needs no exponent
     A_prev, B_prev = 1.0, 0.0
@@ -171,14 +171,14 @@ def _adaptive(spec, x, rel_tol=ADAPTIVE_REL_TOL, max_depth=ADAPTIVE_MAX_DEPTH):
                 return cur
             prev = cur
     raise ConvergenceError(
-        f"{spec.name} fraction at s-form, x={x!r}: successive convergents "
-        f"still apart after {max_depth} levels"
+        f"{spec.name} form of M_s(x) at s={s!r}, x={x!r}: successive "
+        f"convergents still apart after {max_depth} levels"
     )
 
 
-def _evaluate(spec, x, n):
+def _evaluate(spec, s, x, n):
     if n is None:
-        return _adaptive(spec, x)
+        return _adaptive(spec, s, x)
     if n < 0:
         raise ValueError("depth n must be >= 0")
     if n == 0:
@@ -191,7 +191,7 @@ def cf_l1(s, x, n=None):
     GammaParams(s, x)
     if x <= 0.0:
         raise ValueError("cf_l1 needs x > 0")
-    return _evaluate(l1_spec(s), x, n)
+    return _evaluate(l1_spec(s), s, x, n)
 
 
 def laguerre(s, x, n=None):
@@ -199,7 +199,7 @@ def laguerre(s, x, n=None):
     GammaParams(s, x)
     if x <= 0.0:
         raise ValueError("laguerre needs x > 0")
-    return _evaluate(laguerre_spec(s), x, n) / x ** (s - 1.0)
+    return _evaluate(laguerre_spec(s), s, x, n) / x ** (s - 1.0)
 
 
 def lower_cf(s, x, n=None):
@@ -207,7 +207,7 @@ def lower_cf(s, x, n=None):
     GammaParams(s, x)
     if x == 0.0:
         return 0.0
-    return _evaluate(lower_spec(s), x, n)
+    return _evaluate(lower_spec(s), s, x, n)
 
 
 def winitzki_cf(s, x, n=None):
@@ -215,7 +215,7 @@ def winitzki_cf(s, x, n=None):
     GammaParams(s, x)
     if x <= 0.0:
         raise ValueError("winitzki_cf needs x > 0")
-    return _evaluate(winitzki_spec(s), x, n)
+    return _evaluate(winitzki_spec(s), s, x, n)
 
 
 def reduce_s(s, x, evaluator=None):

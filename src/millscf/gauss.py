@@ -32,17 +32,23 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .cf import CFSpec, eval_backward, forward_recurrence
+import numpy as np
+
+from .cf import CFEvaluationError, CFSpec, eval_backward, forward_recurrence
 from .tails import get_family, mod_constants
 
 SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 SQRT_HALF_PI = math.sqrt(0.5 * math.pi)
 _LOG2 = math.log(2.0)
+# a truncation bound below the smallest positive double rounds up to it,
+# so an underflowing bound stays strict instead of becoming 0
+_TINY = math.ulp(0.0)
 
 
 def phi(x):
-    """Standard normal density."""
-    return math.exp(-0.5 * x * x) / SQRT_TWO_PI
+    """Standard normal density; x may be a numpy array."""
+    exp = np.exp if isinstance(x, np.ndarray) else math.exp
+    return exp(-0.5 * x * x) / SQRT_TWO_PI
 
 
 def laplace_spec():
@@ -100,6 +106,34 @@ def _terminated(x, n, fam):
     return eval_backward(_LAPLACE, x, n + 1, fam.value(n, x))
 
 
+def _terminated_grid(x, n, fam):
+    """_terminated over an array of x, with eval_backward's checks and arithmetic.
+
+    Folds t <- x + k/t for k = n, ..., 1 on the whole array, then takes 1/t.
+    """
+    t = fam.value(n, x)
+    if not (np.isfinite(x).all() and np.isfinite(t).all()):
+        raise CFEvaluationError("non-finite x or tail on the grid")
+    for k in range(n, -1, -1):
+        if not np.all(t):
+            raise CFEvaluationError(
+                f"zero denominator while folding level {k + 1} of spec 'laplace'")
+        t = x + k / t if k else 1.0 / t
+    return t
+
+
+def mills_grid(x, n, family="improved-expo"):
+    """R_n over a 1-D numpy array of x: the values of mills(), without metadata.
+
+    Equal to mills() point by point, except where numpy's exp in a tail
+    differs from math.exp by an ulp.
+    """
+    fam = get_family(family)
+    x = np.asarray(x, dtype=float)
+    _check_point(fam, n, x.min())
+    return _terminated_grid(x, n, fam)
+
+
 def _bound_side(fam, n):
     if fam.bound_side == "alternating":
         return "upper" if n % 2 == 0 else "lower"
@@ -147,7 +181,7 @@ def truncation_bound(x, n):
     log_bound = (math.lgamma(n + 1.0)
                  - math.log(st.B) - math.log(st.B_prev)
                  - 2.0 * st.scale_log2 * _LOG2)
-    return math.exp(log_bound)
+    return max(math.exp(log_bound), _TINY)
 
 
 def mills_derivatives(u, n, family="improved-expo"):
@@ -202,10 +236,18 @@ def sign_operator(u, n, family="improved-expo"):
 
 
 def delta(x, n, family="improved-expo"):
-    """Delta_n(x) = reference tail minus phi(x) R_n(x)."""
+    """Delta_n(x) = reference tail minus phi(x) R_n(x).
+
+    x may be a 1-D numpy array: the grid then goes through the array oracle
+    and one fold over the array instead of a call per point.
+    """
     from . import reference  # imported here to avoid an import cycle
 
     fam = get_family(family)
+    if isinstance(x, np.ndarray):
+        approx = mills_grid(x, n, fam)
+        pdf = phi(x)
+        return pdf * reference.reference_mills_grid(x) - pdf * approx
     _check_point(fam, n, x)
     return reference.reference_tail(x) - phi(x) * _terminated(x, n, fam)
 
@@ -217,21 +259,18 @@ def scan_max_delta(family, n, xmin=0.0, xmax=20.0, step=1e-3,
                    refine_width=1e-8):
     """(argmax, max) of |Delta_n| on [xmin, xmax]: grid scan plus golden section.
 
-    The grid has the stated step; the bracketing interval around the best
-    grid point is narrowed to refine_width by golden-section search.
-    xmin exists for the classic family, whose tail is undefined at 0.
+    The grid has the stated step and is evaluated in one array call; the
+    bracketing interval around the best grid point (the first, on ties) is
+    narrowed to refine_width by golden-section search.  xmin exists for the
+    classic family, whose tail is undefined at 0.
     """
     fam = get_family(family)
 
     def f(x):
         return abs(delta(x, n, fam))
 
-    best_i, best = 0, -1.0
     npts = int(round((xmax - xmin) / step))
-    for i in range(npts + 1):
-        v = f(xmin + i * step)
-        if v > best:
-            best, best_i = v, i
+    best_i = int(np.argmax(f(xmin + np.arange(npts + 1) * step)))
     lo = max(xmin, xmin + (best_i - 1) * step)
     hi = min(xmax, xmin + (best_i + 1) * step)
     c = hi - _GOLDEN * (hi - lo)

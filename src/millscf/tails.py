@@ -16,13 +16,28 @@ Each family below packages beta_n(x), its derivative, and (where cheap) its
 second derivative, plus which of the three conditions at 0 it satisfies.
 bound_side "alternating" marks families with proven even-upper/odd-lower
 bracketing; everything else is "unknown".
+
+value(n, x) takes a float or, on the grid paths, a 1-D numpy array of x;
+deriv and second take floats only.
 """
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional
 
+import numpy as np
 
+# depths in use at once are few: n <= 60 even in long scans
+_CONSTANTS_CACHE = 128
+
+
+def _lib(x):
+    """numpy for an array of x (the grid paths), math for a single point."""
+    return np if isinstance(x, np.ndarray) else math
+
+
+@lru_cache(maxsize=_CONSTANTS_CACHE)
 def beta0(n):
     """Exactness value beta_n(0), by log-gamma to stay finite for large n."""
     if n < 0:
@@ -42,6 +57,7 @@ class ModConstants:
     r: float     # required curvature ratio beta_n''(0)/beta_n(0)
 
 
+@lru_cache(maxsize=_CONSTANTS_CACHE)
 def mod_constants(n):
     b = beta0(n)
     lam = b * b - n
@@ -97,7 +113,7 @@ def limit_ansatz():
     def val(n, x):
         if n == 0:
             return x
-        return x / 2.0 + math.sqrt((x / 2.0) ** 2 + n)
+        return x / 2.0 + _lib(x).sqrt((x / 2.0) ** 2 + n)
 
     def der(n, x):
         if n == 0:
@@ -118,7 +134,7 @@ def sqrt_family():
 
     def val(n, x):
         g = beta0(n) ** 2
-        return x / 2.0 + math.sqrt((x / 2.0) ** 2 + g)
+        return x / 2.0 + _lib(x).sqrt((x / 2.0) ** 2 + g)
 
     def der(n, x):
         g = beta0(n) ** 2
@@ -183,7 +199,7 @@ def improved_expo(slope_fit=True):
 
     def val(n, x):
         c = mod_constants(n)
-        return cn(c) * x + c.beta_at_zero * math.exp(-math.sqrt(c.r) * x)
+        return cn(c) * x + c.beta_at_zero * _lib(x).exp(-math.sqrt(c.r) * x)
 
     def der(n, x):
         c = mod_constants(n)
@@ -201,7 +217,12 @@ def improved_expo(slope_fit=True):
 
 
 def custom(value, deriv, second=None, kind="custom"):
-    """Caller-supplied tail; second derivative falls back to differences."""
+    """Caller-supplied tail; second derivative falls back to differences.
+
+    value(n, x) is called with a 1-D numpy array of x on the grid paths
+    (gauss.delta on a grid, the CLI's table and figure) and must return an
+    array of the same shape there; deriv and second only ever see floats.
+    """
     if not callable(value) or not callable(deriv):
         raise TypeError("custom tails need callable value and deriv")
     return TailFamily(kind=kind, value=value, deriv=deriv, second=second)

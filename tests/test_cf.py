@@ -167,3 +167,13 @@ def test_deep_evaluation_rescales_instead_of_overflowing():
     from millscf.reference import reference_mills
 
     assert math.isclose(st_.value(), reference_mills(0.5), rel_tol=1e-13)
+
+
+def test_levels_past_the_headroom_rescale_before_the_multiply():
+    # b_k = x beyond 2^512 would overflow a level even from continuants
+    # rescaled under 2^500; B_31 is x^31 to within 31 * 30 / x^2
+    for x in (1e160, 1e300, 1.7e308):
+        st_ = forward_recurrence(LAP, x, 31)
+        assert math.isfinite(st_.B) and st_.B > 0 and st_.B_prev > 0
+        log_b = math.log(st_.B) + st_.scale_log2 * math.log(2.0)
+        assert log_b == pytest.approx(31 * math.log(x), rel=1e-13), x

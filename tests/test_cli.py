@@ -52,6 +52,14 @@ def test_eval_domain_error(capsys):
     assert "x > 0" in err
 
 
+@pytest.mark.parametrize("x", ["nan", "inf", "-inf"])
+def test_eval_non_finite_x(x, capsys):
+    rc, out, err = run_cli(["eval", f"--x={x}"], capsys)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_eval_unknown_family(capsys):
     rc, _, _ = run_cli(["eval", "--x", "1", "--family", "quintic",
                         "--n", "1"], capsys)
@@ -135,6 +143,20 @@ def test_figure_custom_column(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert lines[0] == "x,improved-expo,linear,sqrt,custom"
     assert len(lines[1].split(",")) == 5
+
+
+def test_table_custom_tail(tmp_path, capsys):
+    tail = tmp_path / "tail.csv"
+    tail.write_text("x,beta\n0.0,1.0\n1.0,1.6\n2.0,2.4\n4.0,4.2\n")
+    out = tmp_path / "t.csv"
+    rc, _, _ = run_cli(["table", "--xmin", "0", "--xmax", "3", "--step", "0.5",
+                        "--family", "custom", "--tail-file", str(tail),
+                        "--n", "2", "--out", str(out)], capsys)
+    assert rc == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert len(rows) == 7
+    # beta(0) = 1 at n = 2: R_2(0) = 1/(0 + 1/(0 + 2/1)) = 2
+    assert rows[0][1] == "2.0"
 
 
 def test_figure_unknown_id(tmp_path, capsys):

@@ -79,6 +79,12 @@ def test_adaptive_depth_and_failure():
         winitzki_cf(0.5, 0.125)
 
 
+def test_convergence_error_names_form_s_and_x():
+    with pytest.raises(ConvergenceError,
+                       match=r"^winitzki form of M_s\(x\) at s=0\.5, x=0\.125: "):
+        winitzki_cf(0.5, 0.125)
+
+
 def test_form_validation():
     with pytest.raises(ValueError):
         cf_l1(1.0, -1.0, 10)

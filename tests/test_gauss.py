@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from millscf import cf, tails
@@ -15,6 +16,7 @@ from millscf.gauss import (
     lcf_spec,
     mills,
     mills_derivatives,
+    mills_grid,
     pade_r2,
     phi,
     scan_max_delta,
@@ -23,7 +25,7 @@ from millscf.gauss import (
     taylor_mills,
     truncation_bound,
 )
-from millscf.reference import reference_mills
+from millscf.reference import reference_mills, reference_tail
 
 SQRT_PI_2 = math.sqrt(math.pi / 2.0)
 
@@ -92,6 +94,18 @@ def test_truncation_bound_is_honest():
             assert err < truncation_bound(x, n), (x, n)
 
 
+def test_truncation_bound_never_a_false_zero():
+    # n!/x^(2n+1) underflows here, and past x = 2^512 a level also outgrew
+    # the rescaling headroom; the bound must stay positive and strict
+    for x in (1e100, 1e154, 1e160, 1e300):
+        for n in (0, 1, 3, 30):
+            bound = truncation_bound(x, n)
+            assert bound > 0.0, (x, n)
+            err = abs(mills(x, n, "classic").value - reference_mills(x))
+            assert err < bound, (x, n)
+    assert truncation_bound(1e100, 0) == pytest.approx(1e-100, rel=1e-13)
+
+
 def test_hazard_anchors():
     assert hazard(0.0) == pytest.approx(math.sqrt(2.0 / math.pi), rel=1e-13)
     assert hazard(1.0) == pytest.approx(1.5251352761609812, rel=1e-12)
@@ -134,6 +148,50 @@ def test_delta_values():
                                                      rel=1e-10)
     for name in ("sqrt", "linear", "shift-linear", "improved-expo"):
         assert abs(delta(0.0, 2, name)) < 1e-14, name
+
+
+# 4 ulp of the subtracted terms phi R and phi R_n: delta is their
+# difference, and numpy's exp may differ from math.exp by an ulp
+GRID_ULPS = 4.0 * 2.0**-52
+GRID_XS = np.concatenate([[0.0, 1e-3, 0.999, 1.0, 1.001], np.arange(1, 41) * 0.5])
+
+
+def test_grid_delta_matches_scalar():
+    tails_ref = np.array([reference_tail(x) for x in GRID_XS.tolist()])
+    for name in tails.FAMILIES:
+        for n in range(13):
+            skip = name == "classic" or (name == "limit-ansatz" and n == 0)
+            xs = GRID_XS[1:] if skip else GRID_XS
+            scalar = np.array([delta(x, n, name) for x in xs.tolist()])
+            got = delta(xs, n, name)
+            # phi R_n = phi R - delta, so this dominates both terms
+            tol = GRID_ULPS * (tails_ref[len(GRID_XS) - len(xs):] + np.abs(scalar))
+            assert np.all(np.abs(got - scalar) <= tol), (name, n)
+            # the fold itself is the scalar arithmetic; only exp may differ
+            values = [mills(x, n, name).value for x in xs.tolist()]
+            if name == "improved-expo":
+                assert mills_grid(xs, n, name) == pytest.approx(values, rel=GRID_ULPS)
+            else:
+                assert mills_grid(xs, n, name).tolist() == values, (name, n)
+
+
+def test_grid_errors_match_scalar():
+    with pytest.raises(ValueError, match="x > 0"):
+        delta(np.array([0.0, 1.0]), 1, "classic")
+    with pytest.raises(ValueError, match="x >= 0"):
+        mills_grid(np.array([1.0, -0.5]), 1, "linear")
+    with pytest.raises(ValueError, match="vanishes"):
+        mills_grid(np.array([0.0, 1.0]), 0, "limit-ansatz")
+    with pytest.raises(cf.CFEvaluationError):
+        mills_grid(np.array([1.0, np.inf]), 2, "sqrt")
+    with pytest.raises(cf.CFEvaluationError):
+        mills(np.inf, 2, "sqrt")
+    # a tail that vanishes inside the grid leaves a zero denominator
+    dip = tails.custom(value=lambda n, x: x - 1.0, deriv=lambda n, x: 1.0)
+    with pytest.raises(cf.CFEvaluationError):
+        mills_grid(np.array([0.5, 1.0]), 0, dip)
+    with pytest.raises(cf.CFEvaluationError):
+        mills(1.0, 0, dip)
 
 
 def test_error_integrand_hand_values():
@@ -249,6 +307,31 @@ def test_scan_max_delta_improved_depth0():
     assert worst == pytest.approx(2.139459e-4, rel=1e-3)
     assert x_star == pytest.approx(1.387, abs=5e-3)
     assert decays_beyond("improved-expo", 0)
+
+
+# (argmax, max) from the point-by-point scan that the array scan replaced
+SCALAR_SCAN = {
+    0: (1.3870129692183344, 2.139458574723918e-04),
+    1: (0.8284959217965706, 4.8679214152774763e-05),
+    2: (0.7744099790143331, 3.03960780990431e-05),
+    3: (0.7024790794627878, 1.693296668864308e-05),
+}
+
+
+def test_scan_max_delta_keeps_the_scalar_argmax():
+    for n, (x_star, worst) in SCALAR_SCAN.items():
+        got_x, got = scan_max_delta("improved-expo", n)
+        assert got_x == pytest.approx(x_star, abs=1e-9), n
+        assert got == pytest.approx(worst, rel=1e-9), n
+    # the grid step picks the first maximum, as the strict ">" loop did
+    xs = np.arange(401) * 0.05
+    for n in range(4):
+        best_i, best = 0, -1.0
+        for i, x in enumerate(xs.tolist()):
+            v = abs(delta(x, n, "improved-expo"))
+            if v > best:
+                best, best_i = v, i
+        assert np.argmax(np.abs(delta(xs, n, "improved-expo"))) == best_i, n
 
 
 def test_lcf_matches_laplace_up_to_x():

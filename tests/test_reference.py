@@ -5,7 +5,9 @@ never imports it for function values.
 """
 
 import math
+import sys
 
+import numpy as np
 import pytest
 from scipy.special import erfcx, gammaincc
 from scipy.special import gamma as gamma_fn
@@ -16,6 +18,7 @@ from millscf.reference import (
     _mills_series,
     reference_gamma_mills,
     reference_mills,
+    reference_mills_grid,
     reference_tail,
 )
 
@@ -77,6 +80,37 @@ def test_domain_rejection():
         reference_mills(float("nan"))
     with pytest.raises(ValueError):
         reference_tail(-1.0)
+
+
+def test_grid_oracle_is_bit_identical():
+    # the paper's scan grid plus the branch edges and the ends
+    edges = [0.0, math.nextafter(1.0, 0.0), 1.0, 4.0, 20.0]
+    xs = np.concatenate([np.arange(20001) * 1e-3, edges])
+    got = reference_mills_grid(xs)
+    assert got.tolist() == [reference_mills(x) for x in xs.tolist()]
+
+
+def test_grid_oracle_rejects_like_the_scalar_one():
+    for bad in (float("nan"), -0.01):
+        with pytest.raises(ValueError):
+            reference_mills(bad)
+        with pytest.raises(ValueError):
+            reference_mills_grid([1.0, bad, 2.0])
+    with pytest.raises(ValueError):
+        reference_mills_grid([[1.0]])
+    assert reference_mills_grid([]).size == 0
+
+
+def test_huge_arguments():
+    # the recursion would overflow past 2^512; the depth-1 certificate
+    # 1/x^2 <= rel_tol holds long before, so the value is 1/x
+    xs = [1e8, 1e154, 1e160, 1e300, sys.float_info.max]
+    for x in xs[:-1]:
+        independent = math.sqrt(math.pi / 2.0) * erfcx(x / math.sqrt(2.0))
+        assert reference_mills(x) == pytest.approx(independent, rel=1e-15), x
+    assert reference_mills(xs[-1]) == 1.0 / xs[-1]
+    assert reference_mills_grid(xs).tolist() == [reference_mills(x) for x in xs]
+    assert reference_mills(math.inf) == reference_mills_grid([math.inf])[0] == 0.0
 
 
 def test_gamma_oracle_closed_forms():

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from millscf.tails import (
@@ -119,6 +120,25 @@ def test_improved_slope_variants_differ():
     assert alt.value(2, 0.0) == pytest.approx(beta0(2), rel=1e-14)
     # but carry different linear coefficients away from it
     assert abs(default.value(2, 1.0) - alt.value(2, 1.0)) > 1e-4
+
+
+def test_constants_computed_once_per_depth():
+    assert mod_constants(7) is mod_constants(7)
+    assert beta0.cache_info().maxsize is not None
+    assert mod_constants.cache_info().maxsize is not None
+
+
+def test_values_take_floats_and_arrays():
+    xs = np.linspace(0.0, 6.0, 25)
+    for name in ALL_NAMES:
+        fam = get_family(name)
+        for n in (1, 2, 7):
+            assert type(fam.value(n, 1.5)) is float, name
+            got = fam.value(n, xs)
+            assert isinstance(got, np.ndarray) and got.shape == xs.shape
+            # numpy's exp may differ from math.exp by an ulp
+            want = [fam.value(n, x) for x in xs.tolist()]
+            assert got == pytest.approx(want, rel=2.0**-51, abs=0.0), name
 
 
 def test_custom_requires_callables():
