@@ -107,20 +107,18 @@ def _coeff(spec, which, k, x):
     return v
 
 
-def forward_recurrence(spec, x, n):
-    """Run the Wallis-Euler recursion to depth n and return the state.
+def _forward_states(spec, x, n):
+    """The Wallis-Euler states (A, B, A_prev, B_prev, scale_log2) at depths 0..n.
 
     Rescales all four continuants by 2**-512 whenever one of them exceeds
     2**500 in magnitude (and back up on underflow), tracking the exponent.
     A level with |a_k| + |b_k| above 2**512 could overflow even from there,
     so its inputs are scaled down by 2**-512 before the multiply.
     """
-    if n < 0:
-        raise ValueError("depth n must be >= 0")
-    spec.check_domain(x)
     A_prev, B_prev = 1.0, 0.0
     A, B = spec.b0(x), 1.0
     scale = 0
+    yield A, B, A_prev, B_prev, scale
     for k in range(1, n + 1):
         ak = _coeff(spec, "a", k, x)
         bk = _coeff(spec, "b", k, x)
@@ -139,6 +137,15 @@ def forward_recurrence(spec, x, n):
             A, B = A / _RESCALE_FACTOR, B / _RESCALE_FACTOR
             A_prev, B_prev = A_prev / _RESCALE_FACTOR, B_prev / _RESCALE_FACTOR
             scale -= _RESCALE_SHIFT
+        yield A, B, A_prev, B_prev, scale
+
+
+def forward_recurrence(spec, x, n):
+    """Run the Wallis-Euler recursion to depth n and return the state."""
+    if n < 0:
+        raise ValueError("depth n must be >= 0")
+    spec.check_domain(x)
+    *_, (A, B, A_prev, B_prev, scale) = _forward_states(spec, x, n)
     return ConvergentState(A=A, B=B, A_prev=A_prev, B_prev=B_prev,
                            depth=n, scale_log2=scale)
 
@@ -146,20 +153,12 @@ def forward_recurrence(spec, x, n):
 def convergents(spec, x, n):
     """Values of the first n convergents (depths 1..n) in one forward pass."""
     spec.check_domain(x)
+    states = _forward_states(spec, x, n)
+    next(states)   # depth 0 has no convergent
     out = []
-    A_prev, B_prev = 1.0, 0.0
-    A, B = spec.b0(x), 1.0
-    for k in range(1, n + 1):
-        ak = _coeff(spec, "a", k, x)
-        bk = _coeff(spec, "b", k, x)
-        A, A_prev = bk * A + ak * A_prev, A
-        B, B_prev = bk * B + ak * B_prev, B
-        m = max(abs(A), abs(B), abs(A_prev), abs(B_prev))
-        if m > _RESCALE_LIMIT:
-            A, B = A * _RESCALE_FACTOR, B * _RESCALE_FACTOR
-            A_prev, B_prev = A_prev * _RESCALE_FACTOR, B_prev * _RESCALE_FACTOR
+    for depth, (A, B, *_) in enumerate(states, 1):
         if B == 0.0:
-            raise CFEvaluationError(f"vanishing denominator B at depth {k}")
+            raise CFEvaluationError(f"vanishing denominator B at depth {depth}")
         out.append(A / B)
     return out
 

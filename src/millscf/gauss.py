@@ -34,8 +34,9 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .cf import CFEvaluationError, CFSpec, eval_backward, forward_recurrence
-from .tails import get_family, mod_constants
+from .cf import (_LEVEL_HEADROOM, _RESCALE_FACTOR, _RESCALE_LIMIT,
+                 _RESCALE_SHIFT, CFEvaluationError, CFSpec)
+from .tails import get_family
 
 SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 SQRT_HALF_PI = math.sqrt(0.5 * math.pi)
@@ -75,9 +76,6 @@ def lcf_spec():
     )
 
 
-_LAPLACE = laplace_spec()
-
-
 @dataclass(frozen=True)
 class Approximation:
     """One evaluated Mills approximation with its bound metadata."""
@@ -101,24 +99,29 @@ def _check_point(fam, n, x):
         raise ValueError("limit-ansatz with n = 0 vanishes at x = 0")
 
 
-def _terminated(x, n, fam):
-    # depth n+1: the tail replaces the denominator under the numerator n
-    return eval_backward(_LAPLACE, x, n + 1, fam.value(n, x))
+def _fold(x, n, t):
+    """R_n from its tail t: t <- x + k/t for k = n, ..., 1, then 1/t.
 
-
-def _terminated_grid(x, n, fam):
-    """_terminated over an array of x, with eval_backward's checks and arithmetic.
-
-    Folds t <- x + k/t for k = n, ..., 1 on the whole array, then takes 1/t.
+    The arithmetic and checks of cf.eval_backward(laplace_spec(), x, n + 1, t),
+    on a float or elementwise on a 1-D numpy array of x (and t); x must be
+    finite at n = 0 too, where eval_backward never reads it.
     """
-    t = fam.value(n, x)
-    if not (np.isfinite(x).all() and np.isfinite(t).all()):
-        raise CFEvaluationError("non-finite x or tail on the grid")
-    for k in range(n, -1, -1):
-        if not np.all(t):
-            raise CFEvaluationError(
-                f"zero denominator while folding level {k + 1} of spec 'laplace'")
-        t = x + k / t if k else 1.0 / t
+    grid = isinstance(x, np.ndarray)
+    if not grid:
+        t = float(t)
+    if not (np.isfinite(x).all() and np.isfinite(t).all() if grid
+            else math.isfinite(x) and math.isfinite(t)):
+        raise CFEvaluationError("non-finite x or tail")
+    try:
+        # a float divides by zero with ZeroDivisionError; an array needs a look
+        for k in range(n, -1, -1):
+            if grid and not np.all(t):
+                raise ZeroDivisionError
+            t = x + k / t if k else 1.0 / t
+    except ZeroDivisionError:
+        raise CFEvaluationError(
+            f"zero denominator while folding level {k + 1} of spec 'laplace'"
+        ) from None
     return t
 
 
@@ -131,7 +134,7 @@ def mills_grid(x, n, family="improved-expo"):
     fam = get_family(family)
     x = np.asarray(x, dtype=float)
     _check_point(fam, n, x.min())
-    return _terminated_grid(x, n, fam)
+    return _fold(x, n, fam.value(n, x))
 
 
 def _bound_side(fam, n):
@@ -148,7 +151,7 @@ def mills(x, n, family="improved-expo"):
     """
     fam = get_family(family)
     _check_point(fam, n, x)
-    value = _terminated(x, n, fam)
+    value = _fold(x, n, fam.value(n, x))
     bound = truncation_bound(x, n) if fam.kind == "classic" else None
     return Approximation(value=value, n=n, family=fam.kind,
                          bound_side=_bound_side(fam, n), trunc_bound=bound)
@@ -169,19 +172,35 @@ def hazard(x):
 def truncation_bound(x, n):
     """n! / (B_n B_{n+1}) for the classic fraction, in log space.
 
-    Strictly dominates |R - R_n| for every x > 0.  B here is the engine
-    denominator sequence B_0 = 1, B_1 = x, so the state at depth n+1 carries
-    both factors; the rescale exponent re-enters through the logarithm.
+    Strictly dominates |R - R_n| for every x > 0.  B is the denominator
+    sequence B_0 = 1, B_1 = x, B_{k+1} = x B_k + k B_{k-1} of the classic
+    fraction, kept under 2**500 by power-of-two rescaling whose exponent
+    re-enters through the logarithm.  A bound past the largest double is
+    returned as inf, one below the smallest positive double as that double.
     """
-    if x <= 0.0:
-        raise ValueError("truncation bound needs x > 0")
+    if not 0.0 < x < math.inf:
+        raise ValueError(f"truncation bound needs 0 < x < inf, got x={x!r}")
     if n < 0:
         raise ValueError("n must be >= 0")
-    st = forward_recurrence(_LAPLACE, x, n + 1)
-    log_bound = (math.lgamma(n + 1.0)
-                 - math.log(st.B) - math.log(st.B_prev)
-                 - 2.0 * st.scale_log2 * _LOG2)
-    return max(math.exp(log_bound), _TINY)
+    # cf.forward_recurrence's rescaling on B alone (B_{2j} >= 1 never
+    # underflows; A, which it also watches, stays below B for x >= 1).
+    # Level k + 1 has numerator k; level 1's numerator 1 meets B_prev = 0.
+    B_prev, B = 0.0, 1.0
+    scale = 0
+    for k in range(n + 1):
+        if x + k > _LEVEL_HEADROOM:
+            B, B_prev = B * _RESCALE_FACTOR, B_prev * _RESCALE_FACTOR
+            scale += _RESCALE_SHIFT
+        B, B_prev = x * B + k * B_prev, B
+        if B > _RESCALE_LIMIT:
+            B, B_prev = B * _RESCALE_FACTOR, B_prev * _RESCALE_FACTOR
+            scale += _RESCALE_SHIFT
+    log_bound = (math.lgamma(n + 1.0) - math.log(B) - math.log(B_prev)
+                 - 2.0 * scale * _LOG2)
+    try:
+        return max(math.exp(log_bound), _TINY)
+    except OverflowError:
+        return math.inf
 
 
 def mills_derivatives(u, n, family="improved-expo"):
@@ -249,7 +268,7 @@ def delta(x, n, family="improved-expo"):
         pdf = phi(x)
         return pdf * reference.reference_mills_grid(x) - pdf * approx
     _check_point(fam, n, x)
-    return reference.reference_tail(x) - phi(x) * _terminated(x, n, fam)
+    return reference.reference_tail(x) - phi(x) * _fold(x, n, fam.value(n, x))
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0

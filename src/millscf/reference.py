@@ -226,7 +226,8 @@ def _gamma_quadrature(s, x):
                               + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-1:2].sum()))
 
 
-@lru_cache(maxsize=None)
+# verify repeats a few points; a scan of distinct points must not grow it forever
+@lru_cache(maxsize=1024)
 def reference_gamma_mills(s, x):
     """M_s(x) = x^(1-s) e^x Gamma(s, x), certified by two disjoint methods."""
     s, x = float(s), float(x)

@@ -239,35 +239,25 @@ FAMILIES = {
 }
 
 
+_RESOLVED = {}   # name -> (factory, the family it built)
+
+
 def get_family(family):
-    """Resolve a family name or pass a TailFamily through."""
+    """Resolve a family name or pass a TailFamily through.
+
+    A name is built once and rebuilt only when FAMILIES maps it to another
+    factory; families are frozen and their closures hold no state, so one
+    instance is safely shared.
+    """
     if isinstance(family, TailFamily):
         return family
     try:
-        return FAMILIES[family]()
+        factory = FAMILIES[family]
     except KeyError:
         raise ValueError(
             f"unknown family {family!r}; choose from {sorted(FAMILIES)}"
         ) from None
-
-
-def tail_value(family, n, x):
-    """beta_n(x) with domain checks (x >= 0, the degenerate point excluded)."""
-    fam = get_family(family)
-    _check_tail_point(fam, n, x)
-    return fam.value(n, x)
-
-
-def tail_deriv(family, n, x):
-    fam = get_family(family)
-    _check_tail_point(fam, n, x)
-    return fam.deriv(n, x)
-
-
-def _check_tail_point(fam, n, x):
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if x < 0.0:
-        raise ValueError("tail families are defined for x >= 0")
-    if fam.kind == "limit-ansatz" and n == 0 and x == 0.0:
-        raise ValueError("limit-ansatz with n = 0 vanishes at x = 0")
+    hit = _RESOLVED.get(family)
+    if hit is None or hit[0] is not factory:
+        hit = _RESOLVED[family] = (factory, factory())
+    return hit[1]

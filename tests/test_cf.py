@@ -177,3 +177,13 @@ def test_levels_past_the_headroom_rescale_before_the_multiply():
         assert math.isfinite(st_.B) and st_.B > 0 and st_.B_prev > 0
         log_b = math.log(st_.B) + st_.scale_log2 * math.log(2.0)
         assert log_b == pytest.approx(31 * math.log(x), rel=1e-13), x
+
+
+def test_convergents_rescale_before_the_multiply():
+    # x = 1e300 outgrows the headroom at every level; convergents must take
+    # forward_recurrence's path (it returned [1e-300, 0.0, 0.0, nan] when it
+    # rescaled only after the multiply)
+    x = 1e300
+    vals = convergents(LAP, x, 4)
+    assert vals == [forward_recurrence(LAP, x, d).value() for d in range(1, 5)]
+    assert vals[:2] == pytest.approx([1e-300, 1e-300], rel=1e-15)

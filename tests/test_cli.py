@@ -60,6 +60,13 @@ def test_eval_non_finite_x(x, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_eval_bound_past_the_largest_double(capsys):
+    rc, out, _ = run_cli(["eval", "--x", "5e-324", "--family", "classic",
+                          "--n", "0"], capsys)
+    assert rc == 0
+    assert parse_kv(out)["trunc_bound"] == "inf"
+
+
 def test_eval_unknown_family(capsys):
     rc, _, _ = run_cli(["eval", "--x", "1", "--family", "quintic",
                         "--n", "1"], capsys)

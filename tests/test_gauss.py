@@ -106,6 +106,63 @@ def test_truncation_bound_never_a_false_zero():
     assert truncation_bound(1e100, 0) == pytest.approx(1e-100, rel=1e-13)
 
 
+def test_truncation_bound_past_the_largest_double_is_inf():
+    # n!/(B_n B_{n+1}) = 1/x at n = 0 exceeds every double here; inf is
+    # still a true bound, and never a false 0
+    assert truncation_bound(5e-324, 0) == math.inf
+    assert mills(5e-324, 0, "classic").trunc_bound == math.inf
+    assert truncation_bound(1e-300, 0) == pytest.approx(1e300, rel=1e-13)
+    with pytest.raises(ValueError):
+        truncation_bound(math.inf, 1)
+    with pytest.raises(ValueError):
+        truncation_bound(math.nan, 1)
+
+
+LOG_XS = np.logspace(-3.0, math.log10(30.0), 25).tolist()
+
+
+def _bits(f, *args):
+    """f(*args) as its exact bits, or the type of what it raised."""
+    try:
+        return f(*args).hex()
+    except Exception as exc:  # noqa: BLE001 - the outcome is compared
+        return type(exc)
+
+
+def test_fold_is_the_engine_fold_bit_for_bit():
+    lap = laplace_spec()
+    for name in tails.FAMILIES:
+        fam = tails.get_family(name)
+        for n in range(61):
+            xs = LOG_XS + [1e-300, 1e300]
+            if name != "classic" and not (name == "limit-ansatz" and n == 0):
+                xs.append(0.0)
+            for x in xs:
+                want = _bits(lambda: cf.eval_backward(lap, x, n + 1, fam.value(n, x)))
+                assert _bits(lambda: mills(x, n, name).value) == want, (name, n, x)
+
+
+def _engine_bound(x, n):
+    st = cf.forward_recurrence(laplace_spec(), x, n + 1)
+    log_bound = (math.lgamma(n + 1.0) - math.log(st.B) - math.log(st.B_prev)
+                 - 2.0 * st.scale_log2 * math.log(2.0))
+    return max(math.exp(log_bound), math.ulp(0.0))
+
+
+def test_truncation_bound_is_the_engine_formula_bit_for_bit():
+    for x in LOG_XS + [1e100, 1e160, 1e300]:
+        for n in range(61):
+            assert truncation_bound(x, n).hex() == _engine_bound(x, n).hex(), (x, n)
+
+
+def test_non_finite_x_raises_for_every_family():
+    for name in tails.FAMILIES:
+        for x in (math.nan, math.inf):
+            for n in (0, 3):
+                with pytest.raises(cf.CFEvaluationError):
+                    mills(x, n, name)
+
+
 def test_hazard_anchors():
     assert hazard(0.0) == pytest.approx(math.sqrt(2.0 / math.pi), rel=1e-13)
     assert hazard(1.0) == pytest.approx(1.5251352761609812, rel=1e-12)

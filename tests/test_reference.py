@@ -130,6 +130,14 @@ def test_gamma_oracle_against_scipy():
                 independent, rel=1e-9), (s, x)
 
 
+def test_gamma_oracle_cache_is_bounded():
+    assert reference_gamma_mills.cache_info().maxsize is not None
+    reference_gamma_mills(1.5, 2.0)
+    hits = reference_gamma_mills.cache_info().hits
+    reference_gamma_mills(1.5, 2.0)
+    assert reference_gamma_mills.cache_info().hits == hits + 1
+
+
 def test_gamma_oracle_domain():
     with pytest.raises(ValueError):
         reference_gamma_mills(-1.0, 2.0)

@@ -1,10 +1,12 @@
 """Terminating-denominator families and their origin constants."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from millscf.gauss import mills
 from millscf.tails import (
     FAMILIES,
     beta0,
@@ -12,8 +14,6 @@ from millscf.tails import (
     get_family,
     improved_expo,
     mod_constants,
-    tail_deriv,
-    tail_value,
 )
 
 ALL_NAMES = ("classic", "limit-ansatz", "sqrt", "linear", "lee",
@@ -71,24 +71,24 @@ def test_value_fit_at_zero():
     for name in ("sqrt", "linear", "shift-linear", "improved-expo"):
         fam = get_family(name)
         for n in range(5):
-            assert tail_value(fam, n, 0.0) == pytest.approx(beta0(n), rel=1e-14), (
+            assert fam.value(n, 0.0) == pytest.approx(beta0(n), rel=1e-14), (
                 name, n)
     # lee starts from sqrt(n+1), inside the bracket but not the exact constant
     lee = get_family("lee")
-    assert tail_value(lee, 2, 0.0) == math.sqrt(3.0)
-    assert tail_value(lee, 2, 0.0) != pytest.approx(beta0(2), rel=1e-8)
+    assert lee.value(2, 0.0) == math.sqrt(3.0)
+    assert lee.value(2, 0.0) != pytest.approx(beta0(2), rel=1e-8)
 
 
 def test_limit_ansatz_values():
     fam = get_family("limit-ansatz")
-    assert tail_value(fam, 4, 0.0) == 2.0
+    assert fam.value(4, 0.0) == 2.0
     # fixed point property: beta = x + n/beta
     for n in (1, 3, 7):
         for x in (0.5, 2.0):
-            b = tail_value(fam, n, x)
+            b = fam.value(n, x)
             assert math.isclose(b, x + n / b, rel_tol=1e-14)
     # n = 0 degenerates to the classic tail
-    assert tail_value(fam, 0, 1.3) == 1.3
+    assert fam.value(0, 1.3) == 1.3
 
 
 def test_deriv_matches_differences():
@@ -97,9 +97,9 @@ def test_deriv_matches_differences():
         fam = get_family(name)
         for n in (0, 1, 4):
             for x in (0.3, 1.0, 2.7):
-                num = (tail_value(fam, n, x + h)
-                       - tail_value(fam, n, x - h)) / (2.0 * h)
-                assert tail_deriv(fam, n, x) == pytest.approx(num, abs=1e-6), (
+                num = (fam.value(n, x + h)
+                       - fam.value(n, x - h)) / (2.0 * h)
+                assert fam.deriv(n, x) == pytest.approx(num, abs=1e-6), (
                     name, n, x)
 
 
@@ -148,7 +148,42 @@ def test_custom_requires_callables():
         custom(value=lambda n, x: 1.0, deriv="nope")
 
 
-def test_tail_helpers_validate_the_point():
+def test_point_check_rejects_negative_depth():
     fam = get_family("classic")
     with pytest.raises(ValueError):
-        tail_value(fam, -1, 1.0)
+        mills(1.0, -1, fam)
+
+
+def test_names_resolve_once():
+    for name in ALL_NAMES:
+        assert get_family(name) is get_family(name), name
+    fam = custom(value=lambda n, x: x, deriv=lambda n, x: 1.0)
+    assert get_family(fam) is fam
+
+
+def test_replaced_factory_is_resolved_again(monkeypatch):
+    # a wrapping factory swapped into FAMILIES, as a tracer does, is used,
+    # and the original family again once it is put back
+    original = get_family("sqrt")
+    factory = FAMILIES["sqrt"]
+    seen = []
+
+    def wrapping():
+        fam = factory()
+
+        def value(n, x):
+            seen.append(x)
+            return fam.value(n, x)
+
+        return dataclasses.replace(fam, value=value)
+
+    with monkeypatch.context() as m:
+        m.setitem(FAMILIES, "sqrt", wrapping)
+        wrapped = get_family("sqrt")
+        assert wrapped is not original and wrapped is get_family("sqrt")
+        assert mills(1.5, 2, "sqrt").value == mills(1.5, 2, original).value
+        assert seen == [1.5]
+    restored = get_family("sqrt")
+    assert restored is not wrapped
+    assert mills(1.5, 2, "sqrt").value == mills(1.5, 2, original).value
+    assert seen == [1.5]
