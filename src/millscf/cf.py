@@ -25,7 +25,7 @@ Laplace fraction for the Gaussian Mills ratio is 1/x.
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -49,6 +49,10 @@ class CFSpec:
     `domain` is an open interval; evaluation routines reject arguments
     outside it.  Callers that need the closure (e.g. modified fractions at
     x = 0) go through eval_backward, which only validates coefficients.
+
+    `levels`, when set, maps x to an iterator of (a(k, x), b(k, x)) for
+    k = 1, 2, ..., bit for bit the values of the callables, for loops that
+    consume levels in order and cannot afford two calls per level.
     """
 
     a: Callable[[int, float], float]
@@ -56,6 +60,7 @@ class CFSpec:
     b0: Callable[[float], float] = _zero_lead
     domain: tuple = (0.0, math.inf)
     name: str = ""
+    levels: Optional[Callable[[float], Iterator[tuple]]] = None
 
     def check_domain(self, x):
         lo, hi = self.domain

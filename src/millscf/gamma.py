@@ -23,12 +23,29 @@ Depth control: passing n evaluates a single depth-n convergent; omitting it
 runs the fraction adaptively until two successive convergents agree to
 1e-12 relative, capped at depth 500 (no a-priori truncation bound is
 available here, unlike the Gaussian case).
+
+The adaptive route reads each form's coefficients from one level stream,
+the spec's `levels(x)` generator, which yields (a_k, b_k) for k = 1, 2, ...
+with the same arithmetic as the spec's a/b callables, so the values are
+bit for bit the same.  One flat Wallis-Euler loop folds that stream: a level
+with |a_k| + |b_k| above 2^512 scales the four continuants down by 2^-512
+before the multiply, so the continuants stay finite for any finite x, and
+the new A, B are scaled down after it once either exceeds 2^500.  The
+stopping rule is unchanged.  The fixed-depth route keeps using
+eval_backward on the a/b callables.
 """
 
 import math
 from dataclasses import dataclass
+from itertools import count
 
-from .cf import CFSpec, eval_backward
+from .cf import (
+    _LEVEL_HEADROOM,
+    _RESCALE_FACTOR,
+    _RESCALE_LIMIT,
+    CFSpec,
+    eval_backward,
+)
 
 ADAPTIVE_REL_TOL = 1e-12
 ADAPTIVE_MAX_DEPTH = 500
@@ -83,7 +100,14 @@ def l1_spec(s):
     def b(k, x):
         return x if k % 2 == 1 else 1.0
 
-    return CFSpec(a=a, b=b, domain=(0.0, math.inf), name="l1")
+    def levels(x):
+        yield x, x
+        for j in count(1):
+            t = j - s
+            yield (0.0 if abs(t) < _SNAP else t), 1.0
+            yield float(j), x
+
+    return CFSpec(a=a, b=b, domain=(0.0, math.inf), name="l1", levels=levels)
 
 
 def laguerre_spec(s):
@@ -102,7 +126,14 @@ def laguerre_spec(s):
     def b(k, x):
         return x + 2.0 * k - 1.0 - s
 
-    return CFSpec(a=a, b=b, domain=(0.0, math.inf), name="laguerre")
+    def levels(x):
+        yield x ** s, x + 2.0 - 1.0 - s   # b_1 in the order of b_k
+        for k in count(2):
+            t = s - k + 1.0
+            yield (k - 1) * (0.0 if abs(t) < _SNAP else t), x + 2.0 * k - 1.0 - s
+
+    return CFSpec(a=a, b=b, domain=(0.0, math.inf), name="laguerre",
+                  levels=levels)
 
 
 def lower_spec(s):
@@ -122,7 +153,12 @@ def lower_spec(s):
     def b(k, x):
         return s if k == 1 else (k - 1.0) + s + x
 
-    return CFSpec(a=a, b=b, domain=(0.0, math.inf), name="lower")
+    def levels(x):
+        yield x, s
+        for k in count(2):
+            yield -(k - 2.0 + s) * x, (k - 1.0) + s + x
+
+    return CFSpec(a=a, b=b, domain=(0.0, math.inf), name="lower", levels=levels)
 
 
 def winitzki_spec(s):
@@ -143,31 +179,42 @@ def winitzki_spec(s):
     def b(k, x):
         return 1.0
 
-    return CFSpec(a=a, b=b, domain=(0.0, math.inf), name="winitzki")
+    def levels(x):
+        yield 1.0, 1.0
+        v = 1.0 / x
+        for j in count(1):
+            t = j - s
+            yield (0.0 if abs(t) < _SNAP else t) * v, 1.0
+            yield j * v, 1.0
 
-
-_RESCALE_LIMIT = 2.0 ** 500
-_RESCALE_FACTOR = 2.0 ** -512
+    return CFSpec(a=a, b=b, domain=(0.0, math.inf), name="winitzki",
+                  levels=levels)
 
 
 def _adaptive(spec, s, x, rel_tol=ADAPTIVE_REL_TOL, max_depth=ADAPTIVE_MAX_DEPTH):
     # forward recursion, stopping on relative agreement of successive
-    # convergents; only ratios are consumed, so rescaling needs no exponent
+    # convergents; only ratios are consumed, so rescaling needs no exponent.
+    # Every level leaves all four continuants at most 2**500 in size, so
+    # after the multiply only the new A, B need the test (the previous ones
+    # passed it a level earlier).
+    headroom, limit, factor = _LEVEL_HEADROOM, _RESCALE_LIMIT, _RESCALE_FACTOR
     A_prev, B_prev = 1.0, 0.0
     A, B = spec.b0(x), 1.0
-    prev = None
-    for k in range(1, max_depth + 1):
-        ak = spec.a(k, x)
-        bk = spec.b(k, x)
+    prev = math.nan   # no convergent yet: the first agreement test fails
+    for _, (ak, bk) in zip(range(max_depth), spec.levels(x)):
+        if abs(ak) + abs(bk) > headroom:
+            A, B = A * factor, B * factor
+            A_prev, B_prev = A_prev * factor, B_prev * factor
         A, A_prev = bk * A + ak * A_prev, A
         B, B_prev = bk * B + ak * B_prev, B
-        m = max(abs(A), abs(B), abs(A_prev), abs(B_prev))
-        if m > _RESCALE_LIMIT:
-            A, B = A * _RESCALE_FACTOR, B * _RESCALE_FACTOR
-            A_prev, B_prev = A_prev * _RESCALE_FACTOR, B_prev * _RESCALE_FACTOR
+        if abs(A) > limit or abs(B) > limit:
+            A, B = A * factor, B * factor
+            A_prev, B_prev = A_prev * factor, B_prev * factor
         if B != 0.0:
             cur = A / B
-            if prev is not None and abs(cur - prev) <= rel_tol * max(abs(cur), 1e-300):
+            mag = abs(cur)
+            # rel_tol * max(|cur|, 1e-300), written out
+            if abs(cur - prev) <= rel_tol * (mag if mag > 1e-300 else 1e-300):
                 return cur
             prev = cur
     raise ConvergenceError(
@@ -223,7 +270,9 @@ def reduce_s(s, x, evaluator=None):
 
     M_s = 1 + ((s-1)/x) M_{s-1} follows from integrating Gamma(s, x) by
     parts; applied repeatedly it lowers the shape into (0, 1], where the
-    supplied evaluator (default: adaptive laguerre) takes over.
+    supplied evaluator (default: adaptive laguerre) takes over.  Raises
+    OverflowError as soon as the running value stops being finite, which
+    happens when M_s(x) exceeds the largest double (large s, small x).
     """
     GammaParams(s, x)
     if s <= 1.0:
@@ -239,6 +288,11 @@ def reduce_s(s, x, evaluator=None):
     value = evaluator(base, x)
     for j in range(1, steps + 1):
         value = 1.0 + ((base + j - 1.0) / x) * value
+        if not math.isfinite(value):
+            raise OverflowError(
+                f"M_s(x) at s={s!r}, x={x!r} is not finite after {j} of "
+                f"{steps} reduction steps"
+            )
     return value
 
 

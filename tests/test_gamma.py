@@ -1,9 +1,14 @@
 """Gamma Mills ratio: the four fraction forms, reduction, and brackets."""
 
 import math
+import struct
+from itertools import islice
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from millscf import gamma
 from millscf.gamma import (
     ConvergenceError,
     GammaParams,
@@ -15,6 +20,11 @@ from millscf.gamma import (
     winitzki_cf,
 )
 from millscf.reference import reference_gamma_mills, reference_mills
+
+SPECS = (gamma.l1_spec, gamma.laguerre_spec, gamma.lower_spec, gamma.winitzki_spec)
+# 1 + 1e-14 snaps to an integer shape; x = 0.125 runs the slow forms to the cap
+SHAPES = (0.01, 0.3, 0.5, 1.0, 1.0 + 1e-14, 2.0, 2.5, 3.0, 10.5, 50.0)
+XS = np.logspace(-2.0, 2.0, 17).tolist() + [0.125]
 
 
 def test_params_validation():
@@ -129,3 +139,98 @@ def test_bounds_s01():
 def test_limit_toward_one():
     assert laguerre(0.5, 1000.0) == pytest.approx(1.0, abs=1e-2)
     assert laguerre(0.9, 500.0) == pytest.approx(1.0, abs=1e-2)
+
+
+def test_huge_x_rescales_before_the_multiply():
+    # the first levels carry |a_k| + |b_k| ~ x, past 2^512, so the
+    # continuants must be scaled down before the multiply, not after it
+    for x in (1e200, 1e300):
+        for form in (laguerre, cf_l1, winitzki_cf):
+            m = form(0.5, x)
+            assert math.isfinite(m) and abs(m - 1.0) <= 1e-12, (form.__name__, x, m)
+
+
+def test_reduce_s_raises_once_the_value_overflows():
+    # M_{1e5+1/2}(3) is far beyond the largest double: raise, never return inf
+    with pytest.raises(OverflowError, match=r"s=100000\.5, x=3\.0 is not finite"):
+        reduce_s(1e5 + 0.5, 3.0)
+
+
+def _reference_adaptive(spec, s, x, rel_tol=gamma.ADAPTIVE_REL_TOL,
+                        max_depth=gamma.ADAPTIVE_MAX_DEPTH):
+    """The adaptive loop on the a/b callables, rescaling after the multiply."""
+    A_prev, B_prev = 1.0, 0.0
+    A, B = spec.b0(x), 1.0
+    prev = None
+    for k in range(1, max_depth + 1):
+        ak = spec.a(k, x)
+        bk = spec.b(k, x)
+        A, A_prev = bk * A + ak * A_prev, A
+        B, B_prev = bk * B + ak * B_prev, B
+        m = max(abs(A), abs(B), abs(A_prev), abs(B_prev))
+        if m > 2.0 ** 500:
+            A, B = A * 2.0 ** -512, B * 2.0 ** -512
+            A_prev, B_prev = A_prev * 2.0 ** -512, B_prev * 2.0 ** -512
+        if B != 0.0:
+            cur = A / B
+            if prev is not None and abs(cur - prev) <= rel_tol * max(abs(cur), 1e-300):
+                return cur
+            prev = cur
+    raise ConvergenceError(
+        f"{spec.name} form of M_s(x) at s={s!r}, x={x!r}: successive "
+        f"convergents still apart after {max_depth} levels"
+    )
+
+
+def _outcome(fn, *args):
+    try:
+        return struct.pack("<d", fn(*args))
+    except ArithmeticError as exc:
+        return type(exc), str(exc)
+
+
+def test_adaptive_matches_the_per_level_reference():
+    capped = 0
+    for factory in SPECS:
+        for s in SHAPES:
+            spec = factory(s)
+            for x in XS:
+                got = _outcome(gamma._adaptive, spec, s, x)
+                assert got == _outcome(_reference_adaptive, spec, s, x), \
+                    (spec.name, s, x)
+                capped += isinstance(got, tuple)
+    assert capped > 0   # the cap-hit path is compared too
+    # a cap of d levels folds exactly d: convergence at the last level counts
+    for factory in SPECS:
+        spec = factory(0.5)
+        for x in (0.5, 2.0, 8.0):
+            for d in range(1, 41):
+                assert _outcome(gamma._adaptive, spec, 0.5, x, 1e-12, d) == \
+                    _outcome(_reference_adaptive, spec, 0.5, x, 1e-12, d), \
+                    (spec.name, x, d)
+
+
+def test_level_streams_match_the_coefficient_callables():
+    for factory in SPECS:
+        for s in SHAPES:
+            spec = factory(s)
+            for x in XS:
+                stream = list(islice(spec.levels(x), 500))
+                want = [(spec.a(k, x), spec.b(k, x)) for k in range(1, 501)]
+                assert np.array(stream).tobytes() == np.array(want).tobytes(), \
+                    (spec.name, s, x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(s=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+       x=st.floats(min_value=1.0, max_value=1e300))
+def test_adaptive_forms_stay_inside_the_s01_bracket(s, x):
+    # for s <= 1, Gamma(s, x) <= x^(s-1) e^-x gives M <= 1, and the depth-2
+    # l1 convergent x/(x + 1 - s) is a lower bound
+    lo = x / (x + 1.0 - s) - 1e-12
+    for form in (laguerre, cf_l1, winitzki_cf):
+        try:
+            m = form(s, x)
+        except ConvergenceError:
+            continue
+        assert math.isfinite(m) and lo <= m <= 1.0 + 1e-12, (form.__name__, s, x, m)
