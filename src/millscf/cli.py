@@ -70,12 +70,17 @@ def _resolve_family(args):
     return args.family
 
 
-def _write_csv(path, header, rows):
-    # LF endings and ASCII bytes keep the files byte-deterministic
+def _write_csv(path, header, columns):
+    """The header line, then one row per element of the float arrays in columns.
+
+    Each cell is %r, the repr _fmt gives; rows are formatted as they are
+    written, never all held at once.  LF endings and ASCII bytes keep the
+    files byte-deterministic.
+    """
+    row = ",".join(["%r"] * len(columns)) + "\n"
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+        fh.writelines(map(row.__mod__, zip(*(c.tolist() for c in columns))))
 
 
 def run_eval(args):
@@ -104,10 +109,8 @@ def run_table(args):
     xs = args.xmin + np.arange(count + 1) * args.step
     values = gauss.mills_grid(xs, args.n, fam)
     refs = reference_mills_grid(xs)
-    columns = (xs, values, refs, values - refs)
-    # rows are formatted as they are written, never all held at once
-    rows = (map(_fmt, row) for row in zip(*(c.tolist() for c in columns)))
-    _write_csv(args.out, "x,approx,reference,error", rows)
+    _write_csv(args.out, "x,approx,reference,error",
+               (xs, values, refs, values - refs))
     print(f"wrote {xs.size} rows to {args.out}")
     return 0
 
@@ -142,10 +145,9 @@ def run_figure(args):
     # gauss.delta's arithmetic, with the reference tail shared by the columns
     pdf = gauss.phi(xs)
     tail = pdf * reference_mills_grid(xs)
-    curves = [(tail - pdf * gauss.mills_grid(xs, n, fams[name])).tolist()
+    curves = [tail - pdf * gauss.mills_grid(xs, n, fams[name])
               for name in columns]
-    rows = [tuple(map(_fmt, row)) for row in zip(xs.tolist(), *curves)]
-    _write_csv(args.out, ",".join(["x"] + columns), rows)
+    _write_csv(args.out, ",".join(["x"] + columns), [xs] + curves)
     print(f"wrote error curves for depth n={n} to {args.out}")
     return 0
 

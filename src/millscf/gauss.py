@@ -30,6 +30,7 @@ equals the engine's depth-(n+1) convergent.
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -274,22 +275,40 @@ def delta(x, n, family="improved-expo"):
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
+# a multi-depth scan asks for the same grid at every depth; one entry is
+# three 20001-point arrays (about 0.5 MB)
+@lru_cache(maxsize=4)
+def _reference_grid(xmin, xmax, step):
+    """(xs, phi(xs), phi(xs) R(xs)) of a scan grid, computed once and read-only."""
+    from . import reference  # imported here to avoid an import cycle
+
+    xs = xmin + np.arange(int(round((xmax - xmin) / step)) + 1) * step
+    pdf = phi(xs)
+    tail = pdf * reference.reference_mills_grid(xs)
+    for v in (xs, pdf, tail):
+        v.flags.writeable = False
+    return xs, pdf, tail
+
+
 def scan_max_delta(family, n, xmin=0.0, xmax=20.0, step=1e-3,
                    refine_width=1e-8):
     """(argmax, max) of |Delta_n| on [xmin, xmax]: grid scan plus golden section.
 
-    The grid has the stated step and is evaluated in one array call; the
-    bracketing interval around the best grid point (the first, on ties) is
-    narrowed to refine_width by golden-section search.  xmin exists for the
-    classic family, whose tail is undefined at 0.
+    The grid has the stated step and is evaluated in one array call, with the
+    reference tail computed once per (xmin, xmax, step) and shared by every
+    depth and family scanned on it; the bracketing interval around the best
+    grid point (the first, on ties) is narrowed to refine_width by
+    golden-section search.  xmin exists for the classic family, whose tail is
+    undefined at 0.
     """
     fam = get_family(family)
 
     def f(x):
         return abs(delta(x, n, fam))
 
-    npts = int(round((xmax - xmin) / step))
-    best_i = int(np.argmax(f(xmin + np.arange(npts + 1) * step)))
+    xs, pdf, tail = _reference_grid(xmin, xmax, step)
+    # delta's array arithmetic on the shared reference tail
+    best_i = int(np.argmax(np.abs(tail - pdf * mills_grid(xs, n, fam))))
     lo = max(xmin, xmin + (best_i - 1) * step)
     hi = min(xmax, xmin + (best_i + 1) * step)
     c = hi - _GOLDEN * (hi - lo)

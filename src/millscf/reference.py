@@ -100,7 +100,11 @@ def _mills_cf(x, rel_tol=1e-15, max_depth=2000):
         return 1.0 / x
     A_prev, B_prev = 1.0, 0.0
     A, B = 0.0, 1.0
+    # log(B) and 2 scale_bits ln 2 carry over from the level before and are
+    # recomputed only where a rescale changes them
+    log_B = 0.0
     scale_bits = 0
+    scale_log = 0.0
     depth = None
     m = 0
     while m < max_depth:
@@ -108,16 +112,23 @@ def _mills_cf(x, rel_tol=1e-15, max_depth=2000):
         a = 1.0 if m == 1 else m - 1.0
         A, A_prev = x * A + a * A_prev, A
         B, B_prev = x * B + a * B_prev, B
-        if B > _BIG or A > _BIG:
+        log_B_prev = log_B
+        # only B is watched: for x >= 1 every convergent A/B is at most
+        # 1/x <= 1, so A passes 2^500 only after B has (on the branch
+        # checks' [0.5, 1) A/B has settled below 1 by then, so the rescales
+        # fall on the same levels as when A was watched too)
+        if B > _BIG:
             A *= _SHRINK
             B *= _SHRINK
             A_prev *= _SHRINK
             B_prev *= _SHRINK
             scale_bits += 512
+            scale_log = 2.0 * scale_bits * _LOG2
+            log_B_prev = math.log(B_prev)
+        log_B = math.log(B)
         if m >= 2:
             # bound for depth m-1 uses the pair (B_{m-1}, B_m)
-            log_bound = (math.lgamma(m) - math.log(B_prev) - math.log(B)
-                         - 2.0 * scale_bits * _LOG2)
+            log_bound = math.lgamma(m) - log_B_prev - log_B - scale_log
             if log_bound <= math.log(rel_tol * (A / B)):
                 depth = m - 1
                 break
@@ -142,27 +153,33 @@ def _mills_cf_grid(x, rel_tol=1e-15, max_depth=2000):
     xa = x[idx]
     A_prev, B_prev = np.ones_like(xa), np.zeros_like(xa)
     A, B = np.zeros_like(xa), np.ones_like(xa)
+    log_B = np.zeros_like(xa)
     scale_bits = np.zeros_like(xa)
+    scale_log = np.zeros_like(xa)
     m = 0
     while idx.size and m < max_depth:
         m += 1
         a = 1.0 if m == 1 else m - 1.0
         A, A_prev = xa * A + a * A_prev, A
         B, B_prev = xa * B + a * B_prev, B
-        big = (B > _BIG) | (A > _BIG)
+        log_B_prev = log_B
+        big = B > _BIG   # B only, as in _mills_cf
         if big.any():
             for v in (A, B, A_prev, B_prev):
                 v[big] *= _SHRINK
             scale_bits[big] += 512
+            scale_log[big] = 2.0 * scale_bits[big] * _LOG2
+            log_B_prev[big] = np.log(B_prev[big])
+        log_B = np.log(B)
         if m >= 2:
-            log_bound = (math.lgamma(m) - np.log(B_prev) - np.log(B)
-                         - 2.0 * scale_bits * _LOG2)
+            log_bound = math.lgamma(m) - log_B_prev - log_B - scale_log
             done = log_bound <= np.log(rel_tol * (A / B))
             if done.any():
                 depth[idx[done]] = m - 1
                 keep = ~done
-                idx, xa, A, B, A_prev, B_prev, scale_bits = (
-                    v[keep] for v in (idx, xa, A, B, A_prev, B_prev, scale_bits))
+                idx, xa, A, B, A_prev, B_prev, log_B, scale_bits, scale_log = (
+                    v[keep] for v in (idx, xa, A, B, A_prev, B_prev, log_B,
+                                      scale_bits, scale_log))
     if idx.size:
         raise OracleError(f"classic fraction for R({x[idx[0]]}) not certified "
                           f"within {max_depth} levels")

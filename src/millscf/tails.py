@@ -103,6 +103,39 @@ def classic():
     )
 
 
+# h = x/2 past 2^511 has h^2 + g round to h^2 (g = beta_n(0)^2 is about n)
+# and sqrt(h^2) is h, so x/2 + sqrt(h^2 + g) is x there, with slope 1;
+# squaring h would overflow.  The curvature g/(4 s^3), s = sqrt(h^2 + g),
+# is computed as 0.25/s - h^2/(4 s^3) up to x = 2^341, just before s^3
+# overflows, and past it as g/(4 h^3) (s is h there), below 1e-306.
+_FLAT = 2.0 ** 512
+_CUBE = 2.0 ** 341
+
+
+def _half_root(x, g):
+    """x/2 + sqrt((x/2)^2 + g) on a float or an array; finite for finite x."""
+    if isinstance(x, np.ndarray):
+        h = np.minimum(x, _FLAT) / 2.0
+        return np.where(x > _FLAT, x, x / 2.0 + np.sqrt(h ** 2 + g))
+    if x > _FLAT:
+        return x
+    return x / 2.0 + math.sqrt((x / 2.0) ** 2 + g)
+
+
+def _half_root_deriv(x, g):
+    if x > _FLAT:
+        return 1.0
+    return 0.5 + (x / 4.0) / math.sqrt((x / 2.0) ** 2 + g)
+
+
+def _half_root_second(x, g):
+    if x > _CUBE:
+        h = x / 2.0
+        return 0.25 * g / h / h / h
+    s = math.sqrt((x / 2.0) ** 2 + g)
+    return 0.25 / s - (x * x / 16.0) / s**3
+
+
 def limit_ansatz():
     """x/2 + sqrt((x/2)^2 + n), the fixed point of t = x + n/t.
 
@@ -111,42 +144,27 @@ def limit_ansatz():
     """
 
     def val(n, x):
-        if n == 0:
-            return x
-        return x / 2.0 + _lib(x).sqrt((x / 2.0) ** 2 + n)
+        return x if n == 0 else _half_root(x, n)
 
     def der(n, x):
-        if n == 0:
-            return 1.0
-        return 0.5 + (x / 4.0) / math.sqrt((x / 2.0) ** 2 + n)
+        return 1.0 if n == 0 else _half_root_deriv(x, n)
 
     def sec(n, x):
-        if n == 0:
-            return 0.0
-        s = math.sqrt((x / 2.0) ** 2 + n)
-        return 0.25 / s - (x * x / 16.0) / s**3
+        return 0.0 if n == 0 else _half_root_second(x, n)
 
     return TailFamily(kind="limit-ansatz", value=val, deriv=der, second=sec)
 
 
 def sqrt_family():
     """x/2 + sqrt((x/2)^2 + beta_n(0)^2): exact at 0, alternating bounds."""
-
-    def val(n, x):
-        g = beta0(n) ** 2
-        return x / 2.0 + _lib(x).sqrt((x / 2.0) ** 2 + g)
-
-    def der(n, x):
-        g = beta0(n) ** 2
-        return 0.5 + (x / 4.0) / math.sqrt((x / 2.0) ** 2 + g)
-
-    def sec(n, x):
-        g = beta0(n) ** 2
-        s = math.sqrt((x / 2.0) ** 2 + g)
-        return 0.25 / s - (x * x / 16.0) / s**3
-
-    return TailFamily(kind="sqrt", value=val, deriv=der, second=sec,
-                      fits_value=True, bound_side="alternating")
+    return TailFamily(
+        kind="sqrt",
+        value=lambda n, x: _half_root(x, beta0(n) ** 2),
+        deriv=lambda n, x: _half_root_deriv(x, beta0(n) ** 2),
+        second=lambda n, x: _half_root_second(x, beta0(n) ** 2),
+        fits_value=True,
+        bound_side="alternating",
+    )
 
 
 def linear():

@@ -211,3 +211,45 @@ def test_module_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "value: 0.5" in proc.stdout
+
+
+# the CSV writer before the streamed one: each cell through repr(float(v)),
+# one joined line per row
+def _old_write_csv(path, header, columns):
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write(header + "\n")
+        for row in zip(*(c.tolist() for c in columns)):
+            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+
+
+def _both_writers(argv, out, monkeypatch, capsys):
+    """The bytes argv writes to out with the current and the old writer."""
+    from millscf import cli
+
+    assert run_cli(argv + ["--out", str(out)], capsys)[0] == 0
+    new = out.read_bytes()
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_write_csv", _old_write_csv)
+        assert run_cli(argv + ["--out", str(out)], capsys)[0] == 0
+    return new, out.read_bytes()
+
+
+def test_table_csv_bytes_match_the_old_writer(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "t.csv"
+    for family, xmin in (("improved-expo", "0"), ("classic", "1")):
+        for n in range(4):
+            argv = ["table", "--xmin", xmin, "--xmax", "20", "--step", "0.01",
+                    "--family", family, "--n", str(n)]
+            new, old = _both_writers(argv, out, monkeypatch, capsys)
+            assert new == old, (family, n)
+
+
+def test_figure_csv_bytes_match_the_old_writer(tmp_path, monkeypatch, capsys):
+    tail = tmp_path / "tail.csv"
+    tail.write_text("x,beta\n0.0,1.0\n1.0,1.6\n2.0,2.4\n4.0,4.2\n6.5,6.7\n")
+    out = tmp_path / "f.csv"
+    for fig in ("1", "2", "3"):
+        for extra in ([], ["--tail-file", str(tail)]):
+            new, old = _both_writers(["figure", "--id", fig] + extra, out,
+                                     monkeypatch, capsys)
+            assert new == old, (fig, extra)

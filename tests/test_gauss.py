@@ -391,6 +391,74 @@ def test_scan_max_delta_keeps_the_scalar_argmax():
         assert np.argmax(np.abs(delta(xs, n, "improved-expo"))) == best_i, n
 
 
+# scan_max_delta as it was before the shared reference grid: the grid step
+# through delta on the array, then the same golden section
+def _old_scan(family, n, xmin=0.0, xmax=20.0, step=1e-3, refine_width=1e-8):
+    fam = tails.get_family(family)
+
+    def f(x):
+        return abs(delta(x, n, fam))
+
+    npts = int(round((xmax - xmin) / step))
+    best_i = int(np.argmax(f(xmin + np.arange(npts + 1) * step)))
+    lo = max(xmin, xmin + (best_i - 1) * step)
+    hi = min(xmax, xmin + (best_i + 1) * step)
+    golden = (math.sqrt(5.0) - 1.0) / 2.0
+    c = hi - golden * (hi - lo)
+    d = lo + golden * (hi - lo)
+    fc, fd = f(c), f(d)
+    while hi - lo > refine_width:
+        if fc > fd:
+            hi, d, fd = d, c, fc
+            c = hi - golden * (hi - lo)
+            fc = f(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + golden * (hi - lo)
+            fd = f(d)
+    x_star = (lo + hi) / 2.0
+    return x_star, f(x_star)
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def test_scan_shares_one_reference_grid(monkeypatch):
+    from millscf import gauss, reference
+
+    calls = []
+    real = reference.reference_mills_grid
+
+    def counted(xs):
+        calls.append(len(xs))
+        return real(xs)
+
+    gauss._reference_grid.cache_clear()
+    monkeypatch.setattr(reference, "reference_mills_grid", counted)
+    for n in range(4):
+        scan_max_delta("improved-expo", n)
+    assert calls == [20001]
+    assert gauss._reference_grid.cache_info().maxsize is not None
+    for v in gauss._reference_grid(0.0, 20.0, 1e-3):
+        assert not v.flags.writeable
+        with pytest.raises(ValueError):
+            v[0] = 1.0
+    gauss._reference_grid.cache_clear()
+
+
+def test_scan_matches_the_previous_scan():
+    for name in tails.FAMILIES:
+        xmin = 1.0 if name == "classic" else 0.0
+        for n in range(4):
+            got = _outcome(scan_max_delta, name, n, xmin=xmin)
+            want = _outcome(_old_scan, name, n, xmin=xmin)
+            assert got == want, (name, n)
+
+
 def test_lcf_matches_laplace_up_to_x():
     # the 1/x^2 form evaluates x R(x); level by level it is x times the
     # plain fraction

@@ -15,6 +15,7 @@ from scipy.special import gamma as gamma_fn
 from millscf.reference import (
     OracleError,
     _mills_cf,
+    _mills_cf_grid,
     _mills_series,
     reference_gamma_mills,
     reference_mills,
@@ -147,3 +148,126 @@ def test_gamma_oracle_domain():
 
 def test_oracle_error_is_a_runtime_error():
     assert issubclass(OracleError, RuntimeError)
+
+
+# the certification loops as they were before the lighter rewrite (A and B
+# both watched for the rescale, every log taken afresh at every level), kept
+# as the reference that _mills_cf and _mills_cf_grid must match bit for bit
+_BIG = 2.0 ** 500
+_SHRINK = 2.0 ** -512
+_LOG2 = math.log(2.0)
+
+
+def _old_mills_cf(x, rel_tol=1e-15, max_depth=2000):
+    if x >= (1.0 / rel_tol) ** 0.5:
+        return 1.0 / x
+    A_prev, B_prev = 1.0, 0.0
+    A, B = 0.0, 1.0
+    scale_bits = 0
+    depth = None
+    m = 0
+    while m < max_depth:
+        m += 1
+        a = 1.0 if m == 1 else m - 1.0
+        A, A_prev = x * A + a * A_prev, A
+        B, B_prev = x * B + a * B_prev, B
+        if B > _BIG or A > _BIG:
+            A *= _SHRINK
+            B *= _SHRINK
+            A_prev *= _SHRINK
+            B_prev *= _SHRINK
+            scale_bits += 512
+        if m >= 2:
+            log_bound = (math.lgamma(m) - math.log(B_prev) - math.log(B)
+                         - 2.0 * scale_bits * _LOG2)
+            if log_bound <= math.log(rel_tol * (A / B)):
+                depth = m - 1
+                break
+    if depth is None:
+        raise OracleError(
+            f"classic fraction for R({x}) not certified within {max_depth} levels")
+    t = x
+    for k in range(depth, 1, -1):
+        t = x + (k - 1.0) / t
+    return 1.0 / t
+
+
+def _old_mills_cf_grid(x, rel_tol=1e-15, max_depth=2000):
+    depth = np.ones(x.shape, dtype=np.intp)
+    idx = np.flatnonzero(~(x >= (1.0 / rel_tol) ** 0.5))
+    xa = x[idx]
+    A_prev, B_prev = np.ones_like(xa), np.zeros_like(xa)
+    A, B = np.zeros_like(xa), np.ones_like(xa)
+    scale_bits = np.zeros_like(xa)
+    m = 0
+    while idx.size and m < max_depth:
+        m += 1
+        a = 1.0 if m == 1 else m - 1.0
+        A, A_prev = xa * A + a * A_prev, A
+        B, B_prev = xa * B + a * B_prev, B
+        big = (B > _BIG) | (A > _BIG)
+        if big.any():
+            for v in (A, B, A_prev, B_prev):
+                v[big] *= _SHRINK
+            scale_bits[big] += 512
+        if m >= 2:
+            log_bound = (math.lgamma(m) - np.log(B_prev) - np.log(B)
+                         - 2.0 * scale_bits * _LOG2)
+            done = log_bound <= np.log(rel_tol * (A / B))
+            if done.any():
+                depth[idx[done]] = m - 1
+                keep = ~done
+                idx, xa, A, B, A_prev, B_prev, scale_bits = (
+                    v[keep] for v in (idx, xa, A, B, A_prev, B_prev, scale_bits))
+    if idx.size:
+        raise OracleError(f"classic fraction for R({x[idx[0]]}) not certified "
+                          f"within {max_depth} levels")
+    order = np.argsort(-depth, kind="stable")
+    xs, neg_depth = x[order], -depth[order]
+    t = xs.copy()
+    for k in range(int(depth.max(initial=1)), 1, -1):
+        c = np.searchsorted(neg_depth, -k, side="right")
+        t[:c] = xs[:c] + (k - 1.0) / t[:c]
+    out = np.empty_like(x)
+    out[order] = 1.0 / t
+    return out
+
+
+def test_certification_loops_match_the_previous_ones():
+    figure = np.arange(601) / 100.0
+    log_uniform = np.exp(np.random.default_rng(5).uniform(
+        0.0, math.log(1e6), 50000))
+    grids = [
+        1.0 + np.arange(19001) * 1e-3,          # the scan grid's x >= 1 part
+        figure[figure >= 1.0],
+        log_uniform,
+        np.array([1e150, 1e300, 1.0 / math.sqrt(1e-15)]),
+        np.array([]),
+    ]
+    for xs in grids:
+        assert _mills_cf_grid(xs).tobytes() == _old_mills_cf_grid(xs).tobytes()
+    # the scalar loop on [1, 2] (the deepest points), every 4th point of
+    # (2, 20], the figure grid from 0.5 (the branch checks' lower end) and
+    # every 10th log-uniform point
+    points = np.concatenate([grids[0][:1001], grids[0][1001::4],
+                             figure[figure >= 0.5], log_uniform[::10],
+                             grids[3]]).tolist()
+    points += [0.5 + 1.5 * i / 49.0 for i in range(50)]
+    for x in points:
+        assert _mills_cf(x) == _old_mills_cf(x), x
+
+
+def test_certification_cap_matches_the_previous_one():
+    xs = np.array([1.0, 1.5, 3.0])
+    for cap in (1, 2, 5, 40):
+        with pytest.raises(OracleError) as new:
+            _mills_cf_grid(xs, max_depth=cap)
+        with pytest.raises(OracleError) as old:
+            _old_mills_cf_grid(xs, max_depth=cap)
+        assert str(new.value) == str(old.value)
+        for x in xs.tolist():
+            with pytest.raises(OracleError) as new:
+                _mills_cf(x, max_depth=cap)
+            with pytest.raises(OracleError) as old:
+                _old_mills_cf(x, max_depth=cap)
+            assert str(new.value) == str(old.value)

@@ -187,3 +187,56 @@ def test_replaced_factory_is_resolved_again(monkeypatch):
     assert restored is not wrapped
     assert mills(1.5, 2, "sqrt").value == mills(1.5, 2, original).value
     assert seen == [1.5]
+
+
+# the sqrt and limit-ansatz tails before their huge-x guards: x/2 + sqrt(h^2 + g)
+# with h = x/2, its slope and its curvature, squaring h on every call (the
+# curvature's s**3 overflowed past x of about 1e103, the rest past 2.7e154)
+def _old_value(x, g):
+    return x / 2.0 + math.sqrt((x / 2.0) ** 2 + g)
+
+
+def _old_deriv(x, g):
+    return 0.5 + (x / 4.0) / math.sqrt((x / 2.0) ** 2 + g)
+
+
+def _old_second(x, g):
+    s = math.sqrt((x / 2.0) ** 2 + g)
+    return 0.25 / s - (x * x / 16.0) / s**3
+
+
+def test_half_root_tails_unchanged_below_the_guard():
+    xs = np.exp(np.linspace(math.log(1e-3), math.log(30.0), 301)).tolist()
+    xs += [0.0, 1e3, 1e10, 1e100, 1e150]
+    for name in ("sqrt", "limit-ansatz"):
+        fam = get_family(name)
+        for n in range(61):
+            if name == "limit-ansatz" and n == 0:
+                continue   # the classic tail x, no square root
+            g = n if name == "limit-ansatz" else beta0(n) ** 2
+            for x in xs:
+                assert fam.value(n, x) == _old_value(x, g), (name, n, x)
+                assert fam.deriv(n, x) == _old_deriv(x, g), (name, n, x)
+                if x <= 1e100:
+                    assert fam.second_deriv(n, x) == _old_second(x, g), (name, n, x)
+            grid = fam.value(n, np.array(xs))
+            assert grid.tolist() == [fam.value(n, x) for x in xs], (name, n)
+
+
+def test_half_root_tails_finite_at_huge_x(capsys):
+    from millscf.cli import main
+
+    huge = [2.0 ** 512, 1e155, 1e200, 1e300, 1.7976931348623157e308]
+    for name in ("sqrt", "limit-ansatz"):
+        fam = get_family(name)
+        for n in (1, 3, 60):
+            for x in huge:
+                assert fam.value(n, x) == x, (name, n, x)
+                assert fam.deriv(n, x) == 1.0
+                assert 0.0 <= fam.second_deriv(n, x) < 1e-300
+            assert fam.value(n, np.array(huge)).tolist() == huge
+        got = mills(1e200, 3, name).value
+        want = mills(1e200, 3, "classic").value
+        assert abs(got - want) <= 4 * math.ulp(want), name
+    assert main(["eval", "--x", "1e200", "--family", "sqrt", "--n", "3"]) == 0
+    assert "value: 1e-200" in capsys.readouterr().out
