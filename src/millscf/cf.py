@@ -1,10 +1,10 @@
-"""Evaluation kernels for continued fractions b0 + K_{k>=1}(a_k / b_k).
+"""Evaluation kernels for continued fractions K_{k>=1}(a_k / b_k).
 
 A fraction is described by coefficient callables a(k, x), b(k, x) for levels
-k >= 1 together with a leading term b0(x).  The n-th convergent A_n/B_n
-satisfies the three-term (Wallis-Euler) recursion
+k >= 1; no fraction in the library has a leading term.  The n-th convergent
+A_n/B_n satisfies the three-term (Wallis-Euler) recursion
 
-    A_k = b_k A_{k-1} + a_k A_{k-2},      A_{-1} = 1, A_0 = b0,
+    A_k = b_k A_{k-1} + a_k A_{k-2},      A_{-1} = 1, A_0 = 0,
     B_k = b_k B_{k-1} + a_k B_{k-2},      B_{-1} = 0, B_0 = 1,
 
 and equals the determinant of a tridiagonal matrix with b's on the diagonal,
@@ -24,7 +24,7 @@ Laplace fraction for the Gaussian Mills ratio is 1/x.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
 import numpy as np
@@ -38,17 +38,13 @@ class InvalidTransformError(ValueError):
     """An equivalence transform used a vanishing or ill-normalized multiplier."""
 
 
-def _zero_lead(x):
-    return 0.0
-
-
 @dataclass(frozen=True)
 class CFSpec:
-    """Coefficients of b0 + K(a_k/b_k) and the x-interval they are claimed on.
+    """Coefficients of K(a_k/b_k), claimed for 0 < x < inf.
 
-    `domain` is an open interval; evaluation routines reject arguments
-    outside it.  Callers that need the closure (e.g. modified fractions at
-    x = 0) go through eval_backward, which only validates coefficients.
+    The forward routes reject x outside that interval.  Callers that need
+    the closure (e.g. modified fractions at x = 0) go through eval_backward,
+    which only validates coefficients.
 
     `levels`, when set, maps x to an iterator of (a(k, x), b(k, x)) for
     k = 1, 2, ..., bit for bit the values of the callables, for loops that
@@ -57,17 +53,15 @@ class CFSpec:
 
     a: Callable[[int, float], float]
     b: Callable[[int, float], float]
-    b0: Callable[[float], float] = _zero_lead
-    domain: tuple = (0.0, math.inf)
     name: str = ""
     levels: Optional[Callable[[float], Iterator[tuple]]] = None
 
-    def check_domain(self, x):
-        lo, hi = self.domain
-        if not (lo < x < hi):
-            raise ValueError(
-                f"x={x!r} outside the domain ({lo}, {hi}) of spec {self.name!r}"
-            )
+
+def _check_x(spec, x):
+    if not 0.0 < x < math.inf:
+        raise ValueError(
+            f"x={x!r} outside the domain (0.0, inf) of spec {spec.name!r}"
+        )
 
 
 @dataclass(frozen=True)
@@ -121,7 +115,7 @@ def _forward_states(spec, x, n):
     so its inputs are scaled down by 2**-512 before the multiply.
     """
     A_prev, B_prev = 1.0, 0.0
-    A, B = spec.b0(x), 1.0
+    A, B = 0.0, 1.0
     scale = 0
     yield A, B, A_prev, B_prev, scale
     for k in range(1, n + 1):
@@ -149,7 +143,7 @@ def forward_recurrence(spec, x, n):
     """Run the Wallis-Euler recursion to depth n and return the state."""
     if n < 0:
         raise ValueError("depth n must be >= 0")
-    spec.check_domain(x)
+    _check_x(spec, x)
     *_, (A, B, A_prev, B_prev, scale) = _forward_states(spec, x, n)
     return ConvergentState(A=A, B=B, A_prev=A_prev, B_prev=B_prev,
                            depth=n, scale_log2=scale)
@@ -157,7 +151,7 @@ def forward_recurrence(spec, x, n):
 
 def convergents(spec, x, n):
     """Values of the first n convergents (depths 1..n) in one forward pass."""
-    spec.check_domain(x)
+    _check_x(spec, x)
     states = _forward_states(spec, x, n)
     next(states)   # depth 0 has no convergent
     out = []
@@ -173,7 +167,7 @@ def eval_backward(spec, x, n, tail):
 
     Folds levels n, n-1, ..., 1 innermost-first:
 
-        t <- b_{m-1} + a_m / t,    starting from t = tail.
+        t <- b_{m-1} + a_m / t,    starting from t = tail, with b_0 = 0.
 
     With tail = b(n, x) this reproduces forward_recurrence's A_n/B_n.  A zero
     numerator terminates the fraction exactly (the deeper levels cannot
@@ -187,7 +181,7 @@ def eval_backward(spec, x, n, tail):
     t = float(tail)
     for m in range(n, 0, -1):
         am = _coeff(spec, "a", m, x)
-        lead = _coeff(spec, "b", m - 1, x) if m > 1 else spec.b0(x)
+        lead = _coeff(spec, "b", m - 1, x) if m > 1 else 0.0
         if am == 0.0:
             t = lead
             continue
@@ -243,8 +237,7 @@ def equivalence_transform(spec, p):
     def b2(k, x):
         return pval(k, x) * spec.b(k, x)
 
-    return CFSpec(a=a2, b=b2, b0=spec.b0, domain=spec.domain,
-                  name=f"{spec.name}|equiv")
+    return CFSpec(a=a2, b=b2, name=f"{spec.name}|equiv")
 
 
 _CONTINUANT_MAX = 8
@@ -258,9 +251,8 @@ def continuant_oracle(spec, x, n):
     """
     if not 0 <= n <= _CONTINUANT_MAX:
         raise ValueError(f"continuant oracle supports 0 <= n <= {_CONTINUANT_MAX}")
-    spec.check_domain(x)
-    m = np.zeros((n + 1, n + 1))
-    m[0, 0] = spec.b0(x)
+    _check_x(spec, x)
+    m = np.zeros((n + 1, n + 1))   # m[0, 0] is A_0 = 0
     for k in range(1, n + 1):
         m[k, k] = _coeff(spec, "b", k, x)
         m[k - 1, k] = -1.0

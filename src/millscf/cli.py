@@ -123,6 +123,10 @@ def run_maxerr(args):
     xmin = 1.0 if name == "classic" else 0.0
     print(f"family: {name}  scan [{_fmt(xmin)}, 20.0] step 0.001")
     for n in range(args.nmin, args.nmax + 1):
+        if name == "limit-ansatz" and n == 0:
+            # R_0 = 1/x has no maximum error on a scan that starts at 0
+            print("n=0  undefined: limit-ansatz with n = 0 vanishes at x = 0")
+            continue
         x_star, worst = gauss.scan_max_delta(fam, n, xmin=xmin)
         decays = gauss.decays_beyond(fam, n)
         line = (f"n={n}  max|error|={worst:.6e}  at x={x_star:.4f}  "
@@ -154,7 +158,7 @@ def run_figure(args):
 
 def run_verify(args):
     names = [args.suite] if args.suite else None
-    results = verify.run_suites(names, inject_sign_fault=args.inject_sign_fault)
+    results = verify.run_suites(names)
     failures = 0
     for name, ok, detail in results:
         print(f"{'PASS' if ok else 'FAIL'} {name:<22} {detail}")
@@ -172,13 +176,13 @@ def build_parser():
 
     def family_flags(p, default="improved-expo"):
         p.add_argument("--family", choices=_FAMILY_CHOICES, default=default)
-        p.add_argument("--n", type=int, default=1,
-                       help="number of fraction terms kept")
         p.add_argument("--tail-file",
                        help="two-column x,beta CSV for --family custom")
 
     p = sub.add_parser("eval", help="evaluate one point")
     p.add_argument("--x", type=float, required=True)
+    p.add_argument("--n", type=int, default=1,
+                   help="number of fraction terms kept")
     family_flags(p)
     p.set_defaults(func=run_eval)
 
@@ -187,6 +191,8 @@ def build_parser():
     p.add_argument("--xmax", type=float, required=True)
     p.add_argument("--step", type=float, required=True)
     p.add_argument("--out", required=True)
+    p.add_argument("--n", type=int, default=1,
+                   help="number of fraction terms kept")
     family_flags(p)
     p.set_defaults(func=run_table)
 
@@ -205,8 +211,6 @@ def build_parser():
 
     p = sub.add_parser("verify", help="run the invariant suites")
     p.add_argument("--suite", help="run a single named suite")
-    p.add_argument("--inject-sign-fault", action="store_true",
-                   help=argparse.SUPPRESS)
     p.set_defaults(func=run_verify)
 
     return parser

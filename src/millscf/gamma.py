@@ -107,7 +107,7 @@ def l1_spec(s):
             yield (0.0 if abs(t) < _SNAP else t), 1.0
             yield float(j), x
 
-    return CFSpec(a=a, b=b, domain=(0.0, math.inf), name="l1", levels=levels)
+    return CFSpec(a=a, b=b, name="l1", levels=levels)
 
 
 def laguerre_spec(s):
@@ -132,8 +132,7 @@ def laguerre_spec(s):
             t = s - k + 1.0
             yield (k - 1) * (0.0 if abs(t) < _SNAP else t), x + 2.0 * k - 1.0 - s
 
-    return CFSpec(a=a, b=b, domain=(0.0, math.inf), name="laguerre",
-                  levels=levels)
+    return CFSpec(a=a, b=b, name="laguerre", levels=levels)
 
 
 def lower_spec(s):
@@ -158,7 +157,7 @@ def lower_spec(s):
         for k in count(2):
             yield -(k - 2.0 + s) * x, (k - 1.0) + s + x
 
-    return CFSpec(a=a, b=b, domain=(0.0, math.inf), name="lower", levels=levels)
+    return CFSpec(a=a, b=b, name="lower", levels=levels)
 
 
 def winitzki_spec(s):
@@ -187,8 +186,7 @@ def winitzki_spec(s):
             yield (0.0 if abs(t) < _SNAP else t) * v, 1.0
             yield j * v, 1.0
 
-    return CFSpec(a=a, b=b, domain=(0.0, math.inf), name="winitzki",
-                  levels=levels)
+    return CFSpec(a=a, b=b, name="winitzki", levels=levels)
 
 
 def _adaptive(spec, s, x, rel_tol=ADAPTIVE_REL_TOL, max_depth=ADAPTIVE_MAX_DEPTH):
@@ -199,7 +197,7 @@ def _adaptive(spec, s, x, rel_tol=ADAPTIVE_REL_TOL, max_depth=ADAPTIVE_MAX_DEPTH
     # passed it a level earlier).
     headroom, limit, factor = _LEVEL_HEADROOM, _RESCALE_LIMIT, _RESCALE_FACTOR
     A_prev, B_prev = 1.0, 0.0
-    A, B = spec.b0(x), 1.0
+    A, B = 0.0, 1.0
     prev = math.nan   # no convergent yet: the first agreement test fails
     for _, (ak, bk) in zip(range(max_depth), spec.levels(x)):
         if abs(ak) + abs(bk) > headroom:
@@ -229,7 +227,7 @@ def _evaluate(spec, s, x, n):
     if n < 0:
         raise ValueError("depth n must be >= 0")
     if n == 0:
-        return spec.b0(x)
+        return 0.0
     return eval_backward(spec, x, n, spec.b(n, x))
 
 

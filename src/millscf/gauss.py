@@ -58,7 +58,6 @@ def laplace_spec():
     return CFSpec(
         a=lambda k, x: 1.0 if k == 1 else float(k - 1),
         b=lambda k, x: x,
-        domain=(0.0, math.inf),
         name="laplace",
     )
 
@@ -72,7 +71,6 @@ def lcf_spec():
     return CFSpec(
         a=lambda k, v: 1.0 if k == 1 else (k - 1) * v,
         b=lambda k, v: 1.0,
-        domain=(0.0, math.inf),
         name="lcf",
     )
 
@@ -273,16 +271,20 @@ def delta(x, n, family="improved-expo"):
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# the paper's scan grid: [xmin, 20] at step 1e-3
+_SCAN_XMAX = 20.0
+_SCAN_STEP = 1e-3
 
 
 # a multi-depth scan asks for the same grid at every depth; one entry is
 # three 20001-point arrays (about 0.5 MB)
 @lru_cache(maxsize=4)
-def _reference_grid(xmin, xmax, step):
+def _reference_grid(xmin):
     """(xs, phi(xs), phi(xs) R(xs)) of a scan grid, computed once and read-only."""
     from . import reference  # imported here to avoid an import cycle
 
-    xs = xmin + np.arange(int(round((xmax - xmin) / step)) + 1) * step
+    step = _SCAN_STEP
+    xs = xmin + np.arange(int(round((_SCAN_XMAX - xmin) / step)) + 1) * step
     pdf = phi(xs)
     tail = pdf * reference.reference_mills_grid(xs)
     for v in (xs, pdf, tail):
@@ -290,23 +292,22 @@ def _reference_grid(xmin, xmax, step):
     return xs, pdf, tail
 
 
-def scan_max_delta(family, n, xmin=0.0, xmax=20.0, step=1e-3,
-                   refine_width=1e-8):
-    """(argmax, max) of |Delta_n| on [xmin, xmax]: grid scan plus golden section.
+def scan_max_delta(family, n, xmin=0.0):
+    """(argmax, max) of |Delta_n| on [xmin, 20]: grid scan plus golden section.
 
-    The grid has the stated step and is evaluated in one array call, with the
-    reference tail computed once per (xmin, xmax, step) and shared by every
-    depth and family scanned on it; the bracketing interval around the best
-    grid point (the first, on ties) is narrowed to refine_width by
-    golden-section search.  xmin exists for the classic family, whose tail is
-    undefined at 0.
+    The grid has step 1e-3 and is evaluated in one array call, with the
+    reference tail computed once per xmin and shared by every depth and
+    family scanned on it; the bracketing interval around the best grid point
+    (the first, on ties) is narrowed to 1e-8 by golden-section search.  xmin
+    exists for the classic family, whose tail is undefined at 0.
     """
     fam = get_family(family)
 
     def f(x):
         return abs(delta(x, n, fam))
 
-    xs, pdf, tail = _reference_grid(xmin, xmax, step)
+    step, xmax = _SCAN_STEP, _SCAN_XMAX
+    xs, pdf, tail = _reference_grid(xmin)
     # delta's array arithmetic on the shared reference tail
     best_i = int(np.argmax(np.abs(tail - pdf * mills_grid(xs, n, fam))))
     lo = max(xmin, xmin + (best_i - 1) * step)
@@ -314,7 +315,7 @@ def scan_max_delta(family, n, xmin=0.0, xmax=20.0, step=1e-3,
     c = hi - _GOLDEN * (hi - lo)
     d = lo + _GOLDEN * (hi - lo)
     fc, fd = f(c), f(d)
-    while hi - lo > refine_width:
+    while hi - lo > 1e-8:
         if fc > fd:
             hi, d, fd = d, c, fc
             c = hi - _GOLDEN * (hi - lo)
@@ -327,9 +328,9 @@ def scan_max_delta(family, n, xmin=0.0, xmax=20.0, step=1e-3,
     return x_star, f(x_star)
 
 
-def decays_beyond(family, n, points=(22.0, 26.0, 30.0)):
-    """True when |Delta_n| strictly decreases along the given far points."""
-    vals = [abs(delta(x, n, family)) for x in points]
+def decays_beyond(family, n):
+    """True when |Delta_n| strictly decreases along x = 22, 26, 30."""
+    vals = [abs(delta(x, n, family)) for x in (22.0, 26.0, 30.0)]
     return all(a > b for a, b in zip(vals, vals[1:]))
 
 

@@ -76,14 +76,15 @@ class TailFamily:
     fits_curvature: bool = False
     bound_side: str = "unknown"   # "alternating" or "unknown"
 
-    def second_deriv(self, n, x, h=1e-5):
+    def second_deriv(self, n, x):
         """beta_n''(x); central differences of deriv when no closed form.
 
-        The fallback steps to x - h, so near the left edge of a custom
-        family's data range it falls back to a one-sided difference.
+        The fallback steps by h = 1e-5 each way; below x = h, near the left
+        edge of a custom family's data range, it takes a one-sided difference.
         """
         if self.second is not None:
             return self.second(n, x)
+        h = 1e-5
         if x - h < 0.0:
             return (self.deriv(n, x + h) - self.deriv(n, x)) / h
         return (self.deriv(n, x + h) - self.deriv(n, x - h)) / (2.0 * h)
@@ -105,11 +106,8 @@ def classic():
 
 # h = x/2 past 2^511 has h^2 + g round to h^2 (g = beta_n(0)^2 is about n)
 # and sqrt(h^2) is h, so x/2 + sqrt(h^2 + g) is x there, with slope 1;
-# squaring h would overflow.  The curvature g/(4 s^3), s = sqrt(h^2 + g),
-# is computed as 0.25/s - h^2/(4 s^3) up to x = 2^341, just before s^3
-# overflows, and past it as g/(4 h^3) (s is h there), below 1e-306.
+# squaring h would overflow.
 _FLAT = 2.0 ** 512
-_CUBE = 2.0 ** 341
 
 
 def _half_root(x, g):
@@ -129,11 +127,10 @@ def _half_root_deriv(x, g):
 
 
 def _half_root_second(x, g):
-    if x > _CUBE:
-        h = x / 2.0
-        return 0.25 * g / h / h / h
-    s = math.sqrt((x / 2.0) ** 2 + g)
-    return 0.25 / s - (x * x / 16.0) / s**3
+    # g/(4 s^3), s = sqrt(h^2 + g): no cancellation, unlike the textbook
+    # 1/(4 s) - h^2/(4 s^3), and dividing by s three times never overflows
+    s = x / 2.0 if x > _FLAT else math.sqrt((x / 2.0) ** 2 + g)
+    return 0.25 * g / s / s / s
 
 
 def limit_ansatz():
@@ -234,7 +231,7 @@ def improved_expo(slope_fit=True):
                       fits_curvature=True)
 
 
-def custom(value, deriv, second=None, kind="custom"):
+def custom(value, deriv, second=None):
     """Caller-supplied tail; second derivative falls back to differences.
 
     value(n, x) is called with a 1-D numpy array of x on the grid paths
@@ -243,7 +240,7 @@ def custom(value, deriv, second=None, kind="custom"):
     """
     if not callable(value) or not callable(deriv):
         raise TypeError("custom tails need callable value and deriv")
-    return TailFamily(kind=kind, value=value, deriv=deriv, second=second)
+    return TailFamily(kind="custom", value=value, deriv=deriv, second=second)
 
 
 FAMILIES = {

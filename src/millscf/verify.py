@@ -6,10 +6,6 @@ take down the rest.  The suites re-derive their expectations from closed
 forms or from the independent reference module, so they double as a smoke
 test of a freshly built environment (exposed as the CLI's `verify`
 subcommand).
-
-The sign-identity suite accepts a fault-injection flag that flips the
-asserted parity; it exists so the harness itself can be shown to catch a
-wrong sign, and is only reachable through a hidden CLI flag.
 """
 
 import math
@@ -279,7 +275,7 @@ def _fit_conditions():
 _SIGN_SAMPLES = 200
 
 
-def _sign_identity(inject_fault=False):
+def _sign_identity():
     rng = random.Random(987321)
     families = (
         "classic", "limit-ansatz", "sqrt", "linear",
@@ -299,8 +295,6 @@ def _sign_identity(inject_fault=False):
             # below double-precision resolution of 1 + R' - uR; no sign to read
             continue
         parity = -1.0 if n % 2 == 0 else 1.0
-        if inject_fault:
-            parity = -parity
         checked += 1
         if math.copysign(1.0, d) != parity * math.copysign(1.0, g):
             disagreements += 1
@@ -551,7 +545,7 @@ SUITES = {
 }
 
 
-def run_suites(names=None, inject_sign_fault=False):
+def run_suites(names=None):
     """Run the named suites (all by default); returns [(name, ok, detail)].
 
     Unknown names raise ValueError.  A suite that raises is reported as a
@@ -567,10 +561,7 @@ def run_suites(names=None, inject_sign_fault=False):
     for name in selected:
         fn = SUITES[name]
         try:
-            if name == "sign-identity":
-                ok, detail = fn(inject_sign_fault)
-            else:
-                ok, detail = fn()
+            ok, detail = fn()
         except Exception as exc:  # noqa: BLE001 - suite crash is a failure
             ok, detail = False, f"raised {exc!r}"
         results.append((name, ok, detail))

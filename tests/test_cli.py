@@ -1,11 +1,15 @@
 """CLI contract: output fields, CSV bytes, exit codes."""
 
+import math
 import subprocess
 import sys
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
-from millscf.cli import main
+from millscf import gauss
+from millscf.cli import _FAMILY_CHOICES, main
+from millscf.verify import SUITES
 
 
 def run_cli(argv, capsys):
@@ -191,12 +195,25 @@ def test_maxerr_report(capsys):
     assert 0.85 <= ratio <= 1.15
 
 
-def test_verify_subcommand(capsys):
+def test_maxerr_limit_ansatz_reports_depth_zero_undefined(capsys):
+    # R_0 = 1/x vanishes at the scan's first point: one line, then go on
+    rc, out, _ = run_cli(["maxerr", "--family", "limit-ansatz",
+                          "--nmin", "0", "--nmax", "1"], capsys)
+    assert rc == 0
+    lines = out.strip().splitlines()
+    assert len(lines) == 3
+    assert lines[1] == "n=0  undefined: limit-ansatz with n = 0 vanishes at x = 0"
+    assert lines[2].startswith("n=1  max|error|=")
+
+
+def test_verify_subcommand(capsys, monkeypatch):
     rc, out, _ = run_cli(["verify", "--suite", "alternating"], capsys)
     assert rc == 0
     assert out.startswith("PASS alternating")
-    rc, out, _ = run_cli(["verify", "--suite", "sign-identity",
-                          "--inject-sign-fault"], capsys)
+    with monkeypatch.context() as m:
+        real = gauss.sign_operator
+        m.setattr(gauss, "sign_operator", lambda *args: -real(*args))
+        rc, out, _ = run_cli(["verify", "--suite", "sign-identity"], capsys)
     assert rc == 1
     assert out.startswith("FAIL sign-identity")
     rc, _, err = run_cli(["verify", "--suite", "nope"], capsys)
@@ -253,3 +270,48 @@ def test_figure_csv_bytes_match_the_old_writer(tmp_path, monkeypatch, capsys):
             new, old = _both_writers(["figure", "--id", fig] + extra, out,
                                      monkeypatch, capsys)
             assert new == old, (fig, extra)
+
+
+# 0, a subnormal, a huge, the non-finite and negative floats, and one plain one
+_FLOATS = st.sampled_from(["0", "5e-324", "1e300", "inf", "-inf", "nan",
+                           "-1", "2.5"])
+_DEPTHS = st.integers(min_value=-1, max_value=3).map(str)
+_FAMILIES = st.sampled_from(_FAMILY_CHOICES)
+
+
+@st.composite
+def _argv(draw):
+    cmd = draw(st.sampled_from(["eval", "table", "maxerr", "verify"]))
+    if cmd == "eval":
+        return ["eval", "--x", draw(_FLOATS), "--n", draw(_DEPTHS),
+                "--family", draw(_FAMILIES)]
+    if cmd == "table":
+        xmin, xmax, step = draw(_FLOATS), draw(_FLOATS), draw(_FLOATS)
+        lo, hi, h = float(xmin), float(xmax), float(step)
+        # a grid has (hi - lo)/h + 1 rows; keep the ones that get built small
+        assume(not (h > 0.0 and 1e4 < (hi - lo) / h < math.inf))
+        return ["table", "--xmin", xmin, "--xmax", xmax, "--step", step,
+                "--n", draw(_DEPTHS), "--family", draw(_FAMILIES)]
+    if cmd == "maxerr":
+        argv = ["maxerr", "--nmin", draw(_DEPTHS), "--nmax", draw(_DEPTHS),
+                "--family", draw(_FAMILIES)]
+        return argv + draw(st.sampled_from([[], ["--n", "1"]]))
+    argv = ["verify"] + draw(st.sampled_from(
+        [[], ["--suite", "nope"]] + [["--suite", name] for name in SUITES]))
+    return argv + draw(st.sampled_from([[], ["--inject-sign-fault"]]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(argv=_argv())
+@example(argv=["maxerr", "--n", "3"])
+@example(argv=["verify", "--inject-sign-fault"])
+def test_exit_codes_for_any_float_argument(argv, tmp_path_factory):
+    if argv[0] == "table":
+        argv = argv + ["--out", str(tmp_path_factory.getbasetemp() / "p.csv")]
+    try:
+        rc = main(argv)
+    except SystemExit as exc:   # argparse's usage errors
+        rc = exc.code
+    assert rc in (0, 2, 3) or (rc == 1 and argv[0] == "verify"), (argv, rc)
+    if "--inject-sign-fault" in argv or (argv[0] == "maxerr" and "--n" in argv):
+        assert rc == 2, argv   # flags that no longer exist

@@ -160,7 +160,7 @@ def _reference_adaptive(spec, s, x, rel_tol=gamma.ADAPTIVE_REL_TOL,
                         max_depth=gamma.ADAPTIVE_MAX_DEPTH):
     """The adaptive loop on the a/b callables, rescaling after the multiply."""
     A_prev, B_prev = 1.0, 0.0
-    A, B = spec.b0(x), 1.0
+    A, B = 0.0, 1.0
     prev = None
     for k in range(1, max_depth + 1):
         ak = spec.a(k, x)

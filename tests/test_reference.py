@@ -7,6 +7,7 @@ never imports it for function values.
 import math
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import erfcx, gammaincc
@@ -57,6 +58,21 @@ def test_against_scaled_erfc():
         x = i * 0.25
         independent = math.sqrt(math.pi / 2.0) * erfcx(x / math.sqrt(2.0))
         assert reference_mills(x) == pytest.approx(independent, rel=1e-13), x
+
+
+def test_against_mpmath():
+    # sqrt(pi/2) exp(x^2/2) erfc(x/sqrt(2)) at 40 digits, on [0, 20) step 0.01
+    # and 200 log points on [20, 1e6], for the point and the grid route
+    xs = np.concatenate([np.arange(2000) / 100.0, np.geomspace(20.0, 1e6, 200)])
+    with mpmath.workdps(40):
+        c = mpmath.sqrt(mpmath.pi / 2)
+        want = np.array([float(c * mpmath.exp(mpmath.mpf(x) ** 2 / 2)
+                               * mpmath.erfc(mpmath.mpf(x) / mpmath.sqrt(2)))
+                         for x in xs.tolist()])
+    points = np.array([reference_mills(x) for x in xs.tolist()])
+    for got in (points, reference_mills_grid(xs)):
+        worst = np.max(np.abs(got - want) / want)
+        assert worst <= 2e-15, (worst, xs[np.argmax(np.abs(got - want) / want)])
 
 
 def test_branch_overlap():

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -189,9 +190,8 @@ def test_replaced_factory_is_resolved_again(monkeypatch):
     assert seen == [1.5]
 
 
-# the sqrt and limit-ansatz tails before their huge-x guards: x/2 + sqrt(h^2 + g)
-# with h = x/2, its slope and its curvature, squaring h on every call (the
-# curvature's s**3 overflowed past x of about 1e103, the rest past 2.7e154)
+# the sqrt and limit-ansatz tails before their huge-x guard: x/2 + sqrt(h^2 + g)
+# with h = x/2 and its slope, squaring h on every call (overflows past 2.7e154)
 def _old_value(x, g):
     return x / 2.0 + math.sqrt((x / 2.0) ** 2 + g)
 
@@ -200,27 +200,32 @@ def _old_deriv(x, g):
     return 0.5 + (x / 4.0) / math.sqrt((x / 2.0) ** 2 + g)
 
 
-def _old_second(x, g):
-    s = math.sqrt((x / 2.0) ** 2 + g)
-    return 0.25 / s - (x * x / 16.0) / s**3
+def _mp_second(x, g):
+    """The curvature g/(4 s^3), s = sqrt((x/2)^2 + g), at mpmath's precision."""
+    s = mpmath.sqrt((mpmath.mpf(x) / 2) ** 2 + g)
+    return float(g / (4 * s ** 3))
 
 
 def test_half_root_tails_unchanged_below_the_guard():
+    # value and slope bit for bit as before; the curvature, now g/(4 s^3) in
+    # place of the cancelling 1/(4 s) - h^2/(4 s^3), within 8 ulp of 50 digits
     xs = np.exp(np.linspace(math.log(1e-3), math.log(30.0), 301)).tolist()
     xs += [0.0, 1e3, 1e10, 1e100, 1e150]
-    for name in ("sqrt", "limit-ansatz"):
-        fam = get_family(name)
-        for n in range(61):
-            if name == "limit-ansatz" and n == 0:
-                continue   # the classic tail x, no square root
-            g = n if name == "limit-ansatz" else beta0(n) ** 2
-            for x in xs:
-                assert fam.value(n, x) == _old_value(x, g), (name, n, x)
-                assert fam.deriv(n, x) == _old_deriv(x, g), (name, n, x)
-                if x <= 1e100:
-                    assert fam.second_deriv(n, x) == _old_second(x, g), (name, n, x)
-            grid = fam.value(n, np.array(xs))
-            assert grid.tolist() == [fam.value(n, x) for x in xs], (name, n)
+    with mpmath.workdps(50):
+        for name in ("sqrt", "limit-ansatz"):
+            fam = get_family(name)
+            for n in range(61):
+                if name == "limit-ansatz" and n == 0:
+                    continue   # the classic tail x, no square root
+                g = n if name == "limit-ansatz" else beta0(n) ** 2
+                for x in xs:
+                    assert fam.value(n, x) == _old_value(x, g), (name, n, x)
+                    assert fam.deriv(n, x) == _old_deriv(x, g), (name, n, x)
+                    want = _mp_second(x, g)
+                    assert (abs(fam.second_deriv(n, x) - want)
+                            <= 8 * math.ulp(want)), (name, n, x)
+                grid = fam.value(n, np.array(xs))
+                assert grid.tolist() == [fam.value(n, x) for x in xs], (name, n)
 
 
 def test_half_root_tails_finite_at_huge_x(capsys):

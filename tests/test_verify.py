@@ -2,6 +2,7 @@
 
 import pytest
 
+from millscf import gauss
 from millscf.verify import SUITES, run_suites
 
 
@@ -22,9 +23,11 @@ def test_unknown_suite_rejected():
         run_suites(["no-such-suite"])
 
 
-def test_injected_sign_fault_is_caught():
-    # flipping the claimed parity must fail the sign suite and nothing else
-    results = run_suites(inject_sign_fault=True)
+def test_injected_sign_fault_is_caught(monkeypatch):
+    # a sign operator of the wrong sign must fail the sign suite and nothing else
+    real = gauss.sign_operator
+    monkeypatch.setattr(gauss, "sign_operator", lambda *args: -real(*args))
+    results = run_suites()
     status = {name: ok for name, ok, _ in results}
     assert not status["sign-identity"]
     assert all(ok for name, ok in status.items() if name != "sign-identity")
