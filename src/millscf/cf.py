@@ -27,8 +27,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
-import numpy as np
-
 
 class CFEvaluationError(ArithmeticError):
     """A continued fraction could not be evaluated at the requested point."""
@@ -249,6 +247,8 @@ def continuant_oracle(spec, x, n):
     Independent of both recursions; small n only because the determinant
     route has no rescaling.
     """
+    import numpy as np
+
     if not 0 <= n <= _CONTINUANT_MAX:
         raise ValueError(f"continuant oracle supports 0 <= n <= {_CONTINUANT_MAX}")
     _check_x(spec, x)

@@ -106,7 +106,10 @@ def run_table(args):
         raise ValueError("step must be > 0")
     fam = _resolve_family(args)
     count = int((args.xmax - args.xmin) / args.step + 1e-9)
-    xs = args.xmin + np.arange(count + 1) * args.step
+    # row k is xmin + k * step; row 0 is xmin itself, never xmin + 0 * step,
+    # which is NaN for an infinite step
+    xs = np.full(count + 1, args.xmin)
+    xs[1:] += np.arange(1, count + 1) * args.step
     values = gauss.mills_grid(xs, args.n, fam)
     refs = reference_mills_grid(xs)
     _write_csv(args.out, "x,approx,reference,error",

@@ -33,11 +33,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
-import numpy as np
-
 from .cf import (_LEVEL_HEADROOM, _RESCALE_FACTOR, _RESCALE_LIMIT,
                  _RESCALE_SHIFT, CFEvaluationError, CFSpec)
-from .tails import get_family
+from .tails import _is_array, get_family
 
 SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 SQRT_HALF_PI = math.sqrt(0.5 * math.pi)
@@ -49,8 +47,14 @@ _TINY = math.ulp(0.0)
 
 def phi(x):
     """Standard normal density; x may be a numpy array."""
-    exp = np.exp if isinstance(x, np.ndarray) else math.exp
-    return exp(-0.5 * x * x) / SQRT_TWO_PI
+    if isinstance(x, float) or not _is_array(x):
+        return math.exp(-0.5 * x * x) / SQRT_TWO_PI
+    import numpy as np
+
+    # past |x| = 1.3e154 the square overflows to inf, and exp(-inf) = 0 is
+    # the density there, as math gives it
+    with np.errstate(over="ignore"):
+        return np.exp(-0.5 * x * x) / SQRT_TWO_PI
 
 
 def laplace_spec():
@@ -98,29 +102,72 @@ def _check_point(fam, n, x):
         raise ValueError("limit-ansatz with n = 0 vanishes at x = 0")
 
 
+# With x in [2^-1000, 2^1000], a tail of at least 2^-1000 and n below 2^20,
+# no step of the fold can overflow or divide by zero: every denominator after
+# the tail is x + k/t > x, so no quotient k/t passes 2^1020.  Only a fold
+# outside that box pays for a check at every level.
+_FOLD_LO = 2.0 ** -1000
+_FOLD_HI = 2.0 ** 1000
+_FOLD_MAX_N = 2 ** 20
+
+
+def _zero_level(k):
+    return CFEvaluationError(
+        f"zero denominator while folding level {k + 1} of spec 'laplace'")
+
+
+def _overflow(n, x, k):
+    return OverflowError(
+        f"level {k + 1} of the fold for R_{n}({x!r}) overflows a double")
+
+
 def _fold(x, n, t):
     """R_n from its tail t: t <- x + k/t for k = n, ..., 1, then 1/t.
 
     The arithmetic and checks of cf.eval_backward(laplace_spec(), x, n + 1, t),
     on a float or elementwise on a 1-D numpy array of x (and t); x must be
     finite at n = 0 too, where eval_backward never reads it.
+
+    A level that overflows raises OverflowError, where eval_backward folds
+    the inf on into a wrong 0, inf or finite value (at x = 5e-324 the classic
+    R_1 would come out 0).  Only the last step 1/t may overflow: R_n then
+    exceeds the largest double and is returned as inf, as truncation_bound
+    returns a bound past it.
     """
-    grid = isinstance(x, np.ndarray)
-    if not grid:
-        t = float(t)
-    if not (np.isfinite(x).all() and np.isfinite(t).all() if grid
-            else math.isfinite(x) and math.isfinite(t)):
+    if not isinstance(x, float) and _is_array(x):
+        return _fold_grid(x, n, t)
+    t = float(t)
+    if not (math.isfinite(x) and math.isfinite(t)):
         raise CFEvaluationError("non-finite x or tail")
+    if _FOLD_LO <= x <= _FOLD_HI and t >= _FOLD_LO and n < _FOLD_MAX_N:
+        for k in range(n, 0, -1):
+            t = x + k / t
+        return 1.0 / t
     try:
-        # a float divides by zero with ZeroDivisionError; an array needs a look
-        for k in range(n, -1, -1):
-            if grid and not np.all(t):
-                raise ZeroDivisionError
-            t = x + k / t if k else 1.0 / t
+        for k in range(n, 0, -1):
+            t = x + k / t
+            if math.isinf(t):
+                raise _overflow(n, x, k)
+        k = 0
+        return 1.0 / t
     except ZeroDivisionError:
-        raise CFEvaluationError(
-            f"zero denominator while folding level {k + 1} of spec 'laplace'"
-        ) from None
+        raise _zero_level(k) from None
+
+
+def _fold_grid(x, n, t):
+    """_fold on a 1-D numpy array of x (and t), checked at every level."""
+    import numpy as np
+
+    if not (np.isfinite(x).all() and np.isfinite(t).all()):
+        raise CFEvaluationError("non-finite x or tail")
+    # the explicit check is the overflow signal, not numpy's warning
+    with np.errstate(over="ignore"):
+        for k in range(n, -1, -1):
+            if not np.all(t):
+                raise _zero_level(k)
+            t = x + k / t if k else 1.0 / t
+            if k and np.isinf(t).any():
+                raise _overflow(n, float(x[np.argmax(np.isinf(t))]), k)
     return t
 
 
@@ -130,10 +177,16 @@ def mills_grid(x, n, family="improved-expo"):
     Equal to mills() point by point, except where numpy's exp in a tail
     differs from math.exp by an ulp.
     """
+    import numpy as np
+
     fam = get_family(family)
     x = np.asarray(x, dtype=float)
     _check_point(fam, n, x.min())
-    return _fold(x, n, fam.value(n, x))
+    # a tail past the largest double is inf, which the fold rejects as on
+    # the scalar route
+    with np.errstate(over="ignore"):
+        t = fam.value(n, x)
+    return _fold_grid(x, n, t)
 
 
 def _bound_side(fam, n):
@@ -262,10 +315,12 @@ def delta(x, n, family="improved-expo"):
     from . import reference  # imported here to avoid an import cycle
 
     fam = get_family(family)
-    if isinstance(x, np.ndarray):
-        approx = mills_grid(x, n, fam)
+    if not isinstance(x, float) and _is_array(x):
+        # the oracle before the fold, as on a float, so that both routes
+        # raise the same error for the same x
         pdf = phi(x)
-        return pdf * reference.reference_mills_grid(x) - pdf * approx
+        ref = reference.reference_mills_grid(x)
+        return pdf * ref - pdf * mills_grid(x, n, fam)
     _check_point(fam, n, x)
     return reference.reference_tail(x) - phi(x) * _fold(x, n, fam.value(n, x))
 
@@ -281,6 +336,8 @@ _SCAN_STEP = 1e-3
 @lru_cache(maxsize=4)
 def _reference_grid(xmin):
     """(xs, phi(xs), phi(xs) R(xs)) of a scan grid, computed once and read-only."""
+    import numpy as np
+
     from . import reference  # imported here to avoid an import cycle
 
     step = _SCAN_STEP
@@ -301,6 +358,8 @@ def scan_max_delta(family, n, xmin=0.0):
     (the first, on ties) is narrowed to 1e-8 by golden-section search.  xmin
     exists for the classic family, whose tail is undefined at 0.
     """
+    import numpy as np
+
     fam = get_family(family)
 
     def f(x):

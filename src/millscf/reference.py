@@ -14,13 +14,12 @@ bug in the check.  Two independent routes per quantity:
 
 reference_mills takes one x; reference_mills_grid takes a 1-D array and
 runs the same two branches with the same stopping and certification rules
-over all of it at once, for the grid scans and tables.
+over all of it at once, for the grid scans and tables.  numpy is imported
+by the array routes only, so a single point never loads it.
 """
 
 import math
 from functools import lru_cache
-
-import numpy as np
 
 from .gamma import ConvergenceError, laguerre
 
@@ -59,6 +58,8 @@ def _mills_series(x, tol=1e-18, cap=200):
 
 def _mills_series_grid(x, tol=1e-18, cap=200):
     """_mills_series on an array: each element stops at its own first small term."""
+    import numpy as np
+
     out = np.empty_like(x)
     idx = np.arange(x.size)
     c_prev = math.sqrt(0.5 * math.pi)
@@ -148,6 +149,8 @@ def _mills_cf_grid(x, rel_tol=1e-15, max_depth=2000):
     at the level that certifies it.  The backward fold then runs level by
     level over the elements at least that deep, deepest first.
     """
+    import numpy as np
+
     depth = np.ones(x.shape, dtype=np.intp)
     idx = np.flatnonzero(~_depth_one(x, rel_tol))
     xa = x[idx]
@@ -212,6 +215,8 @@ def reference_mills_grid(xs):
     bit-identical.  Single points go through reference_mills: it is far
     cheaper than a one-element array.
     """
+    import numpy as np
+
     x = np.asarray(xs, dtype=float)
     if x.ndim != 1:
         raise ValueError("reference_mills_grid needs a 1-D array")
@@ -236,6 +241,8 @@ _QUAD_INTERVALS = 12000
 def _gamma_quadrature(s, x):
     # M_s(x) = integral_0^inf (1 + u/x)^(s-1) e^(-u) du after t = x + u;
     # beyond u = 60 the integrand is below 1e-18 for every (s, x) we accept
+    import numpy as np
+
     u = np.linspace(0.0, _QUAD_CUTOFF, _QUAD_INTERVALS + 1)
     y = (1.0 + u / x) ** (s - 1.0) * np.exp(-u)
     h = _QUAD_CUTOFF / _QUAD_INTERVALS

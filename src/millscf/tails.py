@@ -18,23 +18,30 @@ bound_side "alternating" marks families with proven even-upper/odd-lower
 bracketing; everything else is "unknown".
 
 value(n, x) takes a float or, on the grid paths, a 1-D numpy array of x;
-deriv and second take floats only.
+deriv and second take floats only.  A numpy array goes through numpy and
+anything else through math.  That test needs no numpy, since no array can
+exist before numpy is loaded: numpy is imported only inside the array
+branches, and a call on a float never loads it.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
-
-import numpy as np
 
 # depths in use at once are few: n <= 60 even in long scans
 _CONSTANTS_CACHE = 128
 
 
-def _lib(x):
-    """numpy for an array of x (the grid paths), math for a single point."""
-    return np if isinstance(x, np.ndarray) else math
+def _is_array(x):
+    """True for a numpy array, decided without importing numpy.
+
+    Callers test isinstance(x, float) first, so a single point never pays
+    for the module lookup.
+    """
+    np = sys.modules.get("numpy")
+    return np is not None and isinstance(x, np.ndarray)
 
 
 @lru_cache(maxsize=_CONSTANTS_CACHE)
@@ -112,12 +119,14 @@ _FLAT = 2.0 ** 512
 
 def _half_root(x, g):
     """x/2 + sqrt((x/2)^2 + g) on a float or an array; finite for finite x."""
-    if isinstance(x, np.ndarray):
-        h = np.minimum(x, _FLAT) / 2.0
-        return np.where(x > _FLAT, x, x / 2.0 + np.sqrt(h ** 2 + g))
-    if x > _FLAT:
-        return x
-    return x / 2.0 + math.sqrt((x / 2.0) ** 2 + g)
+    if isinstance(x, float) or not _is_array(x):
+        if x > _FLAT:
+            return x
+        return x / 2.0 + math.sqrt((x / 2.0) ** 2 + g)
+    import numpy as np
+
+    h = np.minimum(x, _FLAT) / 2.0
+    return np.where(x > _FLAT, x, x / 2.0 + np.sqrt(h ** 2 + g))
 
 
 def _half_root_deriv(x, g):
@@ -154,11 +163,12 @@ def limit_ansatz():
 
 def sqrt_family():
     """x/2 + sqrt((x/2)^2 + beta_n(0)^2): exact at 0, alternating bounds."""
+    g = lru_cache(maxsize=_CONSTANTS_CACHE)(lambda n: beta0(n) ** 2)
     return TailFamily(
         kind="sqrt",
-        value=lambda n, x: _half_root(x, beta0(n) ** 2),
-        deriv=lambda n, x: _half_root_deriv(x, beta0(n) ** 2),
-        second=lambda n, x: _half_root_second(x, beta0(n) ** 2),
+        value=lambda n, x: _half_root(x, g(n)),
+        deriv=lambda n, x: _half_root_deriv(x, g(n)),
+        second=lambda n, x: _half_root_second(x, g(n)),
         fits_value=True,
         bound_side="alternating",
     )
@@ -167,12 +177,17 @@ def sqrt_family():
 def linear():
     """lambda_n x + beta_n(0): exact value and slope at 0, alternating."""
 
-    def val(n, x):
+    @lru_cache(maxsize=_CONSTANTS_CACHE)
+    def constants(n):
         c = mod_constants(n)
-        return c.lam * x + c.beta_at_zero
+        return c.lam, c.beta_at_zero
+
+    def val(n, x):
+        lam, b = constants(n)
+        return lam * x + b
 
     def der(n, x):
-        return mod_constants(n).lam
+        return constants(n)[0]
 
     return TailFamily(kind="linear", value=val, deriv=der, second=_zero,
                       fits_value=True, fits_slope=True,
@@ -208,18 +223,25 @@ def improved_expo(slope_fit=True):
     magnitude larger, so it exists only to demonstrate that.
     """
 
-    def cn(c):
+    @lru_cache(maxsize=_CONSTANTS_CACHE)
+    def constants(n):
+        """(c_n, beta_n(0), -sqrt(r_n))."""
+        c = mod_constants(n)
         rate = math.sqrt(c.r)
-        return c.lam + (rate if slope_fit else c.r) * c.beta_at_zero
+        return (c.lam + (rate if slope_fit else c.r) * c.beta_at_zero,
+                c.beta_at_zero, -rate)
 
     def val(n, x):
-        c = mod_constants(n)
-        return cn(c) * x + c.beta_at_zero * _lib(x).exp(-math.sqrt(c.r) * x)
+        cn, b, neg_rate = constants(n)
+        if isinstance(x, float) or not _is_array(x):
+            return cn * x + b * math.exp(neg_rate * x)
+        import numpy as np
+
+        return cn * x + b * np.exp(neg_rate * x)
 
     def der(n, x):
-        c = mod_constants(n)
-        rate = math.sqrt(c.r)
-        return cn(c) - rate * c.beta_at_zero * math.exp(-rate * x)
+        cn, b, neg_rate = constants(n)
+        return cn + neg_rate * b * math.exp(neg_rate * x)
 
     def sec(n, x):
         c = mod_constants(n)

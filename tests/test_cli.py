@@ -71,6 +71,14 @@ def test_eval_bound_past_the_largest_double(capsys):
     assert parse_kv(out)["trunc_bound"] == "inf"
 
 
+def test_eval_fold_overflow_exits_2(capsys):
+    rc, out, err = run_cli(["eval", "--x", "5e-324", "--family", "classic",
+                            "--n", "1"], capsys)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: level 2 of the fold") and err.count("\n") == 1
+
+
 def test_eval_unknown_family(capsys):
     rc, _, _ = run_cli(["eval", "--x", "1", "--family", "quintic",
                         "--n", "1"], capsys)
@@ -101,10 +109,15 @@ def test_table_csv_contract(tmp_path, capsys):
 
 def test_table_degenerate_grid(tmp_path, capsys):
     out = tmp_path / "one.csv"
-    rc, _, _ = run_cli(["table", "--xmin", "2", "--xmax", "2", "--step", "0.5",
-                        "--n", "2", "--out", str(out)], capsys)
-    assert rc == 0
-    assert len(out.read_text().splitlines()) == 2
+    # an infinite step leaves one row too, at xmin, never at xmin + 0 * inf
+    for xmin, xmax, step in (("2", "2", "0.5"), ("0", "2.5", "inf")):
+        rc, _, _ = run_cli(["table", "--xmin", xmin, "--xmax", xmax,
+                            "--step", step, "--n", "2", "--out", str(out)],
+                           capsys)
+        assert rc == 0
+        lines = out.read_text().splitlines()
+        assert len(lines) == 2
+        assert float(lines[1].split(",")[0]) == float(xmin)
 
 
 def test_table_classic_at_zero_rejected(tmp_path, capsys):

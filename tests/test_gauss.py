@@ -163,6 +163,24 @@ def test_non_finite_x_raises_for_every_family():
                     mills(x, n, name)
 
 
+def test_fold_overflow_raises_on_both_routes():
+    # R_1(5e-324) = x/(x^2 + 1) is about 5e-324, but its fold passes 1/x,
+    # which the old fold carried on into 0.0; at x = 1e-308 the fold of
+    # R_2 = (x^2 + 2)/(x^3 + 3x), about 6.7e307, passes 2/x and came out 1e308
+    for x, n in ((5e-324, 1), (5e-324, 2), (5e-324, 7), (1e-308, 2)):
+        with pytest.raises(OverflowError, match="overflows a double"):
+            mills(x, n, "classic")
+        with pytest.raises(OverflowError, match="overflows a double"):
+            mills_grid(np.array([1.0, x]), n, "classic")
+    # only the last step overflowing means R_n itself is past the largest
+    # double, which comes back as inf, like its truncation bound
+    assert mills(5e-324, 0, "classic").value == math.inf
+    assert mills_grid(np.array([1.0, 5e-324]), 0, "classic")[1] == math.inf
+    assert mills(5e-324, 0, "limit-ansatz").value == math.inf
+    # the same tiny x is harmless under a tail of order one
+    assert mills(5e-324, 7, "sqrt").value == mills(0.0, 7, "sqrt").value
+
+
 def test_hazard_anchors():
     assert hazard(0.0) == pytest.approx(math.sqrt(2.0 / math.pi), rel=1e-13)
     assert hazard(1.0) == pytest.approx(1.5251352761609812, rel=1e-12)
