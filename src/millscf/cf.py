@@ -62,6 +62,11 @@ def _check_x(spec, x):
         )
 
 
+def _check_depth(n):
+    if n < 0:
+        raise ValueError("depth n must be >= 0")
+
+
 @dataclass(frozen=True)
 class ConvergentState:
     """Forward-recursion state after `depth` levels.
@@ -139,8 +144,7 @@ def _forward_states(spec, x, n):
 
 def forward_recurrence(spec, x, n):
     """Run the Wallis-Euler recursion to depth n and return the state."""
-    if n < 0:
-        raise ValueError("depth n must be >= 0")
+    _check_depth(n)
     _check_x(spec, x)
     *_, (A, B, A_prev, B_prev, scale) = _forward_states(spec, x, n)
     return ConvergentState(A=A, B=B, A_prev=A_prev, B_prev=B_prev,
@@ -149,6 +153,7 @@ def forward_recurrence(spec, x, n):
 
 def convergents(spec, x, n):
     """Values of the first n convergents (depths 1..n) in one forward pass."""
+    _check_depth(n)
     _check_x(spec, x)
     states = _forward_states(spec, x, n)
     next(states)   # depth 0 has no convergent
@@ -172,8 +177,7 @@ def eval_backward(spec, x, n, tail):
     contribute), which is what lets integer shape parameters truncate the
     Gamma fractions without dividing by junk.  n = 0 returns tail itself.
     """
-    if n < 0:
-        raise ValueError("depth n must be >= 0")
+    _check_depth(n)
     if not math.isfinite(tail):
         raise CFEvaluationError(f"non-finite tail {tail!r}")
     t = float(tail)

@@ -36,7 +36,6 @@ eval_backward on the a/b callables.
 """
 
 import math
-from dataclasses import dataclass
 from itertools import count
 
 from .cf import (
@@ -54,29 +53,23 @@ ADAPTIVE_MAX_DEPTH = 500
 # truncate instead of dividing through numerators of order 1e-16
 _SNAP = 1e-13
 
+# reduce_s spends about 0.1 us per step; past this many it refuses the shape
+# (from s = 2**53 on, s - (ceil(s) - 1) even rounds to 0)
+_REDUCTION_MAX_STEPS = 2**20
+
 
 class ConvergenceError(ArithmeticError):
     """Adaptive evaluation hit the depth cap before successive convergents met."""
 
 
-@dataclass(frozen=True)
-class GammaParams:
-    """Shape and abscissa of M_s(x), validated once at construction."""
-
-    s: float
-    x: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.s) and self.s > 0.0):
-            raise ValueError(f"shape s must be finite and > 0, got {self.s!r}")
-        if not (math.isfinite(self.x) and self.x >= 0.0):
-            raise ValueError(f"abscissa x must be finite and >= 0, got {self.x!r}")
-
-    def q(self):
-        """1 + (1-s)/x, the drift coefficient of R' = q R - 1."""
-        if self.x <= 0.0:
-            raise ValueError("q needs x > 0")
-        return 1.0 + (1.0 - self.s) / self.x
+def _check(form, s, x, n=None):
+    """The one domain check of a Gamma entry point: 0 < s, x < inf, n >= 0."""
+    if not 0.0 < s < math.inf:
+        raise ValueError(f"{form} needs a shape 0 < s < inf, got s={s!r}")
+    if not 0.0 < x < math.inf:
+        raise ValueError(f"{form} needs 0 < x < inf, got x={x!r}")
+    if n is not None and n < 0:
+        raise ValueError(f"{form} needs a depth n >= 0, got n={n!r}")
 
 
 def _snap_zero(v):
@@ -224,8 +217,6 @@ def _adaptive(spec, s, x, rel_tol=ADAPTIVE_REL_TOL, max_depth=ADAPTIVE_MAX_DEPTH
 def _evaluate(spec, s, x, n):
     if n is None:
         return _adaptive(spec, s, x)
-    if n < 0:
-        raise ValueError("depth n must be >= 0")
     if n == 0:
         return 0.0
     return eval_backward(spec, x, n, spec.b(n, x))
@@ -233,33 +224,28 @@ def _evaluate(spec, s, x, n):
 
 def cf_l1(s, x, n=None):
     """M_s(x) through the alternating-denominator form; depth n or adaptive."""
-    GammaParams(s, x)
-    if x <= 0.0:
-        raise ValueError("cf_l1 needs x > 0")
+    _check("cf_l1", s, x, n)
     return _evaluate(l1_spec(s), s, x, n)
 
 
 def laguerre(s, x, n=None):
     """M_s(x) through the contracted form; exact at integer s."""
-    GammaParams(s, x)
-    if x <= 0.0:
-        raise ValueError("laguerre needs x > 0")
+    _check("laguerre", s, x, n)
     return _evaluate(laguerre_spec(s), s, x, n) / x ** (s - 1.0)
 
 
 def lower_cf(s, x, n=None):
-    """x^(1-s) e^x int_0^x u^(s-1) e^-u du, the cumulative complement."""
-    GammaParams(s, x)
+    """x^(1-s) e^x int_0^x u^(s-1) e^-u du, the cumulative complement; 0 at x = 0."""
     if x == 0.0:
+        _check("lower_cf", s, 1.0, n)   # x = 0 itself is in this form's domain
         return 0.0
+    _check("lower_cf", s, x, n)
     return _evaluate(lower_spec(s), s, x, n)
 
 
 def winitzki_cf(s, x, n=None):
     """M_s(x) through the unit-denominator form in v = 1/x."""
-    GammaParams(s, x)
-    if x <= 0.0:
-        raise ValueError("winitzki_cf needs x > 0")
+    _check("winitzki_cf", s, x, n)
     return _evaluate(winitzki_spec(s), s, x, n)
 
 
@@ -270,18 +256,21 @@ def reduce_s(s, x, evaluator=None):
     parts; applied repeatedly it lowers the shape into (0, 1], where the
     supplied evaluator (default: adaptive laguerre) takes over.  Raises
     OverflowError as soon as the running value stops being finite, which
-    happens when M_s(x) exceeds the largest double (large s, small x).
+    happens when M_s(x) exceeds the largest double (large s, small x), and
+    ValueError for shapes that need more than 2**20 steps (s > 2**20 + 1).
     """
-    GammaParams(s, x)
+    _check("reduce_s", s, x)
     if s <= 1.0:
         raise ValueError("reduce_s handles s > 1; call an evaluator directly")
-    if x <= 0.0:
-        raise ValueError("reduce_s needs x > 0")
     if evaluator is None:
         evaluator = laguerre
     if not callable(evaluator):
         raise TypeError(f"evaluator must be callable, got {evaluator!r}")
     steps = math.ceil(s) - 1
+    if steps > _REDUCTION_MAX_STEPS:
+        raise ValueError(
+            f"reduce_s at s={s!r} needs more than {_REDUCTION_MAX_STEPS} steps"
+        )
     base = s - steps
     value = evaluator(base, x)
     for j in range(1, steps + 1):
@@ -301,15 +290,12 @@ def bounds_s01(s, x, n):
     value; at s = 1 the numerator 1 - s kills the fraction and both sides
     collapse to the exact value 1.
     """
-    GammaParams(s, x)
-    if not 0.0 < s <= 1.0:
+    _check("bounds_s01", s, x, n)
+    if s > 1.0:
         raise ValueError("bounds_s01 is stated for s in (0, 1]")
-    if x <= 0.0:
-        raise ValueError("bounds_s01 needs x > 0")
-    if n < 0:
-        raise ValueError("depth n must be >= 0")
-    lo = cf_l1(s, x, n)
-    hi = cf_l1(s, x, n + 1)
+    spec = l1_spec(s)
+    hi = _evaluate(spec, s, x, n + 1)   # first, so a missing n fails at once
+    lo = _evaluate(spec, s, x, n)
     if lo > hi:
         lo, hi = hi, lo
     return lo, hi

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
+from . import reference
 from .cf import (_LEVEL_HEADROOM, _RESCALE_FACTOR, _RESCALE_LIMIT,
                  _RESCALE_SHIFT, CFEvaluationError, CFSpec)
 from .tails import _is_array, get_family
@@ -216,8 +217,6 @@ def hazard(x):
     quantity the approximations get compared against.  For x >= 1 it lies
     between x and x + 1/x (the two shallowest classic convergents of R).
     """
-    from . import reference  # imported here to avoid an import cycle
-
     return 1.0 / reference.reference_mills(x)
 
 
@@ -312,8 +311,6 @@ def delta(x, n, family="improved-expo"):
     x may be a 1-D numpy array: the grid then goes through the array oracle
     and one fold over the array instead of a call per point.
     """
-    from . import reference  # imported here to avoid an import cycle
-
     fam = get_family(family)
     if not isinstance(x, float) and _is_array(x):
         # the oracle before the fold, as on a float, so that both routes
@@ -337,8 +334,6 @@ _SCAN_STEP = 1e-3
 def _reference_grid(xmin):
     """(xs, phi(xs), phi(xs) R(xs)) of a scan grid, computed once and read-only."""
     import numpy as np
-
-    from . import reference  # imported here to avoid an import cycle
 
     step = _SCAN_STEP
     xs = xmin + np.arange(int(round((_SCAN_XMAX - xmin) / step)) + 1) * step

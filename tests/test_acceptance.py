@@ -4,28 +4,15 @@ Each test prints a single pass/fail line (visible with -s, and in the
 captured output on failure) in addition to pytest's own verdict.
 """
 
-import math
-
-from millscf import cf, gamma, verify
+from millscf import gamma, verify
 from millscf.cli import main as cli_main
-from millscf.gauss import (
-    laplace_spec,
-    lcf_spec,
-    mills,
-    pade_r2,
-    scan_max_delta,
-    truncation_bound,
-)
+from millscf.gauss import scan_max_delta
 from millscf.reference import (
     _gamma_quadrature,
-    _mills_cf,
-    _mills_series,
     reference_gamma_mills,
     reference_mills,
 )
-from millscf.tails import beta0, mod_constants
 
-X_GRID = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
 REPORTED_MAXERR = (2.1e-4, 4.8e-5, 3.0e-5, 1.6e-5)
 
 
@@ -46,61 +33,30 @@ def test_criterion_01_reported_maxerr_sequence():
             f"worst deviation {worst_ratio:.1%} (cap 15%)")
 
 
+def _suite(name):
+    [(_, ok, detail)] = verify.run_suites([name])
+    return ok, detail
+
+
 def test_criterion_02_alternating_bounds():
-    violations = 0
-    for x in X_GRID:
-        ref = reference_mills(x)
-        for n in range(1, 13):
-            val = mills(x, n, "classic").value
-            if n % 2 == 0:
-                violations += 0 if val >= ref else 1
-            else:
-                violations += 0 if val <= ref else 1
-    _report(2, violations == 0,
-            f"{violations} bracketing violations over depths 1..12 x {len(X_GRID)} points")
+    _report(2, *_suite("alternating"))
 
 
 def test_criterion_03_error_estimate_strict():
-    violations = 0
-    checks = 0
-    for x in X_GRID:
-        ref = reference_mills(x)
-        for n in range(0, 13):
-            err = abs(ref - mills(x, n, "classic").value)
-            checks += 1
-            if not err < truncation_bound(x, n):
-                violations += 1
-    _report(3, violations == 0,
-            f"{violations} of {checks} points break the strict factorial bound")
+    _report(3, *_suite("error-bound"))
 
 
 def test_criterion_04_origin_constants():
-    worst = 0.0
-    ok = True
-    prev = beta0(0)
-    for n in range(1, 51):
-        b = beta0(n)
-        worst = max(worst, abs(b - n / prev) / b)
-        ok &= math.sqrt(n + 0.5) < b < math.sqrt(n + 1.0)
-        c = mod_constants(n)
-        ok &= c.lam > 0.0 and c.r > 0.0
-        prev = b
-    ok &= worst <= 1e-12
-    _report(4, ok, f"closed form vs recursion worst rel {worst:.2e} for n <= 50")
+    _report(4, *_suite("zero-fit-constants"))
 
 
 def test_criterion_05_sign_identity():
-    [(name, ok, detail)] = verify.run_suites(["sign-identity"])
+    ok, detail = _suite("sign-identity")
     _report(5, ok and "0 disagreements" in detail, detail)
 
 
 def test_criterion_06_two_point_pade():
-    at_zero = abs(pade_r2(0.0) - math.sqrt(math.pi / 2.0))
-    x = 1e3
-    coeff = x ** 3 * (pade_r2(x) - 1.0 / x)
-    ok = at_zero <= 1e-15 and abs(coeff + 1.0) <= 0.01
-    _report(6, ok,
-            f"|f(0)-sqrt(pi/2)| = {at_zero:.1e}, x^3(f - 1/x) = {coeff:.8f}")
+    _report(6, *_suite("pade"))
 
 
 def test_criterion_07_gamma_gaussian_equivalence():
@@ -142,37 +98,21 @@ def test_criterion_09_gamma_bracketing():
 
 
 def test_criterion_10_oracle_self_consistency():
-    worst_g = 0.0
-    for i in range(50):
-        x = 0.5 + 1.5 * i / 49.0
-        worst_g = max(worst_g,
-                      abs(_mills_series(x) - _mills_cf(x)) / _mills_cf(x))
+    ok_gauss, detail = _suite("branch-agreement")
     worst_gamma = 0.0
     for s in (0.5, 1.5, 3.0):
         for x in (1.0, 2.0, 5.0):
             quad = _gamma_quadrature(s, x)
             val = gamma.laguerre(s, x)
             worst_gamma = max(worst_gamma, abs(val - quad) / quad)
-    ok = worst_g <= 1e-13 and worst_gamma <= 1e-7
+    ok = ok_gauss and worst_gamma <= 1e-7
     _report(10, ok,
-            f"Gaussian branches worst rel {worst_g:.2e} (cap 1e-13); "
-            f"Gamma fraction vs quadrature worst rel {worst_gamma:.2e} (cap 1e-7)")
+            f"{detail}; Gamma fraction vs quadrature worst rel "
+            f"{worst_gamma:.2e} (cap 1e-7)")
 
 
 def test_criterion_11_equivalence_transform():
-    x = 2.0
-    v = 1.0 / (x * x)
-    lap_vals = cf.convergents(laplace_spec(), x, 10)
-    lcf_vals = cf.convergents(lcf_spec(), v, 10)
-    transformed = cf.equivalence_transform(
-        lcf_spec(), lambda k, v_: 1.0 if k == 0 else 1.0 / math.sqrt(v_))
-    trans_vals = cf.convergents(transformed, v, 10)
-    worst = 0.0
-    for a, b, c in zip(lap_vals, lcf_vals, trans_vals):
-        worst = max(worst, abs(b - x * a) / abs(x * a), abs(c - b) / abs(b))
-    _report(11, worst <= 1e-13,
-            f"1/x^2 form vs plain form and its p_k = x transform, "
-            f"worst rel {worst:.2e} over depths 1..10")
+    _report(11, *_suite("lcf-transform"))
 
 
 def test_criterion_12_figure_reproduction(tmp_path):

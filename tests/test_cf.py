@@ -95,6 +95,16 @@ def test_domain_rejection():
         convergents(LAP, 0.0, 5)
 
 
+@settings(max_examples=50, deadline=None)
+@given(x=st.floats(min_value=1e-3, max_value=1e3), n=st.integers(max_value=-1))
+def test_negative_depth_raises_on_every_route(x, n):
+    for route in (convergents, forward_recurrence):
+        with pytest.raises(ValueError, match="depth n must be >= 0"):
+            route(LAP, x, n)
+    with pytest.raises(ValueError, match="depth n must be >= 0"):
+        eval_backward(LAP, x, n, x)
+
+
 @settings(max_examples=200, deadline=None)
 @given(x=st.floats(min_value=0.05, max_value=30.0),
        n=st.integers(min_value=1, max_value=40))

@@ -1,7 +1,9 @@
 """Gamma Mills ratio: the four fraction forms, reduction, and brackets."""
 
 import math
+import re
 import struct
+import time
 from itertools import islice
 
 import numpy as np
@@ -11,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 from millscf import gamma
 from millscf.gamma import (
     ConvergenceError,
-    GammaParams,
     bounds_s01,
     cf_l1,
     laguerre,
@@ -28,18 +29,14 @@ XS = np.logspace(-2.0, 2.0, 17).tolist() + [0.125]
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
-        GammaParams(0.0, 1.0)
-    with pytest.raises(ValueError):
-        GammaParams(-2.0, 1.0)
-    with pytest.raises(ValueError):
-        GammaParams(1.0, -0.5)
-    with pytest.raises(ValueError):
-        GammaParams(float("inf"), 1.0)
-    p = GammaParams(0.5, 2.0)
-    assert p.q() == pytest.approx(1.25, rel=1e-15)
-    with pytest.raises(ValueError):
-        GammaParams(0.5, 0.0).q()
+    for s, x in ((0.0, 1.0), (-2.0, 1.0), (1.0, -0.5), (float("inf"), 1.0)):
+        for form in (cf_l1, laguerre, lower_cf, winitzki_cf):
+            with pytest.raises(ValueError):
+                form(s, x)
+        with pytest.raises(ValueError):
+            reduce_s(s, x)
+        with pytest.raises(ValueError):
+            bounds_s01(s, x, 3)
 
 
 def test_integer_shapes_truncate_exactly():
@@ -152,8 +149,22 @@ def test_huge_x_rescales_before_the_multiply():
 
 def test_reduce_s_raises_once_the_value_overflows():
     # M_{1e5+1/2}(3) is far beyond the largest double: raise, never return inf
-    with pytest.raises(OverflowError, match=r"s=100000\.5, x=3\.0 is not finite"):
+    with pytest.raises(OverflowError, match=r"s=100000\.5, x=3\.0 is not finite "
+                                             r"after 216 of 100000 reduction steps"):
         reduce_s(1e5 + 0.5, 3.0)
+
+
+def test_reduce_s_refuses_shapes_past_the_step_ceiling():
+    # from s = 2^53 on, s - (ceil(s) - 1) rounds to 0, and below that the
+    # loop would run for seconds to years: refuse at once, naming s
+    for s, x in ((1e17, 1.0), (1e300, 1.0), (1e7 + 0.5, 1e300), (2.0**53, 1e300)):
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match=re.escape(f"s={s!r}")):
+            reduce_s(s, x)
+        assert time.perf_counter() - t0 < 1.0, s
+    with pytest.raises(ValueError):
+        reduce_s(2.0**20 + 1.5, 1e300)
+    assert reduce_s(2.0**20 + 0.5, 1e300) == 1.0   # 2^20 steps: at the ceiling
 
 
 def _reference_adaptive(spec, s, x, rel_tol=gamma.ADAPTIVE_REL_TOL,
@@ -234,3 +245,65 @@ def test_adaptive_forms_stay_inside_the_s01_bracket(s, x):
         except ConvergenceError:
             continue
         assert math.isfinite(m) and lo <= m <= 1.0 + 1e-12, (form.__name__, s, x, m)
+
+
+# what the one domain check refuses as a shape or an abscissa
+_OUTSIDE = (st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, -5e-324])
+            | st.floats(max_value=-5e-324, allow_infinity=False))
+_FORMS = (cf_l1, laguerre, winitzki_cf, lower_cf)
+
+
+@settings(max_examples=150, deadline=None)
+@given(bad=_OUTSIDE, bad_shape=st.booleans(), s=st.floats(min_value=1e-3, max_value=50.0),
+       x=st.floats(min_value=1e-3, max_value=1e3), n=st.integers(min_value=0, max_value=40))
+def test_one_domain_check_refuses_outside_inputs(bad, bad_shape, s, x, n):
+    if bad_shape:
+        s = bad
+    else:
+        x = bad
+    for form in _FORMS:
+        for depth in (None, n):
+            if form is lower_cf and x == 0.0:
+                assert lower_cf(s, x, depth) == 0.0   # the cumulative side at 0
+                continue
+            with pytest.raises(ValueError, match=rf"^{form.__name__} needs"):
+                form(s, x, depth)
+    # shapes on the side each entry point accepts, so only the check can refuse
+    with pytest.raises(ValueError, match=r"^reduce_s needs"):
+        reduce_s(s if bad_shape else 1.0 + s, x)
+    with pytest.raises(ValueError, match=r"^bounds_s01 needs"):
+        bounds_s01(s if bad_shape else min(s, 1.0), x, n)
+
+
+@settings(max_examples=50, deadline=None)
+@given(s=st.floats(min_value=1e-3, max_value=1.0), x=st.floats(min_value=1e-3, max_value=1e3),
+       n=st.integers(max_value=-1))
+def test_negative_depth_raises_for_every_form(s, x, n):
+    for form in _FORMS:
+        with pytest.raises(ValueError, match=rf"^{form.__name__} needs a depth"):
+            form(s, x, n)
+    with pytest.raises(ValueError, match=r"^lower_cf needs a depth"):
+        lower_cf(s, 0.0, n)
+    with pytest.raises(ValueError, match=r"^bounds_s01 needs a depth"):
+        bounds_s01(s, x, n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(s=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+       x=st.floats(min_value=5e-324, max_value=1.7976931348623157e308),
+       n=st.integers(min_value=0, max_value=40))
+def test_bounds_s01_is_an_ordered_pair_in_the_unit_interval(s, x, n):
+    lo, hi = bounds_s01(s, x, n)
+    assert math.isfinite(lo) and math.isfinite(hi), (lo, hi)
+    assert 0.0 <= lo <= hi <= 1.0, (lo, hi)
+
+
+@settings(max_examples=150, deadline=None)
+@given(s=st.floats(min_value=1.0, max_value=1e4, exclude_min=True),
+       x=st.floats(min_value=5e-324, max_value=1.7976931348623157e308))
+def test_reduce_s_is_finite_and_at_least_one_or_raises(s, x):
+    try:
+        m = reduce_s(s, x)
+    except (ValueError, OverflowError, ConvergenceError):
+        return
+    assert math.isfinite(m) and m >= 1.0, m

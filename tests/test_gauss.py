@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from millscf import cf, tails
 from millscf.gauss import (
@@ -104,6 +105,16 @@ def test_truncation_bound_never_a_false_zero():
             err = abs(mills(x, n, "classic").value - reference_mills(x))
             assert err < bound, (x, n)
     assert truncation_bound(1e100, 0) == pytest.approx(1e-100, rel=1e-13)
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=st.floats(), n=st.integers(min_value=0, max_value=200))
+def test_truncation_bound_is_positive_or_raises(x, n):
+    try:
+        bound = truncation_bound(x, n)
+    except ValueError:
+        return
+    assert bound > 0.0, (x, n, bound)   # inf is allowed, 0 and nan are not
 
 
 def test_truncation_bound_past_the_largest_double_is_inf():
