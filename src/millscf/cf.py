@@ -71,10 +71,13 @@ def _check_depth(n):
 class ConvergentState:
     """Forward-recursion state after `depth` levels.
 
-    True continuants are the stored values times 2**scale_log2; the shared
-    scale cancels in value().  A_prev/B_prev belong to depth-1, so the
-    cross-determinant A_prev*B - A*B_prev equals prod_{i<=depth}(-a_i)
-    times 2**(2*scale_log2).
+    The A pair and the B pair each satisfy the recursion on their own, so
+    each carries its own power-of-two scale: the true A, A_prev are the
+    stored ones times 2**a_scale_log2, the true B, B_prev the stored ones
+    times 2**scale_log2, and value() puts the difference back.  A_prev/B_prev
+    belong to depth-1, so the cross-determinant A_prev*B - A*B_prev of the
+    stored values equals prod_{i<=depth}(-a_i) times
+    2**-(a_scale_log2 + scale_log2).
     """
 
     A: float
@@ -83,13 +86,14 @@ class ConvergentState:
     B_prev: float
     depth: int
     scale_log2: int = 0
+    a_scale_log2: int = 0
 
     def value(self):
         if self.B == 0.0:
             raise CFEvaluationError(
                 f"vanishing denominator B at depth {self.depth}"
             )
-        return self.A / self.B
+        return math.ldexp(self.A / self.B, self.a_scale_log2 - self.scale_log2)
 
 
 _RESCALE_LIMIT = 2.0**500
@@ -110,45 +114,53 @@ def _coeff(spec, which, k, x):
 
 
 def _forward_states(spec, x, n):
-    """The Wallis-Euler states (A, B, A_prev, B_prev, scale_log2) at depths 0..n.
+    """The Wallis-Euler states (A, B, A_prev, B_prev, a_scale, b_scale) at 0..n.
 
-    Rescales all four continuants by 2**-512 whenever one of them exceeds
-    2**500 in magnitude (and back up on underflow), tracking the exponent.
-    A level with |a_k| + |b_k| above 2**512 could overflow even from there,
-    so its inputs are scaled down by 2**-512 before the multiply.
+    Each pair is rescaled by 2**-512 on its own whenever one of its two
+    continuants exceeds 2**500 in magnitude (and back up on underflow),
+    tracking the exponent; a shared scale would push the smaller pair to 0
+    (at x = 1e300 the numerators A fall about x below the B).  A level with
+    |a_k| + |b_k| above 2**512 could overflow even from there, so both pairs
+    are scaled down by 2**-512 before the multiply.
     """
     A_prev, B_prev = 1.0, 0.0
     A, B = 0.0, 1.0
-    scale = 0
-    yield A, B, A_prev, B_prev, scale
+    a_scale = b_scale = 0
+    yield A, B, A_prev, B_prev, a_scale, b_scale
     for k in range(1, n + 1):
         ak = _coeff(spec, "a", k, x)
         bk = _coeff(spec, "b", k, x)
         if abs(ak) + abs(bk) > _LEVEL_HEADROOM:
-            A, B = A * _RESCALE_FACTOR, B * _RESCALE_FACTOR
-            A_prev, B_prev = A_prev * _RESCALE_FACTOR, B_prev * _RESCALE_FACTOR
-            scale += _RESCALE_SHIFT
+            A, A_prev = A * _RESCALE_FACTOR, A_prev * _RESCALE_FACTOR
+            B, B_prev = B * _RESCALE_FACTOR, B_prev * _RESCALE_FACTOR
+            a_scale += _RESCALE_SHIFT
+            b_scale += _RESCALE_SHIFT
         A, A_prev = bk * A + ak * A_prev, A
         B, B_prev = bk * B + ak * B_prev, B
-        m = max(abs(A), abs(B), abs(A_prev), abs(B_prev))
+        m = max(abs(A), abs(A_prev))
         if m > _RESCALE_LIMIT:
-            A, B = A * _RESCALE_FACTOR, B * _RESCALE_FACTOR
-            A_prev, B_prev = A_prev * _RESCALE_FACTOR, B_prev * _RESCALE_FACTOR
-            scale += _RESCALE_SHIFT
+            A, A_prev = A * _RESCALE_FACTOR, A_prev * _RESCALE_FACTOR
+            a_scale += _RESCALE_SHIFT
         elif 0.0 < m < 1.0 / _RESCALE_LIMIT:
-            A, B = A / _RESCALE_FACTOR, B / _RESCALE_FACTOR
-            A_prev, B_prev = A_prev / _RESCALE_FACTOR, B_prev / _RESCALE_FACTOR
-            scale -= _RESCALE_SHIFT
-        yield A, B, A_prev, B_prev, scale
+            A, A_prev = A / _RESCALE_FACTOR, A_prev / _RESCALE_FACTOR
+            a_scale -= _RESCALE_SHIFT
+        m = max(abs(B), abs(B_prev))
+        if m > _RESCALE_LIMIT:
+            B, B_prev = B * _RESCALE_FACTOR, B_prev * _RESCALE_FACTOR
+            b_scale += _RESCALE_SHIFT
+        elif 0.0 < m < 1.0 / _RESCALE_LIMIT:
+            B, B_prev = B / _RESCALE_FACTOR, B_prev / _RESCALE_FACTOR
+            b_scale -= _RESCALE_SHIFT
+        yield A, B, A_prev, B_prev, a_scale, b_scale
 
 
 def forward_recurrence(spec, x, n):
     """Run the Wallis-Euler recursion to depth n and return the state."""
     _check_depth(n)
     _check_x(spec, x)
-    *_, (A, B, A_prev, B_prev, scale) = _forward_states(spec, x, n)
-    return ConvergentState(A=A, B=B, A_prev=A_prev, B_prev=B_prev,
-                           depth=n, scale_log2=scale)
+    *_, (A, B, A_prev, B_prev, a_scale, b_scale) = _forward_states(spec, x, n)
+    return ConvergentState(A=A, B=B, A_prev=A_prev, B_prev=B_prev, depth=n,
+                           scale_log2=b_scale, a_scale_log2=a_scale)
 
 
 def convergents(spec, x, n):
@@ -158,10 +170,10 @@ def convergents(spec, x, n):
     states = _forward_states(spec, x, n)
     next(states)   # depth 0 has no convergent
     out = []
-    for depth, (A, B, *_) in enumerate(states, 1):
+    for depth, (A, B, _, _, a_scale, b_scale) in enumerate(states, 1):
         if B == 0.0:
             raise CFEvaluationError(f"vanishing denominator B at depth {depth}")
-        out.append(A / B)
+        out.append(math.ldexp(A / B, a_scale - b_scale))
     return out
 
 

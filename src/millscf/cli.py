@@ -49,9 +49,14 @@ def _load_custom_tail(path):
             bs.append(bv)
     if len(xs) < 2:
         raise ValueError(f"tail file {path!r} needs at least two x,beta rows")
-    interp = PchipInterpolator(xs, bs)
-    d1 = interp.derivative()
-    d2 = interp.derivative(2)
+    # slopes between rows near the largest double overflow inside the fit;
+    # such a fit is refused below instead of warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        interp = PchipInterpolator(xs, bs)
+        d1 = interp.derivative()
+        d2 = interp.derivative(2)
+    if not all(np.isfinite(p.c).all() for p in (interp, d1, d2)):
+        raise ValueError(f"tail file {path!r} is too steep to interpolate")
 
     def value(n, x):
         # arrays on the grid paths, a float for one point
@@ -154,6 +159,10 @@ def run_figure(args):
     tail = pdf * reference_mills_grid(xs)
     curves = [tail - pdf * gauss.mills_grid(xs, n, fams[name])
               for name in columns]
+    for name, curve in zip(columns, curves):
+        # a tail below 1/(the largest double) makes R_0 inf, not an error
+        if not np.isfinite(curve).all():
+            raise OverflowError(f"the {name} error curve at n={n} is not finite")
     _write_csv(args.out, ",".join(["x"] + columns), [xs] + curves)
     print(f"wrote error curves for depth n={n} to {args.out}")
     return 0

@@ -42,6 +42,7 @@ from .cf import (
     _LEVEL_HEADROOM,
     _RESCALE_FACTOR,
     _RESCALE_LIMIT,
+    CFEvaluationError,
     CFSpec,
     eval_backward,
 )
@@ -229,9 +230,23 @@ def cf_l1(s, x, n=None):
 
 
 def laguerre(s, x, n=None):
-    """M_s(x) through the contracted form; exact at integer s."""
+    """M_s(x) through the contracted form; exact at integer s.
+
+    Raises OverflowError where x^(s-1) underflows to 0: M_s(x) is at least
+    0.88 x^(1-s) there, past the largest double.  Raises CFEvaluationError
+    where the first numerator x^s underflows to 0, which would make the
+    fraction 0.
+    """
     _check("laguerre", s, x, n)
-    return _evaluate(laguerre_spec(s), s, x, n) / x ** (s - 1.0)
+    power = x ** (s - 1.0)
+    if power == 0.0:
+        raise OverflowError(
+            f"laguerre: M_s(x) at s={s!r}, x={x!r} exceeds the largest double")
+    if x ** s == 0.0:
+        raise CFEvaluationError(
+            f"laguerre form of M_s(x) at s={s!r}, x={x!r}: the first "
+            "numerator x**s underflows to 0")
+    return _evaluate(laguerre_spec(s), s, x, n) / power
 
 
 def lower_cf(s, x, n=None):

@@ -80,15 +80,36 @@ def lcf_spec():
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Approximation:
-    """One evaluated Mills approximation with its bound metadata."""
+    """One evaluated Mills approximation with its bound metadata.
+
+    A frozen, slotted record: no __dict__, so no attributes beyond the five
+    fields.  Its one constructor stores each field through the field's slot
+    descriptor, which costs about half of the generated keyword __init__
+    (five object.__setattr__ calls) on a call that is mostly construction.
+    """
 
     value: float
     n: int
     family: str
     bound_side: str               # "upper" | "lower" | "unknown"
     trunc_bound: Optional[float]  # classic only
+
+    def __init__(self, value, n, family, bound_side, trunc_bound):
+        _set_value(self, value)
+        _set_n(self, n)
+        _set_family(self, family)
+        _set_bound_side(self, bound_side)
+        _set_trunc_bound(self, trunc_bound)
+
+
+# the slot descriptors' setters, bound once; frozen blocks only __setattr__
+_set_value = Approximation.value.__set__
+_set_n = Approximation.n.__set__
+_set_family = Approximation.family.__set__
+_set_bound_side = Approximation.bound_side.__set__
+_set_trunc_bound = Approximation.trunc_bound.__set__
 
 
 def _check_point(fam, n, x):
@@ -122,24 +143,32 @@ def _overflow(n, x, k):
         f"level {k + 1} of the fold for R_{n}({x!r}) overflows a double")
 
 
-def _fold(x, n, t):
-    """R_n from its tail t: t <- x + k/t for k = n, ..., 1, then 1/t.
+def _fold(x, n, fam):
+    """R_n from the family's tail t: t <- x + k/t for k = n, ..., 1, then 1/t.
 
-    The arithmetic and checks of cf.eval_backward(laplace_spec(), x, n + 1, t),
-    on a float or elementwise on a 1-D numpy array of x (and t); x must be
-    finite at n = 0 too, where eval_backward never reads it.
+    The arithmetic and checks of cf.eval_backward(laplace_spec(), x, n + 1,
+    fam.value(n, x)), on a float or elementwise on a 1-D numpy array of x;
+    x must be finite at n = 0 too, where eval_backward never reads it.
 
     A level that overflows raises OverflowError, where eval_backward folds
     the inf on into a wrong 0, inf or finite value (at x = 5e-324 the classic
     R_1 would come out 0).  Only the last step 1/t may overflow: R_n then
     exceeds the largest double and is returned as inf, as truncation_bound
     returns a bound past it.
+
+    A tail that overflows at a finite x past 2^1000 (improved-expo's c_n x
+    near the largest double) is no error.  For n >= 1, n/t is far below half
+    an ulp of x there, so every tail above 2^1000 folds to the same double
+    as an infinite one; R_0 = 1/t is read off the tail at x/2 (_huge_r0).
     """
     if not isinstance(x, float) and _is_array(x):
-        return _fold_grid(x, n, t)
-    t = float(t)
+        return _fold_grid(x, n, fam)
+    t = float(fam.value(n, x))
     if not (math.isfinite(x) and math.isfinite(t)):
-        raise CFEvaluationError("non-finite x or tail")
+        if not (t == math.inf and _FOLD_HI < x < math.inf):
+            raise CFEvaluationError("non-finite x or tail")
+        if n == 0:
+            return _huge_r0(fam, x)
     if _FOLD_LO <= x <= _FOLD_HI and t >= _FOLD_LO and n < _FOLD_MAX_N:
         for k in range(n, 0, -1):
             t = x + k / t
@@ -155,20 +184,40 @@ def _fold(x, n, t):
         raise _zero_level(k) from None
 
 
-def _fold_grid(x, n, t):
-    """_fold on a 1-D numpy array of x (and t), checked at every level."""
+def _huge_r0(fam, x):
+    """1/beta_0(x) for a tail past the largest double at x > 2^1000.
+
+    A tail that grows linearly there, as every built-in one does, has
+    beta_0(x) = 2 beta_0(x/2) = 4 beta_0(x/4) to the last bit, so R_0 is
+    0.5/beta_0(x/2), without forming beta_0(x).  A tail failing that test
+    raises.
+    """
+    half = float(fam.value(0, 0.5 * x))
+    if not (math.isfinite(half) and half == 2.0 * float(fam.value(0, 0.25 * x))):
+        raise CFEvaluationError("non-finite x or tail")
+    return 0.5 / half
+
+
+def _fold_grid(x, n, fam):
+    """_fold on a 1-D numpy array of x, checked at every level."""
     import numpy as np
 
-    if not (np.isfinite(x).all() and np.isfinite(t).all()):
-        raise CFEvaluationError("non-finite x or tail")
-    # the explicit check is the overflow signal, not numpy's warning
+    # the explicit checks are the overflow signal, not numpy's warning
     with np.errstate(over="ignore"):
+        t = fam.value(n, x)
+        huge = None
+        if not (np.isfinite(x).all() and np.isfinite(t).all()):
+            huge = (t == np.inf) & (x > _FOLD_HI)
+            if not (np.isfinite(x) & (np.isfinite(t) | huge)).all():
+                raise CFEvaluationError("non-finite x or tail")
         for k in range(n, -1, -1):
             if not np.all(t):
                 raise _zero_level(k)
             t = x + k / t if k else 1.0 / t
             if k and np.isinf(t).any():
                 raise _overflow(n, float(x[np.argmax(np.isinf(t))]), k)
+    if n == 0 and huge is not None:
+        t[huge] = [_huge_r0(fam, v) for v in x[huge].tolist()]
     return t
 
 
@@ -183,11 +232,7 @@ def mills_grid(x, n, family="improved-expo"):
     fam = get_family(family)
     x = np.asarray(x, dtype=float)
     _check_point(fam, n, x.min())
-    # a tail past the largest double is inf, which the fold rejects as on
-    # the scalar route
-    with np.errstate(over="ignore"):
-        t = fam.value(n, x)
-    return _fold_grid(x, n, t)
+    return _fold_grid(x, n, fam)
 
 
 def _bound_side(fam, n):
@@ -204,10 +249,9 @@ def mills(x, n, family="improved-expo"):
     """
     fam = get_family(family)
     _check_point(fam, n, x)
-    value = _fold(x, n, fam.value(n, x))
+    value = _fold(x, n, fam)
     bound = truncation_bound(x, n) if fam.kind == "classic" else None
-    return Approximation(value=value, n=n, family=fam.kind,
-                         bound_side=_bound_side(fam, n), trunc_bound=bound)
+    return Approximation(value, n, fam.kind, _bound_side(fam, n), bound)
 
 
 def hazard(x):
@@ -233,8 +277,8 @@ def truncation_bound(x, n):
         raise ValueError(f"truncation bound needs 0 < x < inf, got x={x!r}")
     if n < 0:
         raise ValueError("n must be >= 0")
-    # cf.forward_recurrence's rescaling on B alone (B_{2j} >= 1 never
-    # underflows; A, which it also watches, stays below B for x >= 1).
+    # cf.forward_recurrence's rescaling of the B pair (B_{2j} >= 1 never
+    # underflows, so it is only ever scaled down).
     # Level k + 1 has numerator k; level 1's numerator 1 meets B_prev = 0.
     B_prev, B = 0.0, 1.0
     scale = 0
@@ -319,7 +363,7 @@ def delta(x, n, family="improved-expo"):
         ref = reference.reference_mills_grid(x)
         return pdf * ref - pdf * mills_grid(x, n, fam)
     _check_point(fam, n, x)
-    return reference.reference_tail(x) - phi(x) * _fold(x, n, fam.value(n, x))
+    return reference.reference_tail(x) - phi(x) * _fold(x, n, fam)
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0

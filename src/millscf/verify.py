@@ -52,7 +52,7 @@ def _determinant():
             if A_prev * B - A * B_prev != rhs:
                 return False, f"exact identity broken at depth {n}, x={x}"
             st = forward_recurrence(spec, x, n)
-            if st.scale_log2 != 0:
+            if st.scale_log2 or st.a_scale_log2:
                 return False, f"unexpected rescale at depth {n}, x={x}"
             if st.B <= 0.0:
                 return False, f"B_{n}({x}) = {st.B} not positive"

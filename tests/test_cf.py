@@ -197,3 +197,32 @@ def test_convergents_rescale_before_the_multiply():
     vals = convergents(LAP, x, 4)
     assert vals == [forward_recurrence(LAP, x, d).value() for d in range(1, 5)]
     assert vals[:2] == pytest.approx([1e-300, 1e-300], rel=1e-15)
+
+
+def test_numerators_survive_huge_x():
+    # A_k falls about x below B_k: a scale shared by both pairs pushed the
+    # numerators to 0 (depth 4 at x = 1e300 read 0.0); each pair has its own
+    for x in (1e160, 1e300, 1.7e308):
+        vals = convergents(LAP, x, 8)
+        assert vals == [forward_recurrence(LAP, x, d).value() for d in range(1, 9)]
+        for v in vals:
+            assert abs(v - 1.0 / x) <= 2 * math.ulp(1.0 / x), (x, vals)
+
+
+def test_cross_determinant_under_separate_scales():
+    # stored A_prev B - A B_prev = prod(-a_i) * 2^-(a_scale + b_scale); a
+    # first numerator of 2^-900 keeps the A pair under 2^-500, so only it is
+    # scaled up and the two scales differ
+    tiny = CFSpec(a=lambda k, x: 2.0 ** -900 if k == 1 else 1.0,
+                  b=lambda k, x: 1.0, name="tiny")
+    fib = [1, 1]
+    for n in range(1, 13):
+        fib.append(fib[-1] + fib[-2])
+        st_ = forward_recurrence(tiny, 1.0, n)
+        assert (st_.a_scale_log2, st_.scale_log2) == (-512, 0)
+        det = st_.A_prev * st_.B - st_.A * st_.B_prev
+        assert math.ldexp(det, st_.a_scale_log2 + st_.scale_log2) == (
+            pytest.approx((-1) ** n * 2.0 ** -900, rel=1e-12))
+        # the unit fraction's convergents are F_n / F_{n+1}
+        assert st_.value() == pytest.approx(
+            2.0 ** -900 * fib[n - 1] / fib[n], rel=1e-15)

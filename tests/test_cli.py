@@ -328,3 +328,37 @@ def test_exit_codes_for_any_float_argument(argv, tmp_path_factory):
     assert rc in (0, 2, 3) or (rc == 1 and argv[0] == "verify"), (argv, rc)
     if "--inject-sign-fault" in argv or (argv[0] == "maxerr" and "--n" in argv):
         assert rc == 2, argv   # flags that no longer exist
+
+
+# tail-file cells: the non-finite floats, 0, a subnormal and a huge value,
+# plus plain floats; rows repeat and come in any order
+_TAIL_CELLS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, 5e-324, 1e308,
+                     -1e308]),
+    st.floats(min_value=-10.0, max_value=10.0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(fig=st.sampled_from(["1", "2", "3"]),
+       rows=st.none() | st.lists(st.tuples(_TAIL_CELLS, _TAIL_CELLS),
+                                 max_size=6))
+@example(fig="2", rows=[(0.0, 1.0), (1.0, 1.6), (6.5, 6.7)])
+@example(fig="1", rows=[(0.0, 1.0), (0.0, 2.0), (1.0, math.nan)])
+@example(fig="1", rows=[(0.0, 0.0), (1.0, 1e308)])    # the fit overflows
+@example(fig="1", rows=[(0.0, 5e-324), (1.0, 1.0)])   # R_0(0) is inf
+def test_figure_exit_codes_for_any_tail_file(fig, rows, tmp_path_factory):
+    base = tmp_path_factory.getbasetemp()
+    out = base / "fig.csv"
+    out.unlink(missing_ok=True)
+    argv = ["figure", "--id", fig, "--out", str(out)]
+    if rows is not None:
+        tail = base / "tail.csv"
+        tail.write_text("x,beta\n" + "".join(f"{x!r},{b!r}\n" for x, b in rows))
+        argv += ["--tail-file", str(tail)]
+    rc = main(argv)
+    assert rc in (0, 2, 3), (argv, rows, rc)
+    if rc == 0:
+        lines = out.read_text().splitlines()
+        assert len(lines) == 602, rows
+        cells = [float(v) for line in lines[1:] for v in line.split(",")]
+        assert all(math.isfinite(v) for v in cells), rows

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from millscf import gamma
+from millscf.cf import CFEvaluationError
 from millscf.gamma import (
     ConvergenceError,
     bounds_s01,
@@ -145,6 +146,20 @@ def test_huge_x_rescales_before_the_multiply():
         for form in (laguerre, cf_l1, winitzki_cf):
             m = form(0.5, x)
             assert math.isfinite(m) and abs(m - 1.0) <= 1e-12, (form.__name__, x, m)
+
+
+def test_laguerre_at_tiny_x_raises_documented_errors():
+    # x^(s-1) underflows to 0: M_s(x) >= 0.88 x^(1-s) is past the largest
+    # double (this divided by zero); x^s alone underflows: the fraction's
+    # first numerator is 0 (this returned -0.0 and 0.0 for M_s near 1e125
+    # and 2e240)
+    for n in (None, 0, 3):
+        with pytest.raises(OverflowError, match="exceeds the largest double"):
+            laguerre(2.5, 5e-324, n)
+        for s, x in ((1.5, 1e-250), (3.0, 1e-120)):
+            with pytest.raises(CFEvaluationError,
+                               match=re.escape(f"s={s!r}, x={x!r}")):
+                laguerre(s, x, n)
 
 
 def test_reduce_s_raises_once_the_value_overflows():

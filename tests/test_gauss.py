@@ -1,13 +1,18 @@
 """Gaussian Mills ratio approximants, error functionals, and series."""
 
+import copy
+import dataclasses
 import math
+import pickle
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from millscf import cf, tails
 from millscf.gauss import (
+    Approximation,
     asymptotic_series,
     decays_beyond,
     delta,
@@ -190,6 +195,64 @@ def test_fold_overflow_raises_on_both_routes():
     assert mills(5e-324, 0, "limit-ansatz").value == math.inf
     # the same tiny x is harmless under a tail of order one
     assert mills(5e-324, 7, "sqrt").value == mills(0.0, 7, "sqrt").value
+
+
+def test_approximation_record_semantics():
+    names = ["value", "n", "family", "bound_side", "trunc_bound"]
+    for x, n, family in ((1.3, 2, "classic"), (0.0, 5, "improved-expo"),
+                         (2.0, 1, "sqrt")):
+        a = mills(x, n, family)
+        fields = {name: getattr(a, name) for name in names}
+        b = Approximation(**fields)
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+        assert [f.name for f in dataclasses.fields(a)] == names
+        assert dataclasses.asdict(a) == fields
+        moved = dataclasses.replace(a, n=7)
+        assert moved == Approximation(**{**fields, "n": 7}) and moved != a
+        for proto in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(a, proto)) == a
+        assert copy.deepcopy(a) == a and copy.copy(a) == a
+        for name in names:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(a, name, None)
+        with pytest.raises((AttributeError, TypeError)):
+            a.extra = 1
+        assert not hasattr(a, "__dict__")
+        assert not isinstance(a, tuple)   # callers that encode tuples differ
+
+
+def _improved_expo_mp(x, n):
+    """R_n(x) at 50 digits from the improved-expo tail's double constants."""
+    c = tails.mod_constants(n)
+    rate = math.sqrt(c.r)
+    cn = c.lam + rate * c.beta_at_zero
+    with mpmath.workdps(50):
+        x = mpmath.mpf(x)
+        t = (mpmath.mpf(cn) * x
+             + mpmath.mpf(c.beta_at_zero) * mpmath.exp(-mpmath.mpf(rate) * x))
+        for k in range(n, 0, -1):
+            t = x + k / t
+        return float(1 / t)
+
+
+def test_improved_expo_up_to_the_largest_double():
+    # c_n x overflows near the largest double (c_n > 1); R_n is about 1/x
+    xs = [1e307, 3e307, 1e308, 1.5e308, 1.7e308, 1.79e308,
+          1.7976931348623157e308]
+    for n in range(61):
+        grid = mills_grid(np.array(xs), n, "improved-expo")
+        for x, g in zip(xs, grid.tolist()):
+            want = _improved_expo_mp(x, n)
+            got = mills(x, n, "improved-expo").value
+            assert got == g, (n, x)
+            assert abs(got - want) <= 4 * math.ulp(want), (n, x, got, want)
+    # a tail that overflows but does not grow linearly there is refused
+    steep = tails.custom(value=lambda n, x: x * (1.0 + x / 1.79e308),
+                         deriv=lambda n, x: 1.0)
+    with pytest.raises(cf.CFEvaluationError):
+        mills(1.79e308, 0, steep)
+    with pytest.raises(cf.CFEvaluationError):
+        mills_grid(np.array([1.0, 1.79e308]), 0, steep)
 
 
 def test_hazard_anchors():
