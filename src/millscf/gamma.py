@@ -28,10 +28,10 @@ The adaptive route reads each form's coefficients from one level stream,
 the spec's `levels(x)` generator, which yields (a_k, b_k) for k = 1, 2, ...
 with the same arithmetic as the spec's a/b callables, so the values are
 bit for bit the same.  One flat Wallis-Euler loop folds that stream: a level
-with |a_k| + |b_k| above 2^512 scales the four continuants down by 2^-512
-before the multiply, so the continuants stay finite for any finite x, and
-the new A, B are scaled down after it once either exceeds 2^500.  The
-stopping rule is unchanged.  The fixed-depth route keeps using
+with |a_k| + |b_k| above 2^512 scales each pair that could overflow down by
+2^-512 before the multiply, tracking the A-B exponent difference, so the
+continuants stay finite for any finite x, and the new A, B are scaled down
+after it once either exceeds 2^500.  The fixed-depth route keeps using
 eval_backward on the a/b callables.
 """
 
@@ -42,6 +42,7 @@ from .cf import (
     _LEVEL_HEADROOM,
     _RESCALE_FACTOR,
     _RESCALE_LIMIT,
+    _RESCALE_SHIFT,
     CFEvaluationError,
     CFSpec,
     eval_backward,
@@ -57,6 +58,8 @@ _SNAP = 1e-13
 # reduce_s spends about 0.1 us per step; past this many it refuses the shape
 # (from s = 2**53 on, s - (ceil(s) - 1) even rounds to 0)
 _REDUCTION_MAX_STEPS = 2**20
+
+_PAIR_SAFE = 2.0**-24   # a pair this small cannot overflow at any level
 
 
 class ConvergenceError(ArithmeticError):
@@ -185,18 +188,23 @@ def winitzki_spec(s):
 
 def _adaptive(spec, s, x, rel_tol=ADAPTIVE_REL_TOL, max_depth=ADAPTIVE_MAX_DEPTH):
     # forward recursion, stopping on relative agreement of successive
-    # convergents; only ratios are consumed, so rescaling needs no exponent.
-    # Every level leaves all four continuants at most 2**500 in size, so
-    # after the multiply only the new A, B need the test (the previous ones
-    # passed it a level earlier).
+    # convergents.  Every level leaves all four continuants at most 2**500 in
+    # size, so after the multiply only the new A, B need the (shared) test.
+    # A level past the headroom scales only a pair that could overflow, so
+    # a far smaller pair is not pushed to 0; `shift` = A's exponent - B's.
     headroom, limit, factor = _LEVEL_HEADROOM, _RESCALE_LIMIT, _RESCALE_FACTOR
     A_prev, B_prev = 1.0, 0.0
     A, B = 0.0, 1.0
+    shift = 0
     prev = math.nan   # no convergent yet: the first agreement test fails
     for _, (ak, bk) in zip(range(max_depth), spec.levels(x)):
         if abs(ak) + abs(bk) > headroom:
-            A, B = A * factor, B * factor
-            A_prev, B_prev = A_prev * factor, B_prev * factor
+            if abs(A) > _PAIR_SAFE or abs(A_prev) > _PAIR_SAFE:
+                A, A_prev = A * factor, A_prev * factor
+                shift += _RESCALE_SHIFT
+            if abs(B) > _PAIR_SAFE or abs(B_prev) > _PAIR_SAFE:
+                B, B_prev = B * factor, B_prev * factor
+                shift -= _RESCALE_SHIFT
         A, A_prev = bk * A + ak * A_prev, A
         B, B_prev = bk * B + ak * B_prev, B
         if abs(A) > limit or abs(B) > limit:
@@ -204,6 +212,8 @@ def _adaptive(spec, s, x, rel_tol=ADAPTIVE_REL_TOL, max_depth=ADAPTIVE_MAX_DEPTH
             A_prev, B_prev = A_prev * factor, B_prev * factor
         if B != 0.0:
             cur = A / B
+            if shift:
+                cur = math.ldexp(cur, shift)
             mag = abs(cur)
             # rel_tol * max(|cur|, 1e-300), written out
             if abs(cur - prev) <= rel_tol * (mag if mag > 1e-300 else 1e-300):

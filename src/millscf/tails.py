@@ -56,20 +56,30 @@ def beta0(n):
 
 @dataclass(frozen=True)
 class ModConstants:
-    """The three constants pinning a depth-n tail at the origin."""
+    """The constants pinning a depth-n tail at the origin, and those derived.
+
+    The one per-depth record every family reads: beta_sq, sqrt_r and c are
+    computed here once per depth, not on every evaluation.
+    """
 
     n: int
     beta_at_zero: float
-    lam: float   # required slope beta_n'(0)
-    r: float     # required curvature ratio beta_n''(0)/beta_n(0)
+    lam: float      # required slope beta_n'(0)
+    r: float        # required curvature ratio beta_n''(0)/beta_n(0)
+    beta_sq: float  # beta_n(0)^2
+    sqrt_r: float   # improved-expo's decay rate
+    c: float        # improved-expo's slope lambda_n + sqrt(r_n) beta_n(0)
 
 
 @lru_cache(maxsize=_CONSTANTS_CACHE)
 def mod_constants(n):
     b = beta0(n)
-    lam = b * b - n
-    r = 2.0 * (b * b - n - 0.5)
-    return ModConstants(n=n, beta_at_zero=b, lam=lam, r=r)
+    g = b * b
+    lam = g - n
+    r = 2.0 * (g - n - 0.5)
+    rate = math.sqrt(r)
+    return ModConstants(n=n, beta_at_zero=b, lam=lam, r=r, beta_sq=g,
+                        sqrt_r=rate, c=lam + rate * b)
 
 
 @dataclass(frozen=True)
@@ -163,12 +173,11 @@ def limit_ansatz():
 
 def sqrt_family():
     """x/2 + sqrt((x/2)^2 + beta_n(0)^2): exact at 0, alternating bounds."""
-    g = lru_cache(maxsize=_CONSTANTS_CACHE)(lambda n: beta0(n) ** 2)
     return TailFamily(
         kind="sqrt",
-        value=lambda n, x: _half_root(x, g(n)),
-        deriv=lambda n, x: _half_root_deriv(x, g(n)),
-        second=lambda n, x: _half_root_second(x, g(n)),
+        value=lambda n, x: _half_root(x, mod_constants(n).beta_sq),
+        deriv=lambda n, x: _half_root_deriv(x, mod_constants(n).beta_sq),
+        second=lambda n, x: _half_root_second(x, mod_constants(n).beta_sq),
         fits_value=True,
         bound_side="alternating",
     )
@@ -177,19 +186,12 @@ def sqrt_family():
 def linear():
     """lambda_n x + beta_n(0): exact value and slope at 0, alternating."""
 
-    @lru_cache(maxsize=_CONSTANTS_CACHE)
-    def constants(n):
-        c = mod_constants(n)
-        return c.lam, c.beta_at_zero
-
     def val(n, x):
-        lam, b = constants(n)
-        return lam * x + b
+        k = mod_constants(n)
+        return k.lam * x + k.beta_at_zero
 
-    def der(n, x):
-        return constants(n)[0]
-
-    return TailFamily(kind="linear", value=val, deriv=der, second=_zero,
+    return TailFamily(kind="linear", value=val,
+                      deriv=lambda n, x: mod_constants(n).lam, second=_zero,
                       fits_value=True, fits_slope=True,
                       bound_side="alternating")
 
@@ -206,51 +208,38 @@ def lee_linear():
 def shift_linear():
     return TailFamily(
         kind="shift-linear",
-        value=lambda n, x: x + beta0(n),
+        value=lambda n, x: x + mod_constants(n).beta_at_zero,
         deriv=lambda n, x: 1.0,
         second=_zero,
         fits_value=True,
     )
 
 
-def improved_expo(slope_fit=True):
+def improved_expo():
     """c_n x + beta_n(0) exp(-sqrt(r_n) x), all three conditions at 0.
 
-    slope_fit=True (default) takes c_n = lambda_n + sqrt(r_n) beta_n(0), the
-    unique linear coefficient with beta_n'(0) = lambda_n.  slope_fit=False
-    keeps the alternative c_n = lambda_n + r_n beta_n(0) for comparison; it
-    breaks the slope condition and its measured worst error is two orders of
-    magnitude larger, so it exists only to demonstrate that.
+    c_n = lambda_n + sqrt(r_n) beta_n(0) is the unique linear coefficient
+    with beta_n'(0) = lambda_n.
     """
 
-    @lru_cache(maxsize=_CONSTANTS_CACHE)
-    def constants(n):
-        """(c_n, beta_n(0), -sqrt(r_n))."""
-        c = mod_constants(n)
-        rate = math.sqrt(c.r)
-        return (c.lam + (rate if slope_fit else c.r) * c.beta_at_zero,
-                c.beta_at_zero, -rate)
-
     def val(n, x):
-        cn, b, neg_rate = constants(n)
+        k = mod_constants(n)
         if isinstance(x, float) or not _is_array(x):
-            return cn * x + b * math.exp(neg_rate * x)
+            return k.c * x + k.beta_at_zero * math.exp(-k.sqrt_r * x)
         import numpy as np
 
-        return cn * x + b * np.exp(neg_rate * x)
+        return k.c * x + k.beta_at_zero * np.exp(-k.sqrt_r * x)
 
     def der(n, x):
-        cn, b, neg_rate = constants(n)
-        return cn + neg_rate * b * math.exp(neg_rate * x)
+        k = mod_constants(n)
+        return k.c - k.sqrt_r * k.beta_at_zero * math.exp(-k.sqrt_r * x)
 
     def sec(n, x):
-        c = mod_constants(n)
-        rate = math.sqrt(c.r)
-        return c.r * c.beta_at_zero * math.exp(-rate * x)
+        k = mod_constants(n)
+        return k.r * k.beta_at_zero * math.exp(-k.sqrt_r * x)
 
     return TailFamily(kind="improved-expo", value=val, deriv=der, second=sec,
-                      fits_value=True, fits_slope=slope_fit,
-                      fits_curvature=True)
+                      fits_value=True, fits_slope=True, fits_curvature=True)
 
 
 def custom(value, deriv, second=None):

@@ -21,7 +21,7 @@ from .cf import (
     eval_doubly_modified,
     forward_recurrence,
 )
-from .tails import beta0, mod_constants
+from .tails import FAMILIES, beta0, get_family, mod_constants
 
 _X_GRID = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
 
@@ -243,33 +243,29 @@ def _ode_residual():
 
 
 def _fit_conditions():
-    value_fams = ("shift-linear", "linear", "sqrt", "improved-expo")
-    for fam in value_fams:
-        for n in range(5):
-            d0 = gauss.delta(0.0, n, fam)
-            if abs(d0) > 1e-14:
-                return False, f"Delta_{n}(0) = {d0:.2e} for {fam} (tol 1e-14)"
-    for fam in ("linear", "improved-expo"):
-        for n in range(5):
-            s0 = gauss.error_integrand(0.0, n, fam)
-            if abs(s0) > 1e-12:
-                return False, f"delta_{n}(0) = {s0:.2e} for {fam} (tol 1e-12)"
-    for n in range(5):
-        c0 = gauss.second_error_integrand(0.0, n, "improved-expo")
-        if abs(c0) > 1e-9:
-            return False, f"delta_{n}''(0) = {c0:.2e} for improved-expo (tol 1e-9)"
-    slopes = []
-    for n in range(4):
-        lo = abs(gauss.delta(1e-3, n, "improved-expo"))
-        hi = abs(gauss.delta(1e-1, n, "improved-expo"))
-        slope = math.log(hi / lo) / math.log(100.0)
-        slopes.append(slope)
-        if slope < 2.7:
-            return False, f"log-log slope at 0 for improved-expo n={n}: {slope:.2f}"
-    return True, (
-        "value/slope/curvature fits hold; improved-expo origin slopes "
-        + ", ".join(f"{s:.2f}" for s in slopes)
-    )
+    # a family is held to the conditions at 0 that its fits_* flags claim
+    fams = {name: get_family(name) for name in FAMILIES}
+    for flag, fn, label, tol in (
+            ("fits_value", gauss.delta, "Delta_{}(0)", "1e-14"),
+            ("fits_slope", gauss.error_integrand, "delta_{}(0)", "1e-12"),
+            ("fits_curvature", gauss.second_error_integrand, "delta_{}''(0)", "1e-9")):
+        for fam in [name for name, f in fams.items() if getattr(f, flag)]:
+            for n in range(5):
+                v = fn(0.0, n, fam)
+                if abs(v) > float(tol):
+                    return False, f"{label.format(n)} = {v:.2e} for {fam} (tol {tol})"
+    reports = []
+    for fam in [name for name, f in fams.items() if f.fits_curvature]:
+        slopes = []
+        for n in range(4):
+            lo = abs(gauss.delta(1e-3, n, fam))
+            hi = abs(gauss.delta(1e-1, n, fam))
+            slope = math.log(hi / lo) / math.log(100.0)
+            slopes.append(slope)
+            if slope < 2.7:
+                return False, f"log-log slope at 0 for {fam} n={n}: {slope:.2f}"
+        reports.append(f"{fam} origin slopes " + ", ".join(f"{s:.2f}" for s in slopes))
+    return True, "value/slope/curvature fits hold; " + "; ".join(reports)
 
 
 _SIGN_SAMPLES = 200

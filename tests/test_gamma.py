@@ -148,6 +148,20 @@ def test_huge_x_rescales_before_the_multiply():
             assert math.isfinite(m) and abs(m - 1.0) <= 1e-12, (form.__name__, x, m)
 
 
+def test_headroom_scales_only_a_pair_that_can_overflow():
+    # scaling all four continuants before each level past the headroom
+    # pushed the smaller pair under the subnormal range: laguerre's
+    # numerators, x^(1-s) below its denominators at the largest double, and
+    # winitzki_cf's at tiny x, where both returned 0.0
+    for s in (0.01, 0.3):
+        m = laguerre(s, 1.7976931348623157e308)
+        assert abs(m - 1.0) <= 1e-12, (s, m)
+    for s in (0.01, 0.3, 0.5, 0.99):
+        for x in (1e-300, 1e-250):
+            with pytest.raises(ConvergenceError, match=re.escape(f"s={s!r}, x={x!r}")):
+                winitzki_cf(s, x)
+
+
 def test_laguerre_at_tiny_x_raises_documented_errors():
     # x^(s-1) underflows to 0: M_s(x) >= 0.88 x^(1-s) is past the largest
     # double (this divided by zero); x^s alone underflows: the fraction's
@@ -249,7 +263,7 @@ def test_level_streams_match_the_coefficient_callables():
 
 @settings(max_examples=200, deadline=None)
 @given(s=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
-       x=st.floats(min_value=1.0, max_value=1e300))
+       x=st.floats(min_value=1.0, max_value=1.7976931348623157e308))
 def test_adaptive_forms_stay_inside_the_s01_bracket(s, x):
     # for s <= 1, Gamma(s, x) <= x^(s-1) e^-x gives M <= 1, and the depth-2
     # l1 convergent x/(x + 1 - s) is a lower bound

@@ -7,7 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from millscf.gauss import mills
+from millscf.gauss import mills, scan_max_delta
 from millscf.tails import (
     FAMILIES,
     beta0,
@@ -65,7 +65,10 @@ def test_fit_flags():
     assert not fits["lee"].fits_value
     imp = fits["improved-expo"]
     assert imp.fits_value and imp.fits_slope and imp.fits_curvature
-    assert not improved_expo(slope_fit=False).fits_slope
+    # a tail that misses lambda_n at 0 carries no slope flag
+    alt = _rate_r_tail()
+    assert alt.deriv(2, 0.0) != pytest.approx(mod_constants(2).lam, rel=1e-3)
+    assert not alt.fits_slope
 
 
 def test_value_fit_at_zero():
@@ -113,9 +116,29 @@ def test_second_deriv_closed_vs_fallback():
                 bare.second_deriv(n, x), abs=1e-4), (n, x)
 
 
+def _rate_r_tail():
+    """improved-expo with c_n = lambda_n + r_n beta_n(0) for sqrt(r_n) beta_n(0).
+
+    The value and curvature conditions at 0 still hold, the slope condition
+    does not.
+    """
+
+    def value(n, x):
+        k = mod_constants(n)
+        c = k.lam + k.r * k.beta_at_zero
+        return c * x + k.beta_at_zero * np.exp(-k.sqrt_r * x)
+
+    def deriv(n, x):
+        k = mod_constants(n)
+        c = k.lam + k.r * k.beta_at_zero
+        return c - k.sqrt_r * k.beta_at_zero * math.exp(-k.sqrt_r * x)
+
+    return custom(value, deriv)
+
+
 def test_improved_slope_variants_differ():
     default = improved_expo()
-    alt = improved_expo(slope_fit=False)
+    alt = _rate_r_tail()
     # both are exact at the origin
     assert default.value(2, 0.0) == pytest.approx(beta0(2), rel=1e-14)
     assert alt.value(2, 0.0) == pytest.approx(beta0(2), rel=1e-14)
@@ -123,10 +146,42 @@ def test_improved_slope_variants_differ():
     assert abs(default.value(2, 1.0) - alt.value(2, 1.0)) > 1e-4
 
 
+def test_slope_condition_buys_two_orders_of_magnitude():
+    # the reason improved-expo takes c_n = lambda_n + sqrt(r_n) beta_n(0):
+    # the rate-r coefficient's worst error is 139x, 360x, 419x and 566x
+    # larger for n = 0-3
+    alt = _rate_r_tail()
+    for n in range(4):
+        _, worst = scan_max_delta("improved-expo", n)
+        _, worst_alt = scan_max_delta(alt, n)
+        assert worst_alt >= 100.0 * worst, (n, worst_alt / worst)
+
+
 def test_constants_computed_once_per_depth():
     assert mod_constants(7) is mod_constants(7)
     assert beta0.cache_info().maxsize is not None
     assert mod_constants.cache_info().maxsize is not None
+    k = mod_constants(7)
+    assert k.beta_sq == k.beta_at_zero * k.beta_at_zero
+    assert k.sqrt_r == math.sqrt(k.r)
+    assert k.c == k.lam + k.sqrt_r * k.beta_at_zero
+
+
+def test_families_read_one_constants_record():
+    # every built-in family takes its per-depth constants from mod_constants
+    # alone: after clearing both caches, all values, slopes and curvatures at
+    # one depth cost one mod_constants miss and one beta0 call, its miss
+    mod_constants.cache_clear()
+    beta0.cache_clear()
+    for name in ALL_NAMES:
+        fam = get_family(name)
+        for x in (0.0, 0.5, 3.0):
+            fam.value(5, x)
+            fam.deriv(5, x)
+            fam.second_deriv(5, x)
+    assert mod_constants.cache_info().misses == 1
+    info = beta0.cache_info()
+    assert (info.misses, info.hits) == (1, 0)
 
 
 def test_values_take_floats_and_arrays():

@@ -1,8 +1,11 @@
 """The verification harness itself: green by default, honest under faults."""
 
+import dataclasses
+
 import pytest
 
 from millscf import gauss
+from millscf.tails import FAMILIES, get_family
 from millscf.verify import SUITES, run_suites
 
 
@@ -31,3 +34,15 @@ def test_injected_sign_fault_is_caught(monkeypatch):
     status = {name: ok for name, ok, _ in results}
     assert not status["sign-identity"]
     assert all(ok for name, ok in status.items() if name != "sign-identity")
+
+
+def test_fit_conditions_follow_the_family_flags(monkeypatch):
+    # the suite holds a family to the conditions its fits_* flags claim:
+    # lee claiming the value fit (it starts from sqrt(n+1), not beta_n(0))
+    # must fail it, naming lee
+    lee = dataclasses.replace(get_family("lee"), fits_value=True)
+    monkeypatch.setitem(FAMILIES, "lee", lambda: lee)
+    [(_, ok, detail)] = run_suites(["fit-conditions"])
+    assert not ok
+    assert detail.startswith("Delta_0(0) = ") and detail.endswith(
+        " for lee (tol 1e-14)")
