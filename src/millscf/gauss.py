@@ -259,9 +259,13 @@ def hazard(x):
 
     Backed by the oracle, not by a terminated fraction: the hazard is the
     quantity the approximations get compared against.  For x >= 1 it lies
-    between x and x + 1/x (the two shallowest classic convergents of R).
+    between x and x + 1/x (the two shallowest classic convergents of R), so
+    hazard(inf) is inf, the limit of that bracket.  Raises ValueError for
+    x < 0 and nan, as the oracle does.
     """
-    return 1.0 / reference.reference_mills(x)
+    r = reference.reference_mills(x)
+    # R is 0 only at x = inf; at the largest double it is still 1/x > 0
+    return 1.0 / r if r else math.inf
 
 
 def truncation_bound(x, n):
@@ -442,18 +446,28 @@ def asymptotic_series(x, m):
 
     The series is asymptotic, not convergent: once the next term would grow
     ((2m+1) > x^2) the result is flagged diverging and more terms only hurt.
+    A partial sum past the largest double raises OverflowError naming the
+    function: at small x the terms grow like (2m-1)!!/x^(2m+1), and where
+    x^2 underflows to 0 (x below about 1e-162) no term after the first is
+    a double.
     """
-    if x <= 0.0:
+    if not x > 0.0:
         raise ValueError("asymptotic series needs x > 0")
     if m < 0:
         raise ValueError("m must be >= 0")
-    total = 0.0
-    term = 1.0
-    for j in range(m + 1):
-        total += term
-        term *= -(2 * j + 1) / (x * x)
-    diverging = (2 * m + 1) > x * x
-    return AsymptoticResult(total / x, diverging)
+    xx = x * x
+    total = term = 1.0
+    if m and not xx:
+        total = math.inf   # x^2 underflowed: the second term is infinite
+    else:
+        for j in range(1, m + 1):
+            term *= -(2 * j - 1) / xx
+            total += term
+    value = total / x
+    if not math.isfinite(value):
+        raise OverflowError(
+            f"asymptotic_series({x!r}, {m}): the partial sum overflows a double")
+    return AsymptoticResult(value, (2 * m + 1) > xx)
 
 
 _TAYLOR_TOL = 1e-18
@@ -511,13 +525,21 @@ def pade_r2(x, origin_terms=1):
       origin_terms=3: value, slope and curvature at 0 plus 1/x at infinity.
         Tightest uniform error (about 5.6e-3) but its x^3 (f - 1/x) grows
         without bound, so it tracks the tail only to first order.
+
+    Where x^2 overflows (x past about 1.34e154) both return their limit 1/x,
+    which is 0.0 at inf.  Raises ValueError for x < 0 and nan.
     """
+    if origin_terms not in (1, 3):
+        raise ValueError("origin_terms must be 1 or 3")
+    if not x >= 0.0:
+        raise ValueError(f"pade_r2 needs x >= 0, got x={x!r}")
+    xx = x * x
+    if xx == math.inf:
+        return 1.0 / x
     if origin_terms == 1:
         c = SQRT_HALF_PI
-        return (x + c) / (x * x + c * x + 1.0)
-    if origin_terms == 3:
-        pi = math.pi
-        num = (pi - 2.0) * SQRT_TWO_PI + x * (4.0 - pi)
-        den = 2.0 * (pi - 2.0) + x * SQRT_TWO_PI + x * x * (4.0 - pi)
-        return num / den
-    raise ValueError("origin_terms must be 1 or 3")
+        return (x + c) / (xx + c * x + 1.0)
+    pi = math.pi
+    num = (pi - 2.0) * SQRT_TWO_PI + x * (4.0 - pi)
+    den = 2.0 * (pi - 2.0) + x * SQRT_TWO_PI + xx * (4.0 - pi)
+    return num / den

@@ -6,7 +6,11 @@ bug in the check.  Two independent routes per quantity:
 
   Gaussian: entire-series summation for small x, and a deep classic fraction
   with a proven per-depth error bound for x >= 1.  The branches overlap on
-  [1, 4] and are tested against each other there.
+  [1, 4] and are tested against each other there.  The bound
+  d!/(B_d B_{d+1}) on the depth-d convergent is carried from level to level
+  by one multiply, bound_d = bound_{d-1} d B_{d-1}/B_{d+1}; the ratio is
+  taken before a level's power-of-two rescale, so the scale cancels and
+  certification takes no logarithm.
 
   Gamma: the Laguerre-type fraction run to convergence, cross-checked for
   x >= 1 against direct Simpson quadrature of the tail integral
@@ -29,7 +33,6 @@ class OracleError(RuntimeError):
 
 
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
-_LOG2 = math.log(2.0)
 _BIG = 2.0 ** 500
 _SHRINK = 2.0 ** -512
 
@@ -93,27 +96,29 @@ def _mills_cf(x, rel_tol=1e-15, max_depth=2000):
     """Deep classic fraction with certified depth selection.
 
     Forward pass: consecutive convergents bracket R, so
-    |R - R_m| <= m!/(B_m B_{m+1}).  The first depth whose bound drops under
+    |R - R_d| <= bound_d = d!/(B_d B_{d+1}).  The bound is carried, not
+    recomputed: bound_1 = 1/(B_1 B_2) = 1/(x (x^2 + 1)) and
+    bound_d = bound_{d-1} d B_{d-1}/B_{d+1}.  The ratio is taken before the
+    level's 2^-512 rescale, when both B share one scale, so the scale
+    cancels and no logarithm is needed.  The first depth d (checked at
+    levels 2 ... max_depth, i.e. d < max_depth) whose bound drops under
     rel_tol times the running value is kept, then re-evaluated backward
     (the numerically benign direction) at exactly that depth.
     """
     if _depth_one(x, rel_tol):
         return 1.0 / x
-    A_prev, B_prev = 1.0, 0.0
-    A, B = 0.0, 1.0
-    # log(B) and 2 scale_bits ln 2 carry over from the level before and are
-    # recomputed only where a rescale changes them
-    log_B = 0.0
-    scale_bits = 0
-    scale_log = 0.0
-    depth = None
-    m = 0
-    while m < max_depth:
-        m += 1
-        a = 1.0 if m == 1 else m - 1.0
-        A, A_prev = x * A + a * A_prev, A
-        B, B_prev = x * B + a * B_prev, B
-        log_B_prev = log_B
+    A_prev, B_prev = 1.0, x           # A_1, B_1
+    A, B = x, x * x + 1.0             # A_2, B_2
+    bound = 1.0 / (x * B)
+    depth = 1
+    while depth < max_depth:
+        if bound <= rel_tol * (A / B):
+            break
+        depth += 1
+        A, A_prev = x * A + depth * A_prev, A
+        B_next = x * B + depth * B_prev
+        bound *= depth * B_prev / B_next
+        B, B_prev = B_next, B
         # only B is watched: for x >= 1 every convergent A/B is at most
         # 1/x <= 1, so A passes 2^500 only after B has (on the branch
         # checks' [0.5, 1) A/B has settled below 1 by then, so the rescales
@@ -123,17 +128,7 @@ def _mills_cf(x, rel_tol=1e-15, max_depth=2000):
             B *= _SHRINK
             A_prev *= _SHRINK
             B_prev *= _SHRINK
-            scale_bits += 512
-            scale_log = 2.0 * scale_bits * _LOG2
-            log_B_prev = math.log(B_prev)
-        log_B = math.log(B)
-        if m >= 2:
-            # bound for depth m-1 uses the pair (B_{m-1}, B_m)
-            log_bound = math.lgamma(m) - log_B_prev - log_B - scale_log
-            if log_bound <= math.log(rel_tol * (A / B)):
-                depth = m - 1
-                break
-    if depth is None:
+    else:
         raise OracleError(
             f"classic fraction for R({x}) not certified within {max_depth} levels")
     t = x
@@ -154,35 +149,27 @@ def _mills_cf_grid(x, rel_tol=1e-15, max_depth=2000):
     depth = np.ones(x.shape, dtype=np.intp)
     idx = np.flatnonzero(~_depth_one(x, rel_tol))
     xa = x[idx]
-    A_prev, B_prev = np.ones_like(xa), np.zeros_like(xa)
-    A, B = np.zeros_like(xa), np.ones_like(xa)
-    log_B = np.zeros_like(xa)
-    scale_bits = np.zeros_like(xa)
-    scale_log = np.zeros_like(xa)
-    m = 0
-    while idx.size and m < max_depth:
-        m += 1
-        a = 1.0 if m == 1 else m - 1.0
-        A, A_prev = xa * A + a * A_prev, A
-        B, B_prev = xa * B + a * B_prev, B
-        log_B_prev = log_B
+    # copies: the rescale below scales these in place
+    A_prev, B_prev = np.ones_like(xa), xa.copy()
+    A, B = xa.copy(), xa * xa + 1.0
+    bound = 1.0 / (xa * B)
+    d = 1
+    while idx.size and d < max_depth:
+        done = bound <= rel_tol * (A / B)
+        if done.any():
+            depth[idx[done]] = d
+            keep = ~done
+            idx, xa, A, B, A_prev, B_prev, bound = (
+                v[keep] for v in (idx, xa, A, B, A_prev, B_prev, bound))
+        d += 1
+        A, A_prev = xa * A + d * A_prev, A
+        B_next = xa * B + d * B_prev
+        bound *= d * B_prev / B_next
+        B, B_prev = B_next, B
         big = B > _BIG   # B only, as in _mills_cf
         if big.any():
             for v in (A, B, A_prev, B_prev):
                 v[big] *= _SHRINK
-            scale_bits[big] += 512
-            scale_log[big] = 2.0 * scale_bits[big] * _LOG2
-            log_B_prev[big] = np.log(B_prev[big])
-        log_B = np.log(B)
-        if m >= 2:
-            log_bound = math.lgamma(m) - log_B_prev - log_B - scale_log
-            done = log_bound <= np.log(rel_tol * (A / B))
-            if done.any():
-                depth[idx[done]] = m - 1
-                keep = ~done
-                idx, xa, A, B, A_prev, B_prev, log_B, scale_bits, scale_log = (
-                    v[keep] for v in (idx, xa, A, B, A_prev, B_prev, log_B,
-                                      scale_bits, scale_log))
     if idx.size:
         raise OracleError(f"classic fraction for R({x[idx[0]]}) not certified "
                           f"within {max_depth} levels")
@@ -202,6 +189,13 @@ def reference_mills(x):
     x = float(x)
     if math.isnan(x) or x < 0.0:
         raise ValueError("reference_mills needs x >= 0")
+    return _certified_mills(x)
+
+
+# verify asks for about 400 values at under 200 distinct x; a scan of
+# distinct points must not grow it forever
+@lru_cache(maxsize=1024)
+def _certified_mills(x):
     if x < 1.0:
         return _mills_series(x)
     return _mills_cf(x)
@@ -210,10 +204,9 @@ def reference_mills(x):
 def reference_mills_grid(xs):
     """reference_mills over a 1-D float array, with the same arithmetic.
 
-    Only the certification test takes numpy's log where reference_mills
-    takes math.log; on the paper's [0, 20] step 1e-3 grid every value is
-    bit-identical.  Single points go through reference_mills: it is far
-    cheaper than a one-element array.
+    Both routes do the same IEEE operations per element, so every value is
+    bit-identical to reference_mills's.  Single points go through
+    reference_mills: it is far cheaper than a one-element array.
     """
     import numpy as np
 

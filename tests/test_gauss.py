@@ -262,6 +262,15 @@ def test_hazard_anchors():
     assert hazard(2.0) * reference_mills(2.0) == pytest.approx(1.0, abs=1e-15)
 
 
+def test_hazard_at_infinity_is_the_bracket_limit():
+    # R(inf) = 0: the hazard, bracketed by (x, x + 1/x), goes to inf there
+    assert hazard(math.inf) == math.inf
+    assert hazard(1e300) == pytest.approx(1e300, rel=1e-15)
+    for bad in (-1.0, math.nan, -math.inf):
+        with pytest.raises(ValueError):
+            hazard(bad)
+
+
 def test_asymptotic_series_values():
     r = asymptotic_series(5.0, 2)
     assert r.value == pytest.approx(603.0 / 3125.0, rel=1e-15)
@@ -275,6 +284,23 @@ def test_asymptotic_series_values():
         asymptotic_series(0.0, 2)
     with pytest.raises(ValueError):
         asymptotic_series(5.0, -1)
+
+
+def test_asymptotic_series_where_the_square_underflows():
+    # m = 0 is 1/x whenever that is a double, even where x^2 underflows to 0
+    tiny = asymptotic_series(1e-200, 0)
+    assert tiny == (1e200, True)
+    assert asymptotic_series(1e-100, 1) == pytest.approx((-1e300, True),
+                                                         rel=1e-15)
+    # past the largest double the sum raises, naming the function
+    for x, m in ((1e-200, 1), (1e-200, 5), (5e-324, 0), (5e-324, 3),
+                 (1e-100, 3), (1e-100, 2)):
+        with pytest.raises(OverflowError, match="asymptotic_series"):
+            asymptotic_series(x, m)
+    with pytest.raises(ValueError):
+        asymptotic_series(math.nan, 5)
+    # inf: the partial sum is 1/x = 0, and never diverging
+    assert asymptotic_series(math.inf, 3) == (0.0, False)
 
 
 def test_taylor_mills():
@@ -439,6 +465,25 @@ def test_pade_variants():
     assert second == pytest.approx(SQRT_PI_2, abs=1e-2)
     with pytest.raises(ValueError):
         pade_r2(1.0, origin_terms=2)
+
+
+def test_pade_at_the_domain_edges():
+    for terms in (1, 3):
+        # past x = 1.34e154 the square overflows; the value is the 1/x limit
+        for x in (1.4e154, 1e200, 1.7976931348623157e308):
+            assert pade_r2(x, origin_terms=terms) == 1.0 / x, (terms, x)
+        assert pade_r2(math.inf, origin_terms=terms) == 0.0
+        # just below the overflow it is 1/x to the leading order too
+        x = 1.3e154
+        assert x * x < math.inf
+        assert pade_r2(x, origin_terms=terms) * x == pytest.approx(1.0, rel=1e-15)
+        for bad in (-1.0, -1e-300, -math.inf, math.nan):
+            with pytest.raises(ValueError):
+                pade_r2(bad, origin_terms=terms)
+    # the origin is in the domain, including -0.0
+    assert pade_r2(-0.0) == pade_r2(0.0)
+    with pytest.raises(ValueError):
+        pade_r2(1e200, origin_terms=2)
 
 
 def test_pade_global_error_levels():

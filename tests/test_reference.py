@@ -287,3 +287,55 @@ def test_certification_cap_matches_the_previous_one():
             with pytest.raises(OracleError) as old:
                 _old_mills_cf(x, max_depth=cap)
             assert str(new.value) == str(old.value)
+
+
+# (x, certified depth): depth d is certified at level d + 1
+_CERTIFIED_DEPTHS = ((1.0, 343), (1.5, 159), (3.0, 47), (10.0, 12))
+
+
+def test_certification_cap_boundary():
+    # max_depth = d + 1 is the smallest cap that returns, on both routes and
+    # for the previous loops too; max_depth = d raises the same error
+    for x, d in _CERTIFIED_DEPTHS:
+        want = _old_mills_cf(x)
+        assert _old_mills_cf(x, max_depth=d + 1) == want
+        assert _mills_cf(x, max_depth=d + 1) == want
+        xs = np.array([x])
+        assert _mills_cf_grid(xs, max_depth=d + 1).tolist() == [want]
+        for route, old_route, arg in ((_mills_cf, _old_mills_cf, x),
+                                      (_mills_cf_grid, _old_mills_cf_grid, xs)):
+            with pytest.raises(OracleError) as new:
+                route(arg, max_depth=d)
+            with pytest.raises(OracleError) as old:
+                old_route(arg, max_depth=d)
+            assert str(new.value) == str(old.value)
+            assert f"within {d} levels" in str(new.value)
+    # on one array the deepest point sets the cap
+    xs = np.array([x for x, _ in _CERTIFIED_DEPTHS])
+    assert (_mills_cf_grid(xs, max_depth=344).tobytes()
+            == _old_mills_cf_grid(xs).tobytes())
+    with pytest.raises(OracleError, match=r"R\(1\.0\) not certified within 343"):
+        _mills_cf_grid(xs, max_depth=343)
+
+
+def test_oracle_cache():
+    from millscf.reference import _certified_mills
+
+    info = _certified_mills.cache_info
+    assert info().maxsize is not None
+    want = reference_mills(2.0)
+    hits = info().hits
+    assert reference_mills(2.0) == want
+    assert info().hits == hits + 1
+    # every float-like spelling of 2 is the same float key and value
+    for x in (np.float64(2.0), 2, np.array(2.0), np.float32(2.0)):
+        got = reference_mills(x)
+        assert type(got) is float and got == want, x
+    assert info().hits == hits + 5
+    # rejected arguments raise every time and never reach the cache
+    size = info().currsize
+    for bad in (math.nan, -1.0, -math.inf, np.float64(-0.5)):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                reference_mills(bad)
+    assert info().currsize == size
