@@ -20,8 +20,9 @@ and delta_n factors through the tail as
 
 where D_n is the modified denominator beta B_n + n B_{n-1} of R_n.  So the
 sign of delta_n is read off the quadratic operator in beta alone (the last
-factor, sign_operator below), which is how bracketing statements are proved
-for the families in tails.py.
+factor), which is how bracketing statements are proved for the families in
+tails.py.  R_n's derivatives, delta_n and that operator are proof helpers in
+verify.py, read by its fit-conditions and sign-identity suites.
 
 Indexing: the public n counts the largest numerator of the terminating
 fraction, so n = 0 is 1/beta_0(x) and the classic (beta = x) member at n
@@ -254,18 +255,24 @@ def mills(x, n, family="improved-expo"):
     return Approximation(value, n, fam.kind, _bound_side(fam, n), bound)
 
 
+# from here on the bracket (x, x + 1/x) of the hazard is at most an ulp wide
+_HAZARD_FLAT = 1e8
+
+
 def hazard(x):
     """phi(x)/(1 - Phi(x)), the reciprocal of the reference Mills ratio.
 
     Backed by the oracle, not by a terminated fraction: the hazard is the
     quantity the approximations get compared against.  For x >= 1 it lies
-    between x and x + 1/x (the two shallowest classic convergents of R), so
-    hazard(inf) is inf, the limit of that bracket.  Raises ValueError for
-    x < 0 and nan, as the oracle does.
+    between x and x + 1/x (the two shallowest classic convergents of R).
+    From x = 1e8 on that bracket is at most an ulp wide and x + 1/x is
+    returned, within an ulp of x: there 1/R would lose bits, and past 1e308
+    the oracle's R = 1/x is subnormal.  hazard(inf) is inf, the limit of the
+    bracket.  Raises ValueError for x < 0 and nan, as the oracle does.
     """
-    r = reference.reference_mills(x)
-    # R is 0 only at x = inf; at the largest double it is still 1/x > 0
-    return 1.0 / r if r else math.inf
+    if x >= _HAZARD_FLAT:
+        return x + 1.0 / x
+    return 1.0 / reference.reference_mills(x)
 
 
 def truncation_bound(x, n):
@@ -300,57 +307,6 @@ def truncation_bound(x, n):
         return max(math.exp(log_bound), _TINY)
     except OverflowError:
         return math.inf
-
-
-def mills_derivatives(u, n, family="improved-expo"):
-    """(R_n, R_n', R_n'') at u, by differentiating the backward recursion.
-
-    Every denominator level is u itself (unit derivative), the numerators are
-    constants, and the tail contributes its own three derivatives, so each
-    fold t <- u + k/t maps (t, t', t'') exactly.
-    """
-    fam = get_family(family)
-    _check_point(fam, n, u)
-    t = fam.value(n, u)
-    t1 = fam.deriv(n, u)
-    t2 = fam.second_deriv(n, u)
-    for k in range(n, 0, -1):
-        if t == 0.0:
-            raise ZeroDivisionError(f"tail chain vanished under numerator {k}")
-        s = u + k / t
-        s1 = 1.0 - k * t1 / (t * t)
-        s2 = -k * t2 / (t * t) + 2.0 * k * t1 * t1 / (t * t * t)
-        t, t1, t2 = s, s1, s2
-    # top level: R = 1/t
-    r = 1.0 / t
-    r1 = -t1 / (t * t)
-    r2 = -t2 / (t * t) + 2.0 * t1 * t1 / (t * t * t)
-    return r, r1, r2
-
-
-def error_integrand(u, n, family="improved-expo"):
-    """delta_n(u) = 1 + R_n'(u) - u R_n(u); identically 0 iff R_n is exact."""
-    r, r1, _ = mills_derivatives(u, n, family)
-    return 1.0 + r1 - u * r
-
-
-def second_error_integrand(u, n, family="improved-expo"):
-    """delta_n''-type operator: R_n'' - 2u R_n' + (u^2 - 1) R_n - u."""
-    r, r1, r2 = mills_derivatives(u, n, family)
-    return r2 - 2.0 * u * r1 + (u * u - 1.0) * r - u
-
-
-def sign_operator(u, n, family="improved-expo"):
-    """u beta + beta' + n - beta^2: carries the sign of delta_n.
-
-    sign(delta_n(u)) = (-1)^(n-1) sign(sign_operator) wherever the operator
-    is nonzero; the positive factor n!/D_n(u)^2 never flips it.
-    """
-    fam = get_family(family)
-    _check_point(fam, n, u)
-    b = fam.value(n, u)
-    b1 = fam.deriv(n, u)
-    return u * b + b1 + n - b * b
 
 
 def delta(x, n, family="improved-expo"):
@@ -500,11 +456,12 @@ def taylor_sum(x, tol=_TAYLOR_TOL, cap=_TAYLOR_CAP):
 def taylor_mills(x, m=None):
     """Series evaluation of R; kept to |x| <= 4 where cancellation is mild.
 
-    m is the number of series terms; by default terms are taken until they
-    fall below the absolute floor of taylor_sum.
+    Raises ValueError outside that range and at nan.  m is the number of
+    series terms; by default terms are taken until they fall below the
+    absolute floor of taylor_sum.
     """
-    if abs(x) > 4.0:
-        raise ValueError("taylor_mills is restricted to |x| <= 4")
+    if not abs(x) <= 4.0:
+        raise ValueError(f"taylor_mills is restricted to |x| <= 4, got x={x!r}")
     if m is None:
         return taylor_sum(x)
     if m < 1:

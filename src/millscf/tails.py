@@ -12,10 +12,11 @@ functional Delta_n(x) = integral_x^inf phi - phi(x) R_n(x) additionally has
 Delta_n'(0) = 0 iff beta_n'(0) = lambda_n, and a vanishing second derivative
 iff beta_n''(0)/beta_n(0) = r_n.  Both lambda_n and r_n are positive for all n.
 
-Each family below packages beta_n(x), its derivative, and (where cheap) its
-second derivative, plus which of the three conditions at 0 it satisfies.
-bound_side "alternating" marks families with proven even-upper/odd-lower
-bracketing; everything else is "unknown".
+Each family below packages beta_n(x) and which of the three conditions at 0
+it satisfies.  bound_side "alternating" marks families with proven
+even-upper/odd-lower bracketing; everything else is "unknown".  Every
+built-in family also carries its closed-form first and second derivatives,
+which the proofs in verify.py read; a custom tail carries its value only.
 
 value(n, x) takes a float or, on the grid paths, a 1-D numpy array of x;
 deriv and second take floats only.  A numpy array goes through numpy and
@@ -86,25 +87,12 @@ def mod_constants(n):
 class TailFamily:
     kind: str
     value: Callable[[int, float], float]
-    deriv: Callable[[int, float], float]
+    deriv: Optional[Callable[[int, float], float]] = None
     second: Optional[Callable[[int, float], float]] = None
     fits_value: bool = False
     fits_slope: bool = False
     fits_curvature: bool = False
     bound_side: str = "unknown"   # "alternating" or "unknown"
-
-    def second_deriv(self, n, x):
-        """beta_n''(x); central differences of deriv when no closed form.
-
-        The fallback steps by h = 1e-5 each way; below x = h, near the left
-        edge of a custom family's data range, it takes a one-sided difference.
-        """
-        if self.second is not None:
-            return self.second(n, x)
-        h = 1e-5
-        if x - h < 0.0:
-            return (self.deriv(n, x + h) - self.deriv(n, x)) / h
-        return (self.deriv(n, x + h) - self.deriv(n, x - h)) / (2.0 * h)
 
 
 def _zero(n, x):
@@ -242,16 +230,16 @@ def improved_expo():
                       fits_value=True, fits_slope=True, fits_curvature=True)
 
 
-def custom(value, deriv, second=None):
-    """Caller-supplied tail; second derivative falls back to differences.
+def custom(value):
+    """Caller-supplied tail: its value alone, with no derivatives.
 
     value(n, x) is called with a 1-D numpy array of x on the grid paths
     (gauss.delta on a grid, the CLI's table and figure) and must return an
-    array of the same shape there; deriv and second only ever see floats.
+    array of the same shape there.
     """
-    if not callable(value) or not callable(deriv):
-        raise TypeError("custom tails need callable value and deriv")
-    return TailFamily(kind="custom", value=value, deriv=deriv, second=second)
+    if not callable(value):
+        raise TypeError("custom tails need a callable value")
+    return TailFamily(kind="custom", value=value)
 
 
 FAMILIES = {

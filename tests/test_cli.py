@@ -7,7 +7,7 @@ import sys
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from millscf import gauss
+from millscf import verify
 from millscf.cli import _FAMILY_CHOICES, main
 from millscf.verify import SUITES
 
@@ -224,8 +224,8 @@ def test_verify_subcommand(capsys, monkeypatch):
     assert rc == 0
     assert out.startswith("PASS alternating")
     with monkeypatch.context() as m:
-        real = gauss.sign_operator
-        m.setattr(gauss, "sign_operator", lambda *args: -real(*args))
+        real = verify._sign_operator
+        m.setattr(verify, "_sign_operator", lambda *args: -real(*args))
         rc, out, _ = run_cli(["verify", "--suite", "sign-identity"], capsys)
     assert rc == 1
     assert out.startswith("FAIL sign-identity")

@@ -16,22 +16,25 @@ from millscf.gauss import (
     asymptotic_series,
     decays_beyond,
     delta,
-    error_integrand,
     hazard,
     laplace_spec,
     lcf_spec,
     mills,
-    mills_derivatives,
     mills_grid,
     pade_r2,
     phi,
     scan_max_delta,
-    second_error_integrand,
-    sign_operator,
     taylor_mills,
     truncation_bound,
 )
 from millscf.reference import reference_mills, reference_tail
+from millscf.tails import TailFamily, get_family
+from millscf.verify import (
+    _error_integrand as error_integrand,
+    _mills_derivatives as mills_derivatives,
+    _second_error_integrand as second_error_integrand,
+    _sign_operator as sign_operator,
+)
 
 SQRT_PI_2 = math.sqrt(math.pi / 2.0)
 
@@ -247,8 +250,7 @@ def test_improved_expo_up_to_the_largest_double():
             assert got == g, (n, x)
             assert abs(got - want) <= 4 * math.ulp(want), (n, x, got, want)
     # a tail that overflows but does not grow linearly there is refused
-    steep = tails.custom(value=lambda n, x: x * (1.0 + x / 1.79e308),
-                         deriv=lambda n, x: 1.0)
+    steep = tails.custom(lambda n, x: x * (1.0 + x / 1.79e308))
     with pytest.raises(cf.CFEvaluationError):
         mills(1.79e308, 0, steep)
     with pytest.raises(cf.CFEvaluationError):
@@ -269,6 +271,38 @@ def test_hazard_at_infinity_is_the_bracket_limit():
     for bad in (-1.0, math.nan, -math.inf):
         with pytest.raises(ValueError):
             hazard(bad)
+
+
+def _mp_hazard(x):
+    """phi(x)/(1 - Phi(x)) from mpmath's erfc, at enough digits for x."""
+    with mpmath.workdps(40 + 2 * int(math.log10(x))):
+        x = mpmath.mpf(x)
+        r = (mpmath.sqrt(mpmath.pi / 2) * mpmath.exp(x * x / 2)
+             * mpmath.erfc(x / mpmath.sqrt(2)))
+        return float(1 / r)
+
+
+def test_hazard_up_to_the_largest_double():
+    # from 1e8 on, the hazard x + 1/x - 2/x^3 + ... is within an ulp of x;
+    # the next term is 1e-48 of it, so three terms at 60 digits round right
+    def want(x):
+        with mpmath.workdps(60):
+            v = mpmath.mpf(x)
+            return float(v + 1 / v - 2 / v ** 3)
+
+    big = 1.7976931348623157e308
+    for x in (1e8, 1e20, 1e100):
+        assert want(x) == _mp_hazard(x), x
+    logs = np.linspace(math.log(1e8), math.log(big), 401).tolist()
+    for x in [1e8, big] + [min(math.exp(v), big) for v in logs]:
+        got = hazard(x)
+        assert abs(got - want(x)) <= math.ulp(want(x)), x
+        assert abs(got - x) <= math.ulp(x), x
+    assert hazard(big) == big
+    assert hazard(math.inf) == math.inf
+    # below 1e8 the value is still the oracle's reciprocal
+    for x in (1.0, 1e4, 9.9e7, 99999999.99999999):
+        assert hazard(x) == 1.0 / reference_mills(x), x
 
 
 def test_asymptotic_series_values():
@@ -318,6 +352,12 @@ def test_taylor_mills():
         taylor_mills(1.0, m=0)
 
 
+def test_taylor_mills_refuses_nan_and_infinities():
+    for bad in (math.nan, math.inf, -math.inf, -4.5):
+        with pytest.raises(ValueError, match="restricted"):
+            taylor_mills(bad)
+
+
 def test_delta_values():
     assert delta(1.0, 1, "classic") == pytest.approx(0.03766989167188537,
                                                      rel=1e-10)
@@ -362,7 +402,7 @@ def test_grid_errors_match_scalar():
     with pytest.raises(cf.CFEvaluationError):
         mills(np.inf, 2, "sqrt")
     # a tail that vanishes inside the grid leaves a zero denominator
-    dip = tails.custom(value=lambda n, x: x - 1.0, deriv=lambda n, x: 1.0)
+    dip = tails.custom(lambda n, x: x - 1.0)
     with pytest.raises(cf.CFEvaluationError):
         mills_grid(np.array([0.5, 1.0]), 0, dip)
     with pytest.raises(cf.CFEvaluationError):
@@ -371,11 +411,12 @@ def test_grid_errors_match_scalar():
 
 def test_error_integrand_hand_values():
     # classic depth 0 is R_0 = 1/u, so delta_0(u) = -1/u^2
-    assert error_integrand(1.0, 0, "classic") == pytest.approx(-1.0, rel=1e-13)
-    assert error_integrand(2.0, 0, "classic") == pytest.approx(-0.25, rel=1e-13)
+    classic = get_family("classic")
+    assert error_integrand(1.0, 0, classic) == pytest.approx(-1.0, rel=1e-13)
+    assert error_integrand(2.0, 0, classic) == pytest.approx(-0.25, rel=1e-13)
     # and the second form R'' - 2uR' + (u^2-1)R - u gives 2/u^3 + 1/u
-    assert second_error_integrand(1.0, 0, "classic") == pytest.approx(3.0,
-                                                                      rel=1e-11)
+    assert second_error_integrand(1.0, 0, classic) == pytest.approx(3.0,
+                                                                    rel=1e-11)
 
 
 def test_derivatives_match_differences():
@@ -383,7 +424,7 @@ def test_derivatives_match_differences():
     for name in ("classic", "improved-expo", "linear"):
         for n in (1, 3):
             for u in (0.8, 2.0):
-                r, r1, r2 = mills_derivatives(u, n, name)
+                r, r1, r2 = mills_derivatives(u, n, get_family(name))
                 vp = mills(u + h, n, name).value
                 vm = mills(u - h, n, name).value
                 assert r == pytest.approx(mills(u, n, name).value, rel=1e-13)
@@ -400,12 +441,15 @@ def test_exact_continuation_tail_kills_the_error():
             t = x + (m - 1) / t
         return t
 
-    h = 1e-6
-    fam = tails.custom(
-        value=lambda n, x: continuation(n, x),
-        deriv=lambda n, x: (continuation(n, x + h)
-                            - continuation(n, x - h)) / (2.0 * h),
-    )
+    def deriv(n, x, h=1e-6):
+        return (continuation(n, x + h) - continuation(n, x - h)) / (2.0 * h)
+
+    def second(n, x, h=1e-5):
+        return (deriv(n, x + h) - deriv(n, x - h)) / (2.0 * h)
+
+    # the proof helpers read both derivatives, so the tail carries them
+    fam = TailFamily(kind="custom", value=continuation, deriv=deriv,
+                     second=second)
     assert abs(delta(2.0, 3, fam)) < 1e-14
     assert abs(error_integrand(2.0, 3, fam)) < 1e-10
     assert abs(error_integrand(4.0, 3, fam)) < 1e-10
@@ -413,20 +457,21 @@ def test_exact_continuation_tail_kills_the_error():
 
 def test_sign_operator_families():
     # classic tail: u x + 1 + n - x^2 at x = u collapses to n + 1
+    classic = get_family("classic")
     for n in (0, 2, 5):
         for u in (0.5, 2.0):
-            assert sign_operator(u, n, "classic") == pytest.approx(n + 1.0,
-                                                                   rel=1e-12)
+            assert sign_operator(u, n, classic) == pytest.approx(n + 1.0,
+                                                                 rel=1e-12)
     # limit ansatz: the operator reduces to beta'
     fam = tails.get_family("limit-ansatz")
     for n in (1, 3):
         for u in (0.0, 1.5):
             assert sign_operator(u, n, fam) == pytest.approx(
                 fam.deriv(n, u), rel=1e-10)
-    assert sign_operator(0.0, 2, "limit-ansatz") == pytest.approx(0.5, rel=1e-12)
+    assert sign_operator(0.0, 2, fam) == pytest.approx(0.5, rel=1e-12)
     # sqrt family starts negative at the origin: 1/2 + n - beta_n(0)^2 < 0
     for n in (0, 1, 4):
-        v = sign_operator(0.0, n, "sqrt")
+        v = sign_operator(0.0, n, get_family("sqrt"))
         assert -0.5 < v < 0.0, (n, v)
 
 

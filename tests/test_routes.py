@@ -16,6 +16,10 @@ _SCALAR_CALLS = """
 import sys
 import millscf as m
 
+# the proof suites, and the exact arithmetic they use, load on first use
+for name in ("millscf.verify", "fractions", "decimal"):
+    assert name not in sys.modules, "import millscf loaded " + name
+
 for name in m.FAMILIES:
     m.mills(0.5 if name == "classic" else 0.0, 3, name)
     m.mills(2.5, 0, name)
@@ -44,9 +48,22 @@ def _python(code):
 def test_scalar_calls_leave_numpy_unloaded():
     proc = _python(_SCALAR_CALLS)
     assert proc.returncode == 0, proc.stderr
-    # the CLI needs arrays for table and figure, and loads numpy up front
-    proc = _python("import sys, millscf.cli; assert 'numpy' in sys.modules")
+    # the CLI needs arrays for table and figure, and loads numpy up front;
+    # it loads verify up front too, so a timed command pays no import
+    proc = _python("import sys, millscf.cli; "
+                   "assert {'numpy', 'millscf.verify'} <= set(sys.modules)")
     assert proc.returncode == 0, proc.stderr
+
+
+def test_public_surface():
+    names = millscf.__all__
+    assert len(names) == len(set(names)) == 38
+    for name in names:
+        assert getattr(millscf, name) is not None, name
+    # the proof operators live in verify, run_suites is verify.run_suites
+    for name in ("mills_derivatives", "error_integrand",
+                 "second_error_integrand", "sign_operator", "run_suites"):
+        assert name not in names and not hasattr(millscf, name), name
 
 
 def _outcome(f):

@@ -10,6 +10,7 @@ import pytest
 from millscf.gauss import mills, scan_max_delta
 from millscf.tails import (
     FAMILIES,
+    TailFamily,
     beta0,
     custom,
     get_family,
@@ -107,20 +108,24 @@ def test_deriv_matches_differences():
                     name, n, x)
 
 
-def test_second_deriv_closed_vs_fallback():
-    fam = get_family("improved-expo")
-    bare = custom(value=fam.value, deriv=fam.deriv)   # no closed second
-    for n in (0, 2):
-        for x in (0.0, 0.8, 2.5):
-            assert fam.second_deriv(n, x) == pytest.approx(
-                bare.second_deriv(n, x), abs=1e-4), (n, x)
+def test_second_matches_differences():
+    # every built-in family carries its closed-form curvature
+    h = 1e-6
+    for name in ALL_NAMES:
+        fam = get_family(name)
+        for n in (0, 1, 4):
+            for x in (0.3, 1.0, 2.7):
+                num = (fam.deriv(n, x + h)
+                       - fam.deriv(n, x - h)) / (2.0 * h)
+                assert fam.second(n, x) == pytest.approx(num, abs=1e-6), (
+                    name, n, x)
 
 
 def _rate_r_tail():
     """improved-expo with c_n = lambda_n + r_n beta_n(0) for sqrt(r_n) beta_n(0).
 
     The value and curvature conditions at 0 still hold, the slope condition
-    does not.
+    does not.  It carries the slope, which test_fit_flags reads.
     """
 
     def value(n, x):
@@ -133,7 +138,7 @@ def _rate_r_tail():
         c = k.lam + k.r * k.beta_at_zero
         return c - k.sqrt_r * k.beta_at_zero * math.exp(-k.sqrt_r * x)
 
-    return custom(value, deriv)
+    return TailFamily(kind="custom", value=value, deriv=deriv)
 
 
 def test_improved_slope_variants_differ():
@@ -178,7 +183,7 @@ def test_families_read_one_constants_record():
         for x in (0.0, 0.5, 3.0):
             fam.value(5, x)
             fam.deriv(5, x)
-            fam.second_deriv(5, x)
+            fam.second(5, x)
     assert mod_constants.cache_info().misses == 1
     info = beta0.cache_info()
     assert (info.misses, info.hits) == (1, 0)
@@ -199,9 +204,14 @@ def test_values_take_floats_and_arrays():
 
 def test_custom_requires_callables():
     with pytest.raises(TypeError):
-        custom(value=1.0, deriv=lambda n, x: 0.0)
+        custom(value=1.0)
     with pytest.raises(TypeError):
-        custom(value=lambda n, x: 1.0, deriv="nope")
+        custom("nope")
+    # a custom tail is its value alone
+    with pytest.raises(TypeError):
+        custom(lambda n, x: 1.0, lambda n, x: 0.0)
+    fam = custom(lambda n, x: 1.0)
+    assert (fam.kind, fam.deriv, fam.second) == ("custom", None, None)
 
 
 def test_point_check_rejects_negative_depth():
@@ -213,7 +223,7 @@ def test_point_check_rejects_negative_depth():
 def test_names_resolve_once():
     for name in ALL_NAMES:
         assert get_family(name) is get_family(name), name
-    fam = custom(value=lambda n, x: x, deriv=lambda n, x: 1.0)
+    fam = custom(lambda n, x: x)
     assert get_family(fam) is fam
 
 
@@ -277,7 +287,7 @@ def test_half_root_tails_unchanged_below_the_guard():
                     assert fam.value(n, x) == _old_value(x, g), (name, n, x)
                     assert fam.deriv(n, x) == _old_deriv(x, g), (name, n, x)
                     want = _mp_second(x, g)
-                    assert (abs(fam.second_deriv(n, x) - want)
+                    assert (abs(fam.second(n, x) - want)
                             <= 8 * math.ulp(want)), (name, n, x)
                 grid = fam.value(n, np.array(xs))
                 assert grid.tolist() == [fam.value(n, x) for x in xs], (name, n)
@@ -293,7 +303,7 @@ def test_half_root_tails_finite_at_huge_x(capsys):
             for x in huge:
                 assert fam.value(n, x) == x, (name, n, x)
                 assert fam.deriv(n, x) == 1.0
-                assert 0.0 <= fam.second_deriv(n, x) < 1e-300
+                assert 0.0 <= fam.second(n, x) < 1e-300
             assert fam.value(n, np.array(huge)).tolist() == huge
         got = mills(1e200, 3, name).value
         want = mills(1e200, 3, "classic").value

@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from millscf import gauss
+from millscf import verify
 from millscf.tails import FAMILIES, get_family
 from millscf.verify import SUITES, run_suites
 
@@ -28,8 +28,8 @@ def test_unknown_suite_rejected():
 
 def test_injected_sign_fault_is_caught(monkeypatch):
     # a sign operator of the wrong sign must fail the sign suite and nothing else
-    real = gauss.sign_operator
-    monkeypatch.setattr(gauss, "sign_operator", lambda *args: -real(*args))
+    real = verify._sign_operator
+    monkeypatch.setattr(verify, "_sign_operator", lambda *args: -real(*args))
     results = run_suites()
     status = {name: ok for name, ok, _ in results}
     assert not status["sign-identity"]
