@@ -17,7 +17,7 @@ import sys
 # process's peak RSS stays about 1.8 MB lower
 from . import gauss, verify
 from .reference import OracleError, reference_mills, reference_mills_grid
-from .tails import FAMILIES, custom
+from .tails import FAMILIES, custom, get_family
 
 import numpy as np
 
@@ -71,7 +71,7 @@ def _resolve_family(args):
         if getattr(args, "tail_file", None) is None:
             raise ValueError("--family custom requires --tail-file")
         return _load_custom_tail(args.tail_file)
-    return args.family
+    return get_family(args.family)
 
 
 def _write_csv(path, header, columns):
@@ -126,19 +126,18 @@ def run_maxerr(args):
     if args.nmax < args.nmin:
         raise ValueError("nmax must be >= nmin")
     fam = _resolve_family(args)
-    name = fam if isinstance(fam, str) else fam.kind
-    xmin = 1.0 if name == "classic" else 0.0
-    print(f"family: {name}  scan [{_fmt(xmin)}, 20.0] step 0.001")
+    xmin = 1.0 if fam.kind == "classic" else 0.0
+    print(f"family: {fam.kind}  scan [{_fmt(xmin)}, 20.0] step 0.001")
     for n in range(args.nmin, args.nmax + 1):
-        if name == "limit-ansatz" and n == 0:
-            # R_0 = 1/x has no maximum error on a scan that starts at 0
-            print("n=0  undefined: limit-ansatz with n = 0 vanishes at x = 0")
+        if n >= 0 and fam.value(n, xmin) == 0.0:   # R_n(xmin) is infinite
+            print(f"n={n}  undefined: {fam.kind} with n = {n} vanishes "
+                  f"at x = {xmin:g}")
             continue
         x_star, worst = gauss.scan_max_delta(fam, n, xmin=xmin)
         decays = gauss.decays_beyond(fam, n)
         line = (f"n={n}  max|error|={worst:.6e}  at x={x_star:.4f}  "
                 f"decays beyond scan: {'yes' if decays else 'NO'}")
-        if name == "improved-expo" and n in _PUBLISHED_MAXERR:
+        if fam.kind == "improved-expo" and n in _PUBLISHED_MAXERR:
             pub = _PUBLISHED_MAXERR[n]
             line += f"  published={pub:.1e}  ratio={worst / pub:.3f}"
         print(line)

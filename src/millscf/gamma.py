@@ -60,6 +60,7 @@ _SNAP = 1e-13
 _REDUCTION_MAX_STEPS = 2**20
 
 _PAIR_SAFE = 2.0**-24   # a pair this small cannot overflow at any level
+_LOG_TWICE_MAX = math.log(1.7976931348623157e308) + math.log(2.0)
 
 
 class ConvergenceError(ArithmeticError):
@@ -260,11 +261,20 @@ def laguerre(s, x, n=None):
 
 
 def lower_cf(s, x, n=None):
-    """x^(1-s) e^x int_0^x u^(s-1) e^-u du, the cumulative complement; 0 at x = 0."""
+    """x^(1-s) e^x int_0^x u^(s-1) e^-u du, the cumulative complement; 0 at x = 0.
+
+    Adaptive, it raises OverflowError where s <= x, s < 1e300 and
+    x^(1-s) e^x Gamma(s)/2 passes the largest double: the value is larger
+    there, since the median of Gamma(s) lies below s.
+    """
     if x == 0.0:
         _check("lower_cf", s, 1.0, n)   # x = 0 itself is in this form's domain
         return 0.0
     _check("lower_cf", s, x, n)
+    if n is None and s <= x and s < 1e300 and (
+            (1.0 - s) * math.log(x) + x + math.lgamma(s) > _LOG_TWICE_MAX):
+        raise OverflowError(f"lower_cf: the cumulative side at s={s!r}, "
+                            f"x={x!r} exceeds the largest double")
     return _evaluate(lower_spec(s), s, x, n)
 
 

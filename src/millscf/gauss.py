@@ -113,30 +113,23 @@ _set_bound_side = Approximation.bound_side.__set__
 _set_trunc_bound = Approximation.trunc_bound.__set__
 
 
-def _check_point(fam, n, x):
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if fam.kind == "classic":
-        if x <= 0.0:
-            raise ValueError("the classic tail needs x > 0")
-    elif x < 0.0:
-        raise ValueError("modified tails are defined for x >= 0")
-    elif fam.kind == "limit-ansatz" and n == 0 and x == 0.0:
-        raise ValueError("limit-ansatz with n = 0 vanishes at x = 0")
-
-
 # With x in [2^-1000, 2^1000], a tail of at least 2^-1000 and n below 2^20,
-# no step of the fold can overflow or divide by zero: every denominator after
-# the tail is x + k/t > x, so no quotient k/t passes 2^1020.  Only a fold
-# outside that box pays for a check at every level.
+# no step of the fold can overflow: every denominator after the tail is
+# x + k/t > x, so no quotient k/t passes 2^1020.  Only a fold outside that
+# box pays for a check at every level.
 _FOLD_LO = 2.0 ** -1000
 _FOLD_HI = 2.0 ** 1000
 _FOLD_MAX_N = 2 ** 20
 
 
-def _zero_level(k):
-    return CFEvaluationError(
-        f"zero denominator while folding level {k + 1} of spec 'laplace'")
+def _outside(n, x):
+    return ValueError(f"R_n needs n >= 0, got n={n!r}" if n < 0 else
+                      f"R_n needs x >= 0, got x={x!r}")
+
+
+def _not_positive(fam, n, x, t):
+    return ValueError(f"the {fam.kind} tail beta_{n}({x!r}) = {t!r} is not "
+                      "positive; R_n needs a positive tail")
 
 
 def _overflow(n, x, k):
@@ -147,13 +140,13 @@ def _overflow(n, x, k):
 def _fold(x, n, fam):
     """R_n from the family's tail t: t <- x + k/t for k = n, ..., 1, then 1/t.
 
-    The arithmetic and checks of cf.eval_backward(laplace_spec(), x, n + 1,
-    fam.value(n, x)), on a float or elementwise on a 1-D numpy array of x;
-    x must be finite at n = 0 too, where eval_backward never reads it.
-
-    A level that overflows raises OverflowError, where eval_backward folds
-    the inf on into a wrong 0, inf or finite value (at x = 5e-324 the classic
-    R_1 would come out 0).  Only the last step 1/t may overflow: R_n then
+    R_n's one domain check, in order: n >= 0 and x >= 0, else ValueError;
+    x and t = beta_n(x) finite, else CFEvaluationError; t > 0, else
+    ValueError.  Every level x + k/t is then positive: no denominator
+    vanishes.  The arithmetic is cf.eval_backward(laplace_spec(), x, n + 1,
+    t)'s, except that a level that overflows raises OverflowError, where
+    eval_backward folds the inf on into a wrong value (the classic R_1 at
+    x = 5e-324 came out 0).  Only the last step 1/t may overflow: R_n then
     exceeds the largest double and is returned as inf, as truncation_bound
     returns a bound past it.
 
@@ -162,27 +155,25 @@ def _fold(x, n, fam):
     an ulp of x there, so every tail above 2^1000 folds to the same double
     as an infinite one; R_0 = 1/t is read off the tail at x/2 (_huge_r0).
     """
-    if not isinstance(x, float) and _is_array(x):
-        return _fold_grid(x, n, fam)
+    if n < 0 or x < 0.0:
+        raise _outside(n, x)
     t = float(fam.value(n, x))
     if not (math.isfinite(x) and math.isfinite(t)):
         if not (t == math.inf and _FOLD_HI < x < math.inf):
             raise CFEvaluationError("non-finite x or tail")
         if n == 0:
             return _huge_r0(fam, x)
+    if not t > 0.0:
+        raise _not_positive(fam, n, x, t)
     if _FOLD_LO <= x <= _FOLD_HI and t >= _FOLD_LO and n < _FOLD_MAX_N:
         for k in range(n, 0, -1):
             t = x + k / t
         return 1.0 / t
-    try:
-        for k in range(n, 0, -1):
-            t = x + k / t
-            if math.isinf(t):
-                raise _overflow(n, x, k)
-        k = 0
-        return 1.0 / t
-    except ZeroDivisionError:
-        raise _zero_level(k) from None
+    for k in range(n, 0, -1):
+        t = x + k / t
+        if t == math.inf:
+            raise _overflow(n, x, k)
+    return 1.0 / t
 
 
 def _huge_r0(fam, x):
@@ -199,41 +190,40 @@ def _huge_r0(fam, x):
     return 0.5 / half
 
 
-def _fold_grid(x, n, fam):
-    """_fold on a 1-D numpy array of x, checked at every level."""
-    import numpy as np
-
-    # the explicit checks are the overflow signal, not numpy's warning
-    with np.errstate(over="ignore"):
-        t = fam.value(n, x)
-        huge = None
-        if not (np.isfinite(x).all() and np.isfinite(t).all()):
-            huge = (t == np.inf) & (x > _FOLD_HI)
-            if not (np.isfinite(x) & (np.isfinite(t) | huge)).all():
-                raise CFEvaluationError("non-finite x or tail")
-        for k in range(n, -1, -1):
-            if not np.all(t):
-                raise _zero_level(k)
-            t = x + k / t if k else 1.0 / t
-            if k and np.isinf(t).any():
-                raise _overflow(n, float(x[np.argmax(np.isinf(t))]), k)
-    if n == 0 and huge is not None:
-        t[huge] = [_huge_r0(fam, v) for v in x[huge].tolist()]
-    return t
-
-
 def mills_grid(x, n, family="improved-expo"):
     """R_n over a 1-D numpy array of x: the values of mills(), without metadata.
 
+    _fold's checks and arithmetic on every element, with every level checked.
     Equal to mills() point by point, except where numpy's exp in a tail
-    differs from math.exp by an ulp.
+    differs from math.exp by an ulp.  An empty array gives an empty array.
     """
     import numpy as np
 
     fam = get_family(family)
     x = np.asarray(x, dtype=float)
-    _check_point(fam, n, x.min())
-    return _fold_grid(x, n, fam)
+    if x.ndim != 1:
+        raise ValueError(f"mills_grid needs a 1-D array, got shape {x.shape}")
+    if n < 0 or (x < 0.0).any():
+        raise _outside(n, float(np.nanmin(x, initial=0.0)))
+    # the explicit checks are the overflow signal, not numpy's warning
+    with np.errstate(over="ignore"):
+        t = np.broadcast_to(fam.value(n, x), x.shape)   # or one float
+        huge = None
+        if not (np.isfinite(x).all() and np.isfinite(t).all()):
+            huge = (t == np.inf) & (x > _FOLD_HI)
+            if not (np.isfinite(x) & (np.isfinite(t) | huge)).all():
+                raise CFEvaluationError("non-finite x or tail")
+        if not np.all(t > 0.0):
+            i = int(np.argmin(t > 0.0))
+            raise _not_positive(fam, n, float(x[i]), float(t[i]))
+        for k in range(n, 0, -1):
+            t = x + k / t
+            if np.isinf(t).any():
+                raise _overflow(n, float(x[np.argmax(np.isinf(t))]), k)
+        t = 1.0 / t
+    if n == 0 and huge is not None:
+        t[huge] = [_huge_r0(fam, v) for v in x[huge].tolist()]
+    return t
 
 
 def _bound_side(fam, n):
@@ -243,13 +233,15 @@ def _bound_side(fam, n):
 
 
 def mills(x, n, family="improved-expo"):
-    """R_n(x) for the given tail family, with bound side and classic bound.
+    """R_n at one x for the given tail family, with bound side and classic bound.
 
-    bound_side is only claimed for families with proven alternation
-    (classic, sqrt, linear): even n from above, odd n from below.
+    An array of x raises TypeError (mills_grid takes those).  bound_side is
+    only claimed for families with proven alternation (classic, sqrt,
+    linear): even n from above, odd n from below.
     """
     fam = get_family(family)
-    _check_point(fam, n, x)
+    if not isinstance(x, float) and _is_array(x):
+        raise TypeError("mills takes one x; call mills_grid for an array")
     value = _fold(x, n, fam)
     bound = truncation_bound(x, n) if fam.kind == "classic" else None
     return Approximation(value, n, fam.kind, _bound_side(fam, n), bound)
@@ -322,7 +314,6 @@ def delta(x, n, family="improved-expo"):
         pdf = phi(x)
         ref = reference.reference_mills_grid(x)
         return pdf * ref - pdf * mills_grid(x, n, fam)
-    _check_point(fam, n, x)
     return reference.reference_tail(x) - phi(x) * _fold(x, n, fam)
 
 

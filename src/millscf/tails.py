@@ -144,7 +144,7 @@ def limit_ansatz():
     """x/2 + sqrt((x/2)^2 + n), the fixed point of t = x + n/t.
 
     The n = 0 member degenerates to the classic tail (and vanishes at
-    x = 0, so that single point is rejected upstream).
+    x = 0, a point the fold refuses, as it refuses any tail that is not > 0).
     """
 
     def val(n, x):
@@ -234,8 +234,8 @@ def custom(value):
     """Caller-supplied tail: its value alone, with no derivatives.
 
     value(n, x) is called with a 1-D numpy array of x on the grid paths
-    (gauss.delta on a grid, the CLI's table and figure) and must return an
-    array of the same shape there.
+    (gauss.delta on a grid, the CLI's table and figure) and returns an array
+    of the same shape there, or one float for every x.
     """
     if not callable(value):
         raise TypeError("custom tails need a callable value")

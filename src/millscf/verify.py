@@ -322,10 +322,7 @@ _SIGN_SAMPLES = 200
 
 def _sign_identity():
     rng = random.Random(987321)
-    families = [get_family(name) for name in (
-        "classic", "limit-ansatz", "sqrt", "linear",
-        "lee", "shift-linear", "improved-expo",
-    )]
+    families = [get_family(name) for name in FAMILIES]
     checked = 0
     disagreements = 0
     while checked < _SIGN_SAMPLES:
@@ -532,7 +529,7 @@ def _gamma_gauss():
     # fixed depths rather than adaptive: the unit-denominator form creeps
     # too slowly at x = z^2/2 = 0.125 for the successive-convergent stop
     worst = 0.0
-    for z in (0.5, 1.0, 1.5, 2.0, 3.0, 5.0):
+    for z in (0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 5.0):
         want = z * reference.reference_mills(z)
         x = z * z / 2.0
         worst = max(worst, _rel(gamma.laguerre(0.5, x, 400), want))
@@ -544,9 +541,9 @@ def _gamma_gauss():
 
 def _gamma_bracket():
     for s in (0.25, 0.5, 0.75, 1.0):
-        for x in (0.5, 1.0, 2.0, 5.0):
+        for x in (0.5, 1.0, 2.0, 4.0, 5.0):
             ref = reference.reference_gamma_mills(s, x)
-            for n in (1, 3, 6, 10):
+            for n in (1, 3, 6, 8, 10):
                 lo, hi = gamma.bounds_s01(s, x, n)
                 if not lo <= ref <= hi:
                     return False, (

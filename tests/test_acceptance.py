@@ -7,11 +7,7 @@ captured output on failure) in addition to pytest's own verdict.
 from millscf import gamma, verify
 from millscf.cli import main as cli_main
 from millscf.gauss import scan_max_delta
-from millscf.reference import (
-    _gamma_quadrature,
-    reference_gamma_mills,
-    reference_mills,
-)
+from millscf.reference import _gamma_quadrature
 
 REPORTED_MAXERR = (2.1e-4, 4.8e-5, 3.0e-5, 1.6e-5)
 
@@ -60,14 +56,7 @@ def test_criterion_06_two_point_pade():
 
 
 def test_criterion_07_gamma_gaussian_equivalence():
-    worst = 0.0
-    for z in (0.5, 1.0, 1.5, 2.0, 3.0, 4.0):
-        want = z * reference_mills(z)
-        x = z * z / 2.0
-        for got in (gamma.laguerre(0.5, x, 400), gamma.winitzki_cf(0.5, x, 500)):
-            worst = max(worst, abs(got - want) / want)
-    _report(7, worst <= 1e-8,
-            f"M_(1/2)(z^2/2) vs z R(z), both forms, worst rel {worst:.2e}")
+    _report(7, *_suite("gamma-gauss"))
 
 
 def test_criterion_08_shape_reduction():
@@ -87,14 +76,7 @@ def test_criterion_08_shape_reduction():
 
 
 def test_criterion_09_gamma_bracketing():
-    ok = True
-    for s in (0.25, 0.5, 0.75, 1.0):
-        for x in (0.5, 1.0, 2.0, 4.0):
-            ref = reference_gamma_mills(s, x)
-            for n in (3, 8):
-                lo, hi = gamma.bounds_s01(s, x, n)
-                ok &= lo <= ref <= hi
-    _report(9, ok, "every bounds_s01 pair contains the oracle value")
+    _report(9, *_suite("gamma-bracket"))
 
 
 def test_criterion_10_oracle_self_consistency():

@@ -53,7 +53,7 @@ def test_eval_domain_error(capsys):
     rc, _, err = run_cli(["eval", "--x", "-1", "--family", "classic",
                           "--n", "1"], capsys)
     assert rc == 2
-    assert "x > 0" in err
+    assert "x >= 0" in err
 
 
 @pytest.mark.parametrize("x", ["nan", "inf", "-inf"])
@@ -125,7 +125,7 @@ def test_table_classic_at_zero_rejected(tmp_path, capsys):
                           "0.5", "--family", "classic", "--n", "1",
                           "--out", str(tmp_path / "t.csv")], capsys)
     assert rc == 2
-    assert "x > 0" in err
+    assert "classic tail beta_1(0.0) = 0.0 is not positive" in err
 
 
 def test_table_io_error(capsys):
@@ -217,6 +217,25 @@ def test_maxerr_limit_ansatz_reports_depth_zero_undefined(capsys):
     assert len(lines) == 3
     assert lines[1] == "n=0  undefined: limit-ansatz with n = 0 vanishes at x = 0"
     assert lines[2].startswith("n=1  max|error|=")
+
+
+def test_maxerr_reads_undefined_depths_off_the_tail(tmp_path, capsys):
+    # a custom tail that vanishes at the scan's first point is undefined at
+    # every depth, like limit-ansatz at n = 0; one that is negative there
+    # is refused by the fold
+    tail = tmp_path / "tail.csv"
+    tail.write_text("x,beta\n0.0,0.0\n1.0,1.6\n20.0,20.5\n")
+    rc, out, _ = run_cli(["maxerr", "--family", "custom", "--tail-file",
+                          str(tail), "--nmin", "0", "--nmax", "1"], capsys)
+    assert rc == 0
+    assert out.strip().splitlines()[1:] == [
+        f"n={n}  undefined: custom with n = {n} vanishes at x = 0"
+        for n in (0, 1)]
+    tail.write_text("x,beta\n0.0,-1.0\n1.0,1.6\n20.0,20.5\n")
+    rc, _, err = run_cli(["maxerr", "--family", "custom", "--tail-file",
+                          str(tail), "--nmin", "0", "--nmax", "0"], capsys)
+    assert rc == 2
+    assert "custom tail beta_0(0.0) = -1.0 is not positive" in err
 
 
 def test_verify_subcommand(capsys, monkeypatch):

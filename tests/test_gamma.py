@@ -9,6 +9,7 @@ from itertools import islice
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import gammainc, gammaln
 
 from millscf import gamma
 from millscf.cf import CFEvaluationError
@@ -336,3 +337,34 @@ def test_reduce_s_is_finite_and_at_least_one_or_raises(s, x):
     except (ValueError, OverflowError, ConvergenceError):
         return
     assert math.isfinite(m) and m >= 1.0, m
+
+
+# (s, x) where the cumulative side is past the largest double, and what the
+# adaptive form returned there before it raised
+_LOWER_PAST_DOUBLE = ((0.5, 720.0),     # 1.7e44, where it is about e^723
+                      (0.5, 1e4),       # -1.49e59
+                      (0.01, 1e150),    # -9.9e301
+                      (7.3, 1e155),     # -1.65e308
+                      (0.5, 1e300))     # ldexp's bare "math range error"
+
+
+def test_lower_cf_past_the_largest_double_raises_overflow():
+    for s, x in _LOWER_PAST_DOUBLE:
+        with pytest.raises(OverflowError, match=r"^lower_cf: .* exceeds the largest"):
+            lower_cf(s, x)
+    # a fixed depth keeps the raw convergent: x/s at depth 1
+    assert lower_cf(0.5, 720.0, 1) == 1440.0
+
+
+def test_lower_cf_overflow_only_where_the_value_is_past_a_double():
+    # log of x^(1-s) e^x int_0^x u^(s-1) e^-u du, from scipy
+    for s in np.logspace(-2.0, 1.0, 7).tolist():
+        for x in np.logspace(0.0, 3.2, 40).tolist():
+            log_value = ((1.0 - s) * math.log(x) + x
+                         + math.log(gammainc(s, x)) + gammaln(s))
+            try:
+                lower_cf(s, x)
+            except OverflowError:
+                assert log_value > math.log(1.7976931348623157e308), (s, x)
+            except ConvergenceError:
+                pass

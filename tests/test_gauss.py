@@ -83,6 +83,28 @@ def test_mills_domain_errors():
         mills(1.0, 1, "no-such-family")
 
 
+def test_rn_domain_faults_are_refused():
+    # a tail that is not positive folded on into a wrong value: R_0 = -1,
+    # and R_2 = 1.5 where R(1) = 0.656
+    with pytest.raises(ValueError, match=r"custom tail beta_0\(1.0\) = -1.0"):
+        mills(1.0, 0, tails.custom(lambda n, x: -1.0))
+    with pytest.raises(ValueError, match=r"custom tail beta_2\(1.0\) = -0.5"):
+        mills(1.0, 2, tails.custom(lambda n, x: -0.5))
+    # mills takes one x; an array gave a record whose value was an array
+    with pytest.raises(TypeError, match="mills_grid"):
+        mills(np.array([1.0]), 2, "linear")
+    with pytest.raises(TypeError, match="mills_grid"):
+        mills(np.array(1.0), 2, "linear")
+    # mills_grid takes a 1-D array, and an empty one is an empty result
+    with pytest.raises(ValueError, match="1-D"):
+        mills_grid(np.ones((2, 2)), 1)
+    empty = mills_grid(np.array([]), 1)
+    assert isinstance(empty, np.ndarray) and empty.shape == (0,)
+    assert delta(np.array([]), 1).shape == (0,)
+    with pytest.raises(ValueError, match="n >= 0"):
+        mills_grid(np.array([1.0]), -1)
+
+
 def test_truncation_bound_values():
     assert truncation_bound(1.0, 1) == pytest.approx(0.5, rel=1e-14)
     # 10!/(B_10 B_11) at x=1, denominators from the forward recursion
@@ -391,21 +413,21 @@ def test_grid_delta_matches_scalar():
 
 
 def test_grid_errors_match_scalar():
-    with pytest.raises(ValueError, match="x > 0"):
+    with pytest.raises(ValueError, match="classic tail .* is not positive"):
         delta(np.array([0.0, 1.0]), 1, "classic")
     with pytest.raises(ValueError, match="x >= 0"):
         mills_grid(np.array([1.0, -0.5]), 1, "linear")
-    with pytest.raises(ValueError, match="vanishes"):
+    with pytest.raises(ValueError, match="limit-ansatz tail .* is not positive"):
         mills_grid(np.array([0.0, 1.0]), 0, "limit-ansatz")
     with pytest.raises(cf.CFEvaluationError):
         mills_grid(np.array([1.0, np.inf]), 2, "sqrt")
     with pytest.raises(cf.CFEvaluationError):
         mills(np.inf, 2, "sqrt")
-    # a tail that vanishes inside the grid leaves a zero denominator
+    # a tail that is not positive somewhere on the grid is refused up front
     dip = tails.custom(lambda n, x: x - 1.0)
-    with pytest.raises(cf.CFEvaluationError):
+    with pytest.raises(ValueError, match="custom tail beta_0"):
         mills_grid(np.array([0.5, 1.0]), 0, dip)
-    with pytest.raises(cf.CFEvaluationError):
+    with pytest.raises(ValueError, match="custom tail beta_0"):
         mills(1.0, 0, dip)
 
 

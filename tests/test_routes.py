@@ -1,16 +1,19 @@
 """The scalar routes load no numpy, and agree with the array routes."""
 
+import math
 import os
 import subprocess
 import sys
 
+import mpmath
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 import millscf
-from millscf import FAMILIES, delta, mills, mills_grid
+from millscf import FAMILIES, CFEvaluationError, custom, delta, mills, mills_grid
 from millscf.reference import (OracleError, reference_mills,
                                reference_mills_grid, reference_tail)
+from millscf.tails import get_family
 
 _SCALAR_CALLS = """
 import sys
@@ -85,19 +88,44 @@ def _agree(scalar, grid, rel=0.0, scale=0.0):
 # phi R_n, which delta subtracts, that is at most 4 ulp of the terms
 _EXP_ULPS = 4.0 * 2.0**-52
 
-# 0, a subnormal, tiny and huge points, and any other float (inf, nan and
-# negatives included)
-_X = st.one_of(st.sampled_from([0.0, 5e-324, 1e-300, 1e300]), st.floats())
+# 0, a subnormal, tiny and huge points, the floats of
+# test_exit_codes_for_any_float_argument, and any other float
+_X = st.one_of(st.sampled_from([0.0, 5e-324, 1e-300, 1e300, math.inf,
+                                -math.inf, math.nan, -1.0, 2.5]), st.floats())
+# every built-in family, and constant custom tails of either sign (and 0, -0)
+_TAILS = st.one_of(st.sampled_from(sorted(FAMILIES)),
+                   st.floats(min_value=-10.0, max_value=10.0).map(
+                       lambda c: custom(lambda n, x: c)))
+_RN_ERRORS = (ValueError, CFEvaluationError, OverflowError)
+_LARGEST = 1.7976931348623157e308
 
 
-@settings(max_examples=300, deadline=None)
-@given(x=_X, n=st.integers(min_value=0, max_value=60),
-       family=st.sampled_from(sorted(FAMILIES)))
+def _rn_mp(x, n, family):
+    """R_n(x) at 50 digits from the tail's double value."""
+    with mpmath.workdps(50):
+        x = mpmath.mpf(x)
+        t = mpmath.mpf(float(get_family(family).value(n, float(x))))
+        for k in range(n, 0, -1):
+            t = x + k / t
+        return 1 / t
+
+
+@settings(max_examples=500, deadline=None)
+@given(x=_X, n=st.integers(min_value=0, max_value=60), family=_TAILS)
 def test_scalar_and_array_routes_agree(x, n, family):
+    # R_n is a positive float, inf only past the largest double, or one of
+    # its documented errors; the array route gives the same on one element
+    value = _outcome(lambda: mills(x, n, family).value)
+    if isinstance(value, type):
+        assert value in _RN_ERRORS, (x, n, family, value)
+    else:
+        assert type(mills(x, n, family).value) is float
+        assert value > 0.0, (x, n, family, value)
+        if value == math.inf:
+            assert _rn_mp(x, n, family) > _LARGEST, (x, n, family)
     xs = np.array([x])
     exp_ulps = _EXP_ULPS if family == "improved-expo" else 0.0
-    assert _agree(_outcome(lambda: mills(x, n, family).value),
-                  _outcome(lambda: mills_grid(xs, n, family)[0]),
+    assert _agree(value, _outcome(lambda: mills_grid(xs, n, family)[0]),
                   exp_ulps), (x, n, family)
     assert _agree(_outcome(lambda: reference_mills(x)),
                   _outcome(lambda: reference_mills_grid(xs)[0])), x
