@@ -262,8 +262,8 @@ def test_module_entry_point(tmp_path):
     assert "value: 0.5" in proc.stdout
 
 
-# the CSV writer before the streamed one: each cell through repr(float(v)),
-# one joined line per row
+# the CSV writer before the streamed and the blocked ones: each cell
+# through repr(float(v)), one joined line per row
 def _old_write_csv(path, header, columns):
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(header + "\n")
@@ -284,13 +284,23 @@ def _both_writers(argv, out, monkeypatch, capsys):
 
 
 def test_table_csv_bytes_match_the_old_writer(tmp_path, monkeypatch, capsys):
+    from millscf.cli import _CSV_BLOCK
+
     out = tmp_path / "t.csv"
-    for family, xmin in (("improved-expo", "0"), ("classic", "1")):
-        for n in range(4):
-            argv = ["table", "--xmin", xmin, "--xmax", "20", "--step", "0.01",
-                    "--family", family, "--n", str(n)]
-            new, old = _both_writers(argv, out, monkeypatch, capsys)
-            assert new == old, (family, n)
+    cases = [(["table", "--xmin", xmin, "--xmax", "20", "--step", "0.01",
+               "--family", family, "--n", str(n)], None)
+             for family, xmin in (("improved-expo", "0"), ("classic", "1"))
+             for n in range(4)]
+    # one row, and the writer's block edges: xmin 1, step 1 and
+    # xmax = rows give exactly rows rows
+    cases.append((["table", "--xmin", "0", "--xmax", "2.5", "--step", "inf"],
+                  1))
+    cases += [(["table", "--xmin", "1", "--xmax", str(rows), "--step", "1"],
+               rows) for rows in (_CSV_BLOCK - 1, _CSV_BLOCK, _CSV_BLOCK + 1)]
+    for argv, rows in cases:
+        new, old = _both_writers(argv, out, monkeypatch, capsys)
+        assert new == old, argv
+        assert rows is None or new.count(b"\n") == rows + 1, argv
 
 
 def test_figure_csv_bytes_match_the_old_writer(tmp_path, monkeypatch, capsys):

@@ -10,10 +10,12 @@ import sys
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.special import erfcx, gammaincc
 from scipy.special import gamma as gamma_fn
 
 from millscf.reference import (
+    _STRAGGLERS,
     OracleError,
     _mills_cf,
     _mills_cf_grid,
@@ -105,6 +107,74 @@ def test_grid_oracle_is_bit_identical():
     xs = np.concatenate([np.arange(20001) * 1e-3, edges])
     got = reference_mills_grid(xs)
     assert got.tolist() == [reference_mills(x) for x in xs.tolist()]
+
+
+_HUGE = (1e150, 1e300, sys.float_info.max, 1.0 / math.sqrt(1e-15), math.inf)
+
+
+@st.composite
+def _oracle_grids(draw):
+    """Unsorted 1-D grids: both branches, dense near 1, duplicates, huge x."""
+    kind = draw(st.sampled_from(["mixed", "dense", "repeats", "stragglers"]))
+    if kind == "stragglers":
+        # all on the fraction branch, around the array loop's handoff size
+        size = draw(st.sampled_from([0, 1, _STRAGGLERS - 1, _STRAGGLERS,
+                                     _STRAGGLERS + 1]))
+        return draw(st.lists(st.floats(1.0, 30.0), min_size=size,
+                             max_size=size))
+    if kind == "dense":   # 300 and more levels
+        xs = st.floats(1.0, 1.1)
+    elif kind == "repeats":
+        xs = st.sampled_from(draw(st.lists(st.floats(0.0, 30.0), min_size=1,
+                                           max_size=4)))
+    else:
+        xs = st.one_of(st.floats(0.0, 30.0), st.floats(1.0, 1.1),
+                       st.sampled_from(_HUGE))
+    return draw(st.lists(xs, max_size=120))
+
+
+@settings(max_examples=150, deadline=None)
+@given(xs=_oracle_grids())
+@example(xs=[1.0] * (_STRAGGLERS + 1) + [20.0, 0.5, 1e300])
+def test_grid_oracle_matches_the_scalar_one_bit_for_bit(xs):
+    want = np.array([reference_mills(x) for x in xs], dtype=float)
+    assert reference_mills_grid(xs).tobytes() == want.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(xs=st.lists(st.one_of(st.floats(1.0, 40.0), st.sampled_from(_HUGE)),
+                   min_size=1, max_size=120),
+       cap=st.integers(1, 400))
+def test_grid_oracle_names_the_same_uncertified_point(xs, cap):
+    # at a small cap the error names the first uncertified x in input order
+    xs = np.array(xs)
+    try:
+        want = _old_mills_cf_grid(xs, max_depth=cap).tobytes()
+    except OracleError as exc:
+        with pytest.raises(OracleError) as new:
+            _mills_cf_grid(xs, max_depth=cap)
+        assert str(new.value) == str(exc)
+    else:
+        assert _mills_cf_grid(xs, max_depth=cap).tobytes() == want
+
+
+def test_grid_oracle_does_not_depend_on_its_sort(monkeypatch):
+    # sorted by x, the elements certify as a suffix, and on every grid tried
+    # depth never rises with x; shuffled instead, most certify while a
+    # larger x still runs, and each must keep its first depth
+    xs = np.concatenate([1.0 + np.arange(1001) * 1e-3, [1.5, 3.0, 1e8]])
+    want = _mills_cf_grid(xs).tobytes()
+    rng = np.random.default_rng(7)
+    argsort = np.argsort
+
+    def shuffled(a, *args, **kwargs):   # the fold's depth sort stays true
+        if a.dtype.kind == "f":
+            return rng.permutation(a.size)
+        return argsort(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", shuffled)
+    for _ in range(3):
+        assert _mills_cf_grid(xs).tobytes() == want
 
 
 def test_grid_oracle_rejects_like_the_scalar_one():
