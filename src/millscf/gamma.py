@@ -20,19 +20,21 @@ shapes in (0, 1] ever reach a fraction; there the cf_l1 coefficients stay
 nonnegative and consecutive convergents bracket the true value.
 
 Depth control: passing n evaluates a single depth-n convergent; omitting it
-runs the fraction adaptively until two successive convergents agree to
-1e-12 relative, capped at depth 500 (no a-priori truncation bound is
+runs the fraction adaptively until two successive nonzero convergents agree
+to 1e-12 relative, capped at depth 500 (no a-priori truncation bound is
 available here, unlike the Gaussian case).
 
 The adaptive route reads each form's coefficients from one level stream,
 the spec's `levels(x)` generator, which yields (a_k, b_k) for k = 1, 2, ...
 with the same arithmetic as the spec's a/b callables, so the values are
-bit for bit the same.  One flat Wallis-Euler loop folds that stream: a level
-with |a_k| + |b_k| above 2^512 scales each pair that could overflow down by
-2^-512 before the multiply, tracking the A-B exponent difference, so the
-continuants stay finite for any finite x, and the new A, B are scaled down
-after it once either exceeds 2^500.  The fixed-depth route keeps using
-eval_backward on the a/b callables.
+bit for bit the same.  The streams count their levels in floats
+(count(1.0)), which keeps every operation float-float; a double holds each
+level number exactly, so no value moves.  One flat Wallis-Euler loop folds
+that stream: a level with |a_k| + |b_k| above 2^512 scales each pair that
+could overflow down by 2^-512 before the multiply, tracking the A-B
+exponent difference, so the continuants stay finite for any finite x, and
+the new A, B are scaled down after it once either exceeds 2^500.  The
+fixed-depth route keeps using eval_backward on the a/b callables.
 """
 
 import math
@@ -100,10 +102,10 @@ def l1_spec(s):
 
     def levels(x):
         yield x, x
-        for j in count(1):
+        for j in count(1.0):
             t = j - s
             yield (0.0 if abs(t) < _SNAP else t), 1.0
-            yield float(j), x
+            yield j, x
 
     return CFSpec(a=a, b=b, name="l1", levels=levels)
 
@@ -126,9 +128,9 @@ def laguerre_spec(s):
 
     def levels(x):
         yield x ** s, x + 2.0 - 1.0 - s   # b_1 in the order of b_k
-        for k in count(2):
+        for k in count(2.0):
             t = s - k + 1.0
-            yield (k - 1) * (0.0 if abs(t) < _SNAP else t), x + 2.0 * k - 1.0 - s
+            yield (k - 1.0) * (0.0 if abs(t) < _SNAP else t), x + 2.0 * k - 1.0 - s
 
     return CFSpec(a=a, b=b, name="laguerre", levels=levels)
 
@@ -152,7 +154,7 @@ def lower_spec(s):
 
     def levels(x):
         yield x, s
-        for k in count(2):
+        for k in count(2.0):
             yield -(k - 2.0 + s) * x, (k - 1.0) + s + x
 
     return CFSpec(a=a, b=b, name="lower", levels=levels)
@@ -179,7 +181,7 @@ def winitzki_spec(s):
     def levels(x):
         yield 1.0, 1.0
         v = 1.0 / x
-        for j in count(1):
+        for j in count(1.0):
             t = j - s
             yield (0.0 if abs(t) < _SNAP else t) * v, 1.0
             yield j * v, 1.0
@@ -216,9 +218,12 @@ def _adaptive(spec, s, x, rel_tol=ADAPTIVE_REL_TOL, max_depth=ADAPTIVE_MAX_DEPTH
             if shift:
                 cur = math.ldexp(cur, shift)
             mag = abs(cur)
-            # rel_tol * max(|cur|, 1e-300), written out
+            # rel_tol * max(|cur|, 1e-300), written out.  Every form's
+            # fraction is positive, so a convergent of 0.0 has underflowed
+            # (cf_l1 at subnormal x): no agreement with it counts.
             if abs(cur - prev) <= rel_tol * (mag if mag > 1e-300 else 1e-300):
-                return cur
+                if cur != 0.0 and prev != 0.0:
+                    return cur
             prev = cur
     raise ConvergenceError(
         f"{spec.name} form of M_s(x) at s={s!r}, x={x!r}: successive "

@@ -121,6 +121,13 @@ _FOLD_LO = 2.0 ** -1000
 _FOLD_HI = 2.0 ** 1000
 _FOLD_MAX_N = 2 ** 20
 
+# The level numbers 0, 1, ..., 127 as floats, for the scalar recurrences:
+# k * B and k / t then take CPython's float-float paths instead of the mixed
+# int-float one.  A double holds every integer below 2^53 exactly, so each
+# product and quotient is the same double as with an int k.  Past the tuple
+# the loops fall back to range.
+_LEVELS = tuple(map(float, range(128)))
+
 
 def _outside(n, x):
     return ValueError(f"R_n needs n >= 0, got n={n!r}" if n < 0 else
@@ -154,6 +161,10 @@ def _fold(x, n, fam):
     near the largest double) is no error.  For n >= 1, n/t is far below half
     an ulp of x there, so every tail above 2^1000 folds to the same double
     as an infinite one; R_0 = 1/t is read off the tail at x/2 (_huge_r0).
+
+    Inside the box the level numbers come from the float tuple _LEVELS up
+    to its length, so the loop does float/float divisions; the quotients
+    are the same doubles as with int levels.
     """
     if n < 0 or x < 0.0:
         raise _outside(n, x)
@@ -166,7 +177,7 @@ def _fold(x, n, fam):
     if not t > 0.0:
         raise _not_positive(fam, n, x, t)
     if _FOLD_LO <= x <= _FOLD_HI and t >= _FOLD_LO and n < _FOLD_MAX_N:
-        for k in range(n, 0, -1):
+        for k in _LEVELS[n:0:-1] if n < len(_LEVELS) else range(n, 0, -1):
             t = x + k / t
         return 1.0 / t
     for k in range(n, 0, -1):
@@ -267,6 +278,16 @@ def hazard(x):
     return 1.0 / reference.reference_mills(x)
 
 
+# With 0 < x <= 64 and n <= 64 the checked loop of truncation_bound never
+# rescales.  B_k <= (x + sqrt k)^k for every k, by induction: B_0 = 1,
+# B_1 = x, and B_{k+1} = x B_k + k B_{k-1} <= (x + sqrt k)^(k-1)
+# (x^2 + x sqrt k + k) <= (x + sqrt(k+1))^(k+1).  So every B formed, up to
+# B_65 <= (64 + sqrt 65)^65 < 2^402, stays under the rescale limit 2^500
+# (rounding moves the computed B by a factor of at most (1 + 2^-52)^130),
+# and every level's x + k <= 128 stays under the headroom 2^512.
+_BOUND_BOX = 64
+
+
 def truncation_bound(x, n):
     """n! / (B_n B_{n+1}) for the classic fraction, in log space.
 
@@ -275,24 +296,32 @@ def truncation_bound(x, n):
     fraction, kept under 2**500 by power-of-two rescaling whose exponent
     re-enters through the logarithm.  A bound past the largest double is
     returned as inf, one below the smallest positive double as that double.
+
+    For x <= 64 and n <= 64 no rescale can fire (see _BOUND_BOX), and the
+    recurrence runs on the float levels of _LEVELS with no per-level test;
+    outside that box every level is checked.  Both give the same bits.
     """
     if not 0.0 < x < math.inf:
         raise ValueError(f"truncation bound needs 0 < x < inf, got x={x!r}")
     if n < 0:
         raise ValueError("n must be >= 0")
-    # cf.forward_recurrence's rescaling of the B pair (B_{2j} >= 1 never
-    # underflows, so it is only ever scaled down).
     # Level k + 1 has numerator k; level 1's numerator 1 meets B_prev = 0.
     B_prev, B = 0.0, 1.0
     scale = 0
-    for k in range(n + 1):
-        if x + k > _LEVEL_HEADROOM:
-            B, B_prev = B * _RESCALE_FACTOR, B_prev * _RESCALE_FACTOR
-            scale += _RESCALE_SHIFT
-        B, B_prev = x * B + k * B_prev, B
-        if B > _RESCALE_LIMIT:
-            B, B_prev = B * _RESCALE_FACTOR, B_prev * _RESCALE_FACTOR
-            scale += _RESCALE_SHIFT
+    if x <= _BOUND_BOX and n <= _BOUND_BOX:
+        for k in _LEVELS[:n + 1]:
+            B, B_prev = x * B + k * B_prev, B
+    else:
+        # cf.forward_recurrence's rescaling of the B pair (B_{2j} >= 1
+        # never underflows, so it is only ever scaled down)
+        for k in range(n + 1):
+            if x + k > _LEVEL_HEADROOM:
+                B, B_prev = B * _RESCALE_FACTOR, B_prev * _RESCALE_FACTOR
+                scale += _RESCALE_SHIFT
+            B, B_prev = x * B + k * B_prev, B
+            if B > _RESCALE_LIMIT:
+                B, B_prev = B * _RESCALE_FACTOR, B_prev * _RESCALE_FACTOR
+                scale += _RESCALE_SHIFT
     log_bound = (math.lgamma(n + 1.0) - math.log(B) - math.log(B_prev)
                  - 2.0 * scale * _LOG2)
     try:

@@ -105,16 +105,20 @@ def _certify(x, A, B, A_prev, B_prev, bound, depth, rel_tol, max_depth):
     """The forward pass of _mills_cf from level depth's state.
 
     Returns the first depth (below max_depth) whose carried bound is at
-    most rel_tol times the running convergent A/B, or None.  The scalar
-    route starts it at level 1; the grid route resumes it at whatever level
-    its array loop handed an element over, so both do the same operations.
+    most rel_tol times the running convergent A/B, as an int, or None.  The
+    scalar route starts it at level 1; the grid route resumes it at
+    whatever level its array loop handed an element over, so both do the
+    same operations.  The level is carried as a float, so every product
+    d A_{d-1} and d B_{d-1} is float-float; a double holds each level
+    exactly, so the products are the same doubles as with an int level.
     """
-    while depth < max_depth:
+    d, top = float(depth), float(max_depth)
+    while d < top:
         if bound <= rel_tol * (A / B):
-            return depth
-        depth += 1
-        A, A_prev = x * A + depth * A_prev, A
-        dB = depth * B_prev
+            return int(d)
+        d += 1.0
+        A, A_prev = x * A + d * A_prev, A
+        dB = d * B_prev
         B_next = x * B + dB
         bound *= dB / B_next
         B, B_prev = B_next, B

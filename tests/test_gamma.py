@@ -177,6 +177,23 @@ def test_laguerre_at_tiny_x_raises_documented_errors():
                 laguerre(s, x, n)
 
 
+def test_subnormal_x_gives_no_underflowed_value():
+    # M_{1/2}(x) = sqrt(pi x) e^x erfc(sqrt x), about 3.9e-162 at x = 5e-324;
+    # cf_l1 returned 0.0 at 5e-324 and 1e-320, where two convergents that
+    # had underflowed to 0 "agreed"
+    for x in (5e-324, 1e-320, 1e-310):
+        want = math.sqrt(math.pi) * math.sqrt(x) * math.exp(x) * math.erfc(math.sqrt(x))
+        for form in (cf_l1, winitzki_cf, laguerre):
+            try:
+                got = form(0.5, x)
+            except ConvergenceError:
+                continue
+            assert got == pytest.approx(want, rel=1e-10), (form.__name__, x, got)
+    for x in (5e-324, 1e-320):
+        with pytest.raises(ConvergenceError, match=re.escape(f"x={x!r}")):
+            cf_l1(0.5, x)
+
+
 def test_reduce_s_raises_once_the_value_overflows():
     # M_{1e5+1/2}(3) is far beyond the largest double: raise, never return inf
     with pytest.raises(OverflowError, match=r"s=100000\.5, x=3\.0 is not finite "

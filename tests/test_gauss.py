@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from millscf import cf, tails
+from millscf import cf, gauss, tails
 from millscf.gauss import (
     Approximation,
     asymptotic_series,
@@ -194,6 +194,40 @@ def test_truncation_bound_is_the_engine_formula_bit_for_bit():
     for x in LOG_XS + [1e100, 1e160, 1e300]:
         for n in range(61):
             assert truncation_bound(x, n).hex() == _engine_bound(x, n).hex(), (x, n)
+
+
+def test_fold_past_the_float_levels_is_the_engine_fold():
+    # the fast box folds on gauss._LEVELS up to its length, on range past it
+    lap = laplace_spec()
+    size = len(gauss._LEVELS)
+    for name in tails.FAMILIES:
+        fam = tails.get_family(name)
+        for n in (size - 1, size, size + 1, 5000):
+            for x in LOG_XS + [1e-300, 1e300]:
+                want = _bits(lambda: cf.eval_backward(lap, x, n + 1, fam.value(n, x)))
+                assert _bits(lambda: mills(x, n, name).value) == want, (name, n, x)
+
+
+def _engine_bound_or_inf(x, n):
+    # truncation_bound returns a bound past the largest double as inf
+    try:
+        return _engine_bound(x, n)
+    except OverflowError:
+        return math.inf
+
+
+def test_truncation_bound_on_both_sides_of_its_box():
+    # x <= 64 and n <= 64 run the unchecked loop, anything past it the checked
+    for x in (64.0, math.nextafter(64.0, math.inf), 5e-324, 1e-300):
+        for n in (0, 63, 64, 65):
+            assert truncation_bound(x, n).hex() == _engine_bound_or_inf(x, n).hex(), (x, n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=st.floats(min_value=5e-324, max_value=200.0),
+       n=st.integers(min_value=0, max_value=150))
+def test_truncation_bound_is_the_engine_formula_anywhere(x, n):
+    assert truncation_bound(x, n).hex() == _engine_bound_or_inf(x, n).hex()
 
 
 def test_non_finite_x_raises_for_every_family():

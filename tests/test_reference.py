@@ -177,6 +177,19 @@ def test_grid_oracle_does_not_depend_on_its_sort(monkeypatch):
         assert _mills_cf_grid(xs).tobytes() == want
 
 
+def test_grid_oracle_at_the_deepest_table_point():
+    # x = 1 certifies at depth 343, the deepest of the [0, 20] grids: through
+    # the array loop alone, through _certify from level 1, and handed over
+    # to _certify once the larger x have certified
+    want = reference_mills(1.0)
+    assert want == _old_mills_cf(1.0)
+    for xs in ([1.0] * (_STRAGGLERS + 2), [1.0, 2.0],
+               [1.0] + [30.0] * (2 * _STRAGGLERS)):
+        got = reference_mills_grid(xs)
+        assert got[0].hex() == want.hex(), len(xs)
+        assert got.tobytes() == np.array([reference_mills(x) for x in xs]).tobytes()
+
+
 def test_grid_oracle_rejects_like_the_scalar_one():
     for bad in (float("nan"), -0.01):
         with pytest.raises(ValueError):
