@@ -1,17 +1,6 @@
 """Gaussian and Gamma Mills ratios via modified continued fractions."""
 
-from .cf import (
-    CFEvaluationError,
-    CFSpec,
-    ConvergentState,
-    InvalidTransformError,
-    continuant_oracle,
-    convergents,
-    equivalence_transform,
-    eval_backward,
-    eval_doubly_modified,
-    forward_recurrence,
-)
+from .cf import CFEvaluationError, CFSpec, eval_backward
 from .tails import FAMILIES, beta0, custom, get_family, mod_constants
 from .gauss import (
     asymptotic_series,
@@ -49,23 +38,16 @@ __all__ = [
     "CFEvaluationError",
     "CFSpec",
     "ConvergenceError",
-    "ConvergentState",
     "FAMILIES",
-    "InvalidTransformError",
     "OracleError",
     "asymptotic_series",
     "beta0",
     "bounds_s01",
     "cf_l1",
-    "continuant_oracle",
-    "convergents",
     "custom",
     "decays_beyond",
     "delta",
-    "equivalence_transform",
     "eval_backward",
-    "eval_doubly_modified",
-    "forward_recurrence",
     "get_family",
     "hazard",
     "laguerre",

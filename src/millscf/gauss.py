@@ -22,7 +22,8 @@ where D_n is the modified denominator beta B_n + n B_{n-1} of R_n.  So the
 sign of delta_n is read off the quadratic operator in beta alone (the last
 factor), which is how bracketing statements are proved for the families in
 tails.py.  R_n's derivatives, delta_n and that operator are proof helpers in
-verify.py, read by its fit-conditions and sign-identity suites.
+verify.py, read by its fit-conditions and sign-identity suites; so is the
+fraction's CFSpec, which this module folds in its own loop.
 
 Indexing: the public n counts the largest numerator of the terminating
 fraction, so n = 0 is 1/beta_0(x) and the classic (beta = x) member at n
@@ -36,7 +37,7 @@ from typing import NamedTuple, Optional
 
 from . import reference
 from .cf import (_LEVEL_HEADROOM, _RESCALE_FACTOR, _RESCALE_LIMIT,
-                 _RESCALE_SHIFT, CFEvaluationError, CFSpec)
+                 _RESCALE_SHIFT, CFEvaluationError)
 from .tails import _is_array, get_family
 
 SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
@@ -57,28 +58,6 @@ def phi(x):
     # the density there, as math gives it
     with np.errstate(over="ignore"):
         return np.exp(-0.5 * x * x) / SQRT_TWO_PI
-
-
-def laplace_spec():
-    """The Gaussian Mills fraction: a = 1, 1, 2, 3, ...; all b = x."""
-    return CFSpec(
-        a=lambda k, x: 1.0 if k == 1 else float(k - 1),
-        b=lambda k, x: x,
-        name="laplace",
-    )
-
-
-def lcf_spec():
-    """The same fraction in v = 1/x^2; its value is x R(x), not R(x).
-
-    a_1 = 1, a_k = (k-1) v for k >= 2, all b = 1.  The equivalence transform
-    with p(k) = x carries this into laplace_spec times x.
-    """
-    return CFSpec(
-        a=lambda k, v: 1.0 if k == 1 else (k - 1) * v,
-        b=lambda k, v: 1.0,
-        name="lcf",
-    )
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -150,8 +129,8 @@ def _fold(x, n, fam):
     R_n's one domain check, in order: n >= 0 and x >= 0, else ValueError;
     x and t = beta_n(x) finite, else CFEvaluationError; t > 0, else
     ValueError.  Every level x + k/t is then positive: no denominator
-    vanishes.  The arithmetic is cf.eval_backward(laplace_spec(), x, n + 1,
-    t)'s, except that a level that overflows raises OverflowError, where
+    vanishes.  The arithmetic is cf.eval_backward(verify._laplace_spec(), x,
+    n + 1, t)'s, except that a level that overflows raises OverflowError, where
     eval_backward folds the inf on into a wrong value (the classic R_1 at
     x = 5e-324 came out 0).  Only the last step 1/t may overflow: R_n then
     exceeds the largest double and is returned as inf, as truncation_bound

@@ -300,13 +300,27 @@ _QUAD_CUTOFF = 60.0
 _QUAD_INTERVALS = 12000
 
 
-def _gamma_quadrature(s, x):
-    # M_s(x) = integral_0^inf (1 + u/x)^(s-1) e^(-u) du after t = x + u;
-    # beyond u = 60 the integrand is below 1e-18 for every (s, x) we accept
+@lru_cache(maxsize=1)
+def _quadrature_nodes():
+    """The Simpson nodes u on [0, 60] and weights e^-u, once and read-only."""
     import numpy as np
 
     u = np.linspace(0.0, _QUAD_CUTOFF, _QUAD_INTERVALS + 1)
-    y = (1.0 + u / x) ** (s - 1.0) * np.exp(-u)
+    w = np.exp(-u)
+    u.flags.writeable = False
+    w.flags.writeable = False
+    return u, w
+
+
+def _gamma_quadrature(s, x):
+    # M_s(x) = integral_0^inf (1 + u/x)^(s-1) e^(-u) du after t = x + u;
+    # beyond u = 60 the integrand is below 1e-18 for every (s, x) we accept.
+    # At large s the power overflows to inf, which the caller refuses.
+    import numpy as np
+
+    u, w = _quadrature_nodes()
+    with np.errstate(over="ignore"):
+        y = (1.0 + u / x) ** (s - 1.0) * w
     h = _QUAD_CUTOFF / _QUAD_INTERVALS
     return float((h / 3.0) * (y[0] + y[-1]
                               + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-1:2].sum()))
@@ -323,6 +337,8 @@ def reference_gamma_mills(s, x):
         raise OracleError(f"M_{s}({x}): fraction did not settle") from exc
     if x >= 1.0:
         quad = _gamma_quadrature(s, x)
+        if not math.isfinite(quad):
+            raise OracleError(f"M_{s}({x}): quadrature {quad!r} is not finite")
         if abs(value - quad) > 1e-7 * max(1.0, abs(value)):
             raise OracleError(
                 f"M_{s}({x}): fraction {value!r} vs quadrature {quad!r}")

@@ -47,9 +47,13 @@ def _is_array(x):
 
 @lru_cache(maxsize=_CONSTANTS_CACHE)
 def beta0(n):
-    """Exactness value beta_n(0), by log-gamma to stay finite for large n."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    """Exactness value beta_n(0), by log-gamma to stay finite for large n.
+
+    n must be a finite integral value >= 0 (an int or an integral float),
+    else ValueError; the check runs on a cache miss only.
+    """
+    if not (n >= 0 and (isinstance(n, int) or float(n).is_integer())):
+        raise ValueError(f"depth n must be a finite integer >= 0, got n={n!r}")
     half = n / 2.0
     return math.exp(0.5 * math.log(2.0)
                     + math.lgamma(half + 1.0) - math.lgamma(half + 0.5))
@@ -74,10 +78,18 @@ class ModConstants:
 
 @lru_cache(maxsize=_CONSTANTS_CACHE)
 def mod_constants(n):
+    """The ModConstants record of depth n, checked as in beta0.
+
+    r_n > 0 for every n, but as a difference of numbers near n it loses its
+    digits at huge depths; where it comes out <= 0, ValueError names n.
+    """
     b = beta0(n)
     g = b * b
     lam = g - n
     r = 2.0 * (g - n - 0.5)
+    if not r > 0.0:
+        raise ValueError(f"r_n = {r!r} is not positive at depth n={n!r}: the "
+                         "tail constants have lost their precision there")
     rate = math.sqrt(r)
     return ModConstants(n=n, beta_at_zero=b, lam=lam, r=r, beta_sq=g,
                         sqrt_r=rate, c=lam + rate * b)

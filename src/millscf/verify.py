@@ -7,7 +7,9 @@ forms or from the independent reference module, so they double as a smoke
 test of a freshly built environment (exposed as the CLI's `verify`
 subcommand).  The proof operators behind the paper's bracketing statements,
 R_n's derivatives, delta_n and the sign operator, are private helpers here:
-only the fit-conditions and sign-identity suites read them.
+only the fit-conditions and sign-identity suites read them.  So is the
+continued-fraction toolkit of the structural suites (the Laplace specs,
+doubly modified levels, equivalence transforms, continuant determinants).
 """
 
 import math
@@ -15,17 +17,115 @@ import random
 from fractions import Fraction
 
 from . import gamma, gauss, reference
-from .cf import (
-    continuant_oracle,
-    convergents,
-    equivalence_transform,
-    eval_backward,
-    eval_doubly_modified,
-    forward_recurrence,
-)
+from .cf import (CFEvaluationError, CFSpec, _check_x, _coeff, eval_backward,
+                 forward_recurrence)
 from .tails import FAMILIES, beta0, get_family, mod_constants
 
 _X_GRID = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
+
+
+def _laplace_spec():
+    """The Gaussian Mills fraction: a = 1, 1, 2, 3, ...; all b = x."""
+    return CFSpec(
+        a=lambda k, x: 1.0 if k == 1 else float(k - 1),
+        b=lambda k, x: x,
+        name="laplace",
+    )
+
+
+def _lcf_spec():
+    """The same fraction in v = 1/x^2; its value is x R(x), not R(x).
+
+    a_1 = 1, a_k = (k-1) v for k >= 2, all b = 1.  The equivalence transform
+    with p(k) = x carries this into _laplace_spec times x.
+    """
+    return CFSpec(
+        a=lambda k, v: 1.0 if k == 1 else (k - 1) * v,
+        b=lambda k, v: 1.0,
+        name="lcf",
+    )
+
+
+def _convergents(spec, x, n):
+    """The convergents at depths 1..n, one forward pass each (n is small)."""
+    return [forward_recurrence(spec, x, d).value() for d in range(1, n + 1)]
+
+
+def _eval_doubly_modified(spec, x, n, alpha, gamma):
+    """Convergent with the last level replaced by alpha / (b_n + gamma).
+
+    Equals (A_n + gamma A_{n-1} + (alpha - a_n) A_{n-2}) /
+           (B_n + gamma B_{n-1} + (alpha - a_n) B_{n-2}),
+    computed from the depth n-1 state as ((b_n+gamma) A_{n-1} + alpha A_{n-2})
+    over the same combination of B's.  alpha = a_n, gamma = 0 reduces to the
+    plain convergent; alpha = 0 collapses to the depth n-1 convergent.
+    """
+    if n < 2:
+        raise ValueError("doubly modified evaluation needs depth n >= 2")
+    st = forward_recurrence(spec, x, n - 1)
+    bn = _coeff(spec, "b", n, x)
+    num = (bn + gamma) * st.A + alpha * st.A_prev
+    den = (bn + gamma) * st.B + alpha * st.B_prev
+    if den == 0.0:
+        raise CFEvaluationError(f"vanishing modified denominator at depth {n}")
+    return num / den
+
+
+class _InvalidTransformError(ValueError):
+    """An equivalence transform used a vanishing or ill-normalized multiplier."""
+
+
+def _equivalence_transform(spec, p):
+    """Spec with a'_k = p(k-1,x) p(k,x) a_k and b'_k = p(k,x) b_k.
+
+    Convergents are unchanged at every depth.  p(0, x) must be 1 and no
+    p(k, x) may vanish; violations raise _InvalidTransformError at
+    evaluation time (the multipliers may depend on x, so they cannot be
+    checked here).
+    """
+
+    def pval(k, x):
+        v = p(k, x)
+        if k == 0:
+            if v != 1.0:
+                raise _InvalidTransformError(f"p(0, {x!r}) = {v!r}, must be 1")
+            return 1.0
+        if v == 0.0:
+            raise _InvalidTransformError(f"p({k}, {x!r}) = 0")
+        return v
+
+    def a2(k, x):
+        return pval(k - 1, x) * pval(k, x) * spec.a(k, x)
+
+    def b2(k, x):
+        return pval(k, x) * spec.b(k, x)
+
+    return CFSpec(a=a2, b=b2, name=f"{spec.name}|equiv")
+
+
+_CONTINUANT_MAX = 8
+
+
+def _continuant_oracle(spec, x, n):
+    """(A_n, B_n) as tridiagonal determinants via np.linalg.det, n <= 8.
+
+    The matrix has the b's on the diagonal, -1 above and the a's below.
+    Independent of both recursions; small n only because the determinant
+    route has no rescaling.
+    """
+    import numpy as np
+
+    if not 0 <= n <= _CONTINUANT_MAX:
+        raise ValueError(f"continuant oracle supports 0 <= n <= {_CONTINUANT_MAX}")
+    _check_x(spec, x)
+    m = np.zeros((n + 1, n + 1))   # m[0, 0] is A_0 = 0
+    for k in range(1, n + 1):
+        m[k, k] = _coeff(spec, "b", k, x)
+        m[k - 1, k] = -1.0
+        m[k, k - 1] = _coeff(spec, "a", k, x)
+    a_det = float(np.linalg.det(m))
+    b_det = float(np.linalg.det(m[1:, 1:]))
+    return a_det, b_det
 
 
 def _rel(a, b):
@@ -37,7 +137,7 @@ def _determinant():
     # x = 5 (products ~1e20 against a determinant ~1e10), so the identity is
     # checked exactly in rationals on the same coefficients, and the float
     # state only against its own cancellation noise floor
-    spec = gauss.laplace_spec()
+    spec = _laplace_spec()
     eps = 2.0 ** -52
     worst_noise = 0.0
     for x in (0.5, 1.0, 2.0, 5.0):
@@ -70,7 +170,7 @@ def _determinant():
 
 
 def _backward_forward():
-    spec = gauss.laplace_spec()
+    spec = _laplace_spec()
     worst = 0.0
     for x in (0.1, 0.5, 1.0, 2.0, 3.0, 5.0, 7.5, 10.0):
         for n in (1, 2, 3, 5, 8, 13, 21, 30):
@@ -81,14 +181,14 @@ def _backward_forward():
 
 
 def _equivalence():
-    spec = gauss.laplace_spec()
-    ident = equivalence_transform(spec, lambda k, x: 1.0)
-    double = equivalence_transform(spec, lambda k, x: 1.0 if k == 0 else 2.0)
+    spec = _laplace_spec()
+    ident = _equivalence_transform(spec, lambda k, x: 1.0)
+    double = _equivalence_transform(spec, lambda k, x: 1.0 if k == 0 else 2.0)
     worst = 0.0
     for x in (1.0, 2.0):
-        base = convergents(spec, x, 10)
+        base = _convergents(spec, x, 10)
         for other in (ident, double):
-            for v, w in zip(base, convergents(other, x, 10)):
+            for v, w in zip(base, _convergents(other, x, 10)):
                 worst = max(worst, _rel(w, v))
     return worst <= 1e-13, f"transformed convergents: worst rel {worst:.2e} (tol 1e-13)"
 
@@ -97,18 +197,18 @@ def _lcf_transform():
     # the unit-denominator fraction in v = 1/x^2 equals x times the Laplace
     # fraction level by level; multiplying its denominators through by x is
     # the equivalence transform that exposes that
-    la = gauss.laplace_spec()
-    lcf = gauss.lcf_spec()
+    la = _laplace_spec()
+    lcf = _lcf_spec()
     x = 2.0
     v = 1.0 / (x * x)
-    conv_la = convergents(la, x, 10)
-    conv_lcf = convergents(lcf, v, 10)
+    conv_la = _convergents(la, x, 10)
+    conv_lcf = _convergents(lcf, v, 10)
     worst = max(_rel(cv, x * cl) for cv, cl in zip(conv_lcf, conv_la))
-    scaled = equivalence_transform(
+    scaled = _equivalence_transform(
         lcf, lambda k, vv: 1.0 if k == 0 else 1.0 / math.sqrt(vv)
     )
     worst2 = max(
-        _rel(cs, cv) for cs, cv in zip(convergents(scaled, v, 10), conv_lcf)
+        _rel(cs, cv) for cs, cv in zip(_convergents(scaled, v, 10), conv_lcf)
     )
     ok = worst <= 1e-13 and worst2 <= 1e-13
     return ok, (
@@ -118,7 +218,7 @@ def _lcf_transform():
 
 
 def _doubly_modified():
-    spec = gauss.laplace_spec()
+    spec = _laplace_spec()
     worst = 0.0
     for x in (1.0, 2.0):
         for n in (2, 3, 5, 8):
@@ -126,14 +226,14 @@ def _doubly_modified():
             an = spec.a(n, x)
             for g in (0.0, 1.0, 2.5):
                 direct = (st.A + g * st.A_prev) / (st.B + g * st.B_prev)
-                dm = eval_doubly_modified(spec, x, n, alpha=an, gamma=g)
+                dm = _eval_doubly_modified(spec, x, n, alpha=an, gamma=g)
                 worst = max(worst, _rel(dm, direct))
             prev = forward_recurrence(spec, x, n - 1).value()
             worst = max(
-                worst, _rel(eval_doubly_modified(spec, x, n, 0.0, 0.0), prev)
+                worst, _rel(_eval_doubly_modified(spec, x, n, 0.0, 0.0), prev)
             )
     spot = _rel(
-        eval_doubly_modified(spec, 1.0, 2, spec.a(2, 1.0), 1.0),
+        _eval_doubly_modified(spec, 1.0, 2, spec.a(2, 1.0), 1.0),
         eval_backward(spec, 1.0, 2, 2.0),
     )
     worst = max(worst, spot)
@@ -143,14 +243,14 @@ def _doubly_modified():
 
 
 def _continuant():
-    spec = gauss.laplace_spec()
-    a1, b1 = continuant_oracle(spec, 3.0, 1)
+    spec = _laplace_spec()
+    a1, b1 = _continuant_oracle(spec, 3.0, 1)
     if not (a1 == 1.0 and abs(b1 - 3.0) <= 1e-12):
         return False, f"depth-1 anchor at x=3: got A={a1}, B={b1}, want 1, 3"
     worst = 0.0
     for x in (1.0, 3.0):
         for n in range(0, 9):
-            a_det, b_det = continuant_oracle(spec, x, n)
+            a_det, b_det = _continuant_oracle(spec, x, n)
             st = forward_recurrence(spec, x, n)
             worst = max(worst, _rel(a_det, st.A), _rel(b_det, st.B))
     return worst <= 1e-12, (
@@ -209,10 +309,10 @@ def _error_bound():
 
 
 def _euler_diff():
-    spec = gauss.laplace_spec()
+    spec = _laplace_spec()
     worst = 0.0
     for x in (0.5, 1.0, 2.0):
-        vals = convergents(spec, x, 13)
+        vals = _convergents(spec, x, 13)
         B = [forward_recurrence(spec, x, m).B for m in range(14)]
         for m in range(1, 13):
             lhs = vals[m - 1] - vals[m]

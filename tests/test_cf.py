@@ -1,4 +1,4 @@
-"""Engine-level checks: recursions, backward folding, transforms, continuants."""
+"""Engine-level checks: recursions, backward folding, and verify's toolkit."""
 
 import math
 
@@ -8,15 +8,16 @@ from hypothesis import given, settings, strategies as st
 from millscf.cf import (
     CFEvaluationError,
     CFSpec,
-    InvalidTransformError,
-    continuant_oracle,
-    convergents,
-    equivalence_transform,
     eval_backward,
-    eval_doubly_modified,
     forward_recurrence,
 )
-from millscf.gauss import laplace_spec
+from millscf.verify import (
+    _InvalidTransformError as InvalidTransformError,
+    _continuant_oracle as continuant_oracle,
+    _equivalence_transform as equivalence_transform,
+    _eval_doubly_modified as eval_doubly_modified,
+    _laplace_spec as laplace_spec,
+)
 
 LAP = laplace_spec()
 
@@ -28,16 +29,9 @@ def natural_tail(x):
 
 def test_first_convergents_by_hand():
     # 1/x, x/(x^2+1), 1/(x + 1/(x + 2/x)) worked out by hand
-    assert convergents(LAP, 2.0, 1)[0] == 0.5
-    assert convergents(LAP, 1.0, 2)[1] == 0.5
-    assert convergents(LAP, 1.0, 3)[2] == 0.75
-
-
-def test_forward_state_value_matches_convergents():
-    vals = convergents(LAP, 1.5, 12)
-    for n in range(1, 13):
-        st_ = forward_recurrence(LAP, 1.5, n)
-        assert math.isclose(st_.value(), vals[n - 1], rel_tol=1e-15)
+    assert forward_recurrence(LAP, 2.0, 1).value() == 0.5
+    assert forward_recurrence(LAP, 1.0, 2).value() == 0.5
+    assert forward_recurrence(LAP, 1.0, 3).value() == 0.75
 
 
 def test_forward_depth_zero():
@@ -92,15 +86,14 @@ def test_domain_rejection():
     with pytest.raises(ValueError):
         forward_recurrence(LAP, -1.0, 5)
     with pytest.raises(ValueError):
-        convergents(LAP, 0.0, 5)
+        forward_recurrence(LAP, 0.0, 5)
 
 
 @settings(max_examples=50, deadline=None)
 @given(x=st.floats(min_value=1e-3, max_value=1e3), n=st.integers(max_value=-1))
 def test_negative_depth_raises_on_every_route(x, n):
-    for route in (convergents, forward_recurrence):
-        with pytest.raises(ValueError, match="depth n must be >= 0"):
-            route(LAP, x, n)
+    with pytest.raises(ValueError, match="depth n must be >= 0"):
+        forward_recurrence(LAP, x, n)
     with pytest.raises(ValueError, match="depth n must be >= 0"):
         eval_backward(LAP, x, n, x)
 
@@ -120,20 +113,20 @@ def test_backward_forward_agree(x, n):
        n=st.integers(min_value=1, max_value=25))
 def test_equivalence_leaves_convergents_alone(x, c, n):
     scaled = equivalence_transform(LAP, lambda k, x_: 1.0 if k == 0 else c)
-    a = convergents(LAP, x, n)
-    b = convergents(scaled, x, n)
-    for va, vb in zip(a, b):
+    for d in range(1, n + 1):
+        va = forward_recurrence(LAP, x, d).value()
+        vb = forward_recurrence(scaled, x, d).value()
         assert math.isclose(va, vb, rel_tol=1e-12)
 
 
 def test_equivalence_validation():
     bad_head = equivalence_transform(LAP, lambda k, x: 2.0)
     with pytest.raises(InvalidTransformError):
-        convergents(bad_head, 1.0, 3)
+        forward_recurrence(bad_head, 1.0, 3)
     vanishing = equivalence_transform(
         LAP, lambda k, x: 1.0 if k == 0 else float(k - 2))
     with pytest.raises(InvalidTransformError):
-        convergents(vanishing, 1.0, 4)
+        forward_recurrence(vanishing, 1.0, 4)
 
 
 def test_doubly_modified_reductions():
@@ -189,22 +182,11 @@ def test_levels_past_the_headroom_rescale_before_the_multiply():
         assert log_b == pytest.approx(31 * math.log(x), rel=1e-13), x
 
 
-def test_convergents_rescale_before_the_multiply():
-    # x = 1e300 outgrows the headroom at every level; convergents must take
-    # forward_recurrence's path (it returned [1e-300, 0.0, 0.0, nan] when it
-    # rescaled only after the multiply)
-    x = 1e300
-    vals = convergents(LAP, x, 4)
-    assert vals == [forward_recurrence(LAP, x, d).value() for d in range(1, 5)]
-    assert vals[:2] == pytest.approx([1e-300, 1e-300], rel=1e-15)
-
-
 def test_numerators_survive_huge_x():
     # A_k falls about x below B_k: a scale shared by both pairs pushed the
     # numerators to 0 (depth 4 at x = 1e300 read 0.0); each pair has its own
     for x in (1e160, 1e300, 1.7e308):
-        vals = convergents(LAP, x, 8)
-        assert vals == [forward_recurrence(LAP, x, d).value() for d in range(1, 9)]
+        vals = [forward_recurrence(LAP, x, d).value() for d in range(1, 9)]
         for v in vals:
             assert abs(v - 1.0 / x) <= 2 * math.ulp(1.0 / x), (x, vals)
 

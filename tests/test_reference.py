@@ -20,6 +20,8 @@ from millscf.reference import (
     _mills_cf,
     _mills_cf_grid,
     _mills_series,
+    _gamma_quadrature,
+    _quadrature_nodes,
     reference_gamma_mills,
     reference_mills,
     reference_mills_grid,
@@ -235,6 +237,27 @@ def test_gamma_oracle_domain():
         reference_gamma_mills(-1.0, 2.0)
     with pytest.raises(ValueError):
         reference_gamma_mills(0.5, -2.0)
+
+
+def test_gamma_oracle_refuses_an_overflowing_quadrature():
+    # (1 + u/x)^(s-1) overflows at large s: numpy's RuntimeWarning came
+    # before the OracleError, and a nan quadrature would pass the tolerance
+    for s, x in ((200.0, 1.0), (400.0, 2.0), (1e300, 1.0)):
+        with pytest.raises(OracleError, match="quadrature inf is not finite"):
+            reference_gamma_mills(s, x)
+
+
+def test_quadrature_nodes_are_computed_once():
+    u, w = _quadrature_nodes()
+    assert _quadrature_nodes()[1] is w
+    assert not (u.flags.writeable or w.flags.writeable)
+    # the same bits as the nodes and weights built afresh on every call
+    for s, x in ((0.5, 1.0), (2.5, 3.0), (30.0, 100.0)):
+        y = (1.0 + u / x) ** (s - 1.0) * np.exp(-u)
+        h = 60.0 / 12000
+        want = float((h / 3.0) * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum()
+                                  + 2.0 * y[2:-1:2].sum()))
+        assert _gamma_quadrature(s, x) == want, (s, x)
 
 
 def test_oracle_error_is_a_runtime_error():

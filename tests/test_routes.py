@@ -60,12 +60,17 @@ def test_scalar_calls_leave_numpy_unloaded():
 
 def test_public_surface():
     names = millscf.__all__
-    assert len(names) == len(set(names)) == 38
+    assert len(names) == len(set(names)) == 31
     for name in names:
         assert getattr(millscf, name) is not None, name
-    # the proof operators live in verify, run_suites is verify.run_suites
+    # the proof operators and the forward toolkit live in verify (the
+    # forward recurrence and its state in millscf.cf), run_suites is
+    # verify.run_suites
     for name in ("mills_derivatives", "error_integrand",
-                 "second_error_integrand", "sign_operator", "run_suites"):
+                 "second_error_integrand", "sign_operator", "run_suites",
+                 "ConvergentState", "InvalidTransformError",
+                 "continuant_oracle", "convergents", "equivalence_transform",
+                 "eval_doubly_modified", "forward_recurrence"):
         assert name not in names and not hasattr(millscf, name), name
 
 

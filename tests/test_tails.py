@@ -36,6 +36,19 @@ def test_beta0_anchors():
         beta0(-1)
 
 
+def test_bad_depths_raise_value_error_naming_n():
+    # nan and inf gave nan, 2.5 a record no family can use
+    for bad in (math.nan, math.inf, -math.inf, 2.5, -1, -1.0):
+        for f in (beta0, mod_constants):
+            with pytest.raises(ValueError, match=f"n={bad!r}"):
+                f(bad)
+    # an integral depth whose r_n cancels to below 0 gave a bare
+    # "math domain error"
+    with pytest.raises(ValueError, match="n=1e[+]300"):
+        mod_constants(1e300)
+    assert mod_constants(3.0).r == mod_constants(3).r
+
+
 def test_beta0_recursion_and_bracket():
     prev = beta0(0)
     for n in range(1, 51):
