@@ -9,8 +9,8 @@ A_n/B_n satisfies the three-term (Wallis-Euler) recursion
 
 The paper's approximations are one operation, eval_backward: fold the levels
 innermost-first from a positive "tail" in place of the last denominator.
-gamma and gauss read only that, CFSpec, CFEvaluationError and the rescale
-constants.
+gamma and gauss read only that, CFSpec, CFEvaluationError, the rescale
+constants and the depth rule _check_depth.
 forward_recurrence runs the recursion above, rescaled so that B_n (which
 can grow like sqrt(n!)) never overflows; it is the second route the verify
 suites and the tests check the fold against, and it stays here because the
@@ -22,6 +22,7 @@ Laplace fraction for the Gaussian Mills ratio is 1/x.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
@@ -56,9 +57,20 @@ def _check_x(spec, x):
         )
 
 
-def _check_depth(n):
-    if n < 0:
-        raise ValueError("depth n must be >= 0")
+_MAX_DEPTH = 2**20   # the deepest fold: classic R_n takes about 0.2 s there
+
+
+def _check_depth(n, who, lo=0, top=_MAX_DEPTH):
+    """The depth rule: n as an int in [lo, top], else ValueError naming who
+    and repr(n).  Floats (integral ones too), nan, inf and None fail it."""
+    try:
+        k = operator.index(n)
+        if lo <= k <= top:
+            return k
+    except TypeError:
+        pass
+    raise ValueError(f"{who} needs a depth or term count that is an integer "
+                     f"from {lo} to {top}, got {n!r}")
 
 
 @dataclass(frozen=True)
@@ -117,7 +129,7 @@ def forward_recurrence(spec, x, n):
     |a_k| + |b_k| above 2**512 could overflow even from there, so both pairs
     are scaled down by 2**-512 before the multiply.
     """
-    _check_depth(n)
+    n = _check_depth(n, "forward_recurrence")
     _check_x(spec, x)
     A_prev, B_prev = 1.0, 0.0
     A, B = 0.0, 1.0
@@ -162,7 +174,7 @@ def eval_backward(spec, x, n, tail):
     contribute), which is what lets integer shape parameters truncate the
     Gamma fractions without dividing by junk.  n = 0 returns tail itself.
     """
-    _check_depth(n)
+    n = _check_depth(n, "eval_backward")
     if not math.isfinite(tail):
         raise CFEvaluationError(f"non-finite tail {tail!r}")
     t = float(tail)

@@ -16,6 +16,7 @@ import sys
 # compiling verify.py then lands below numpy's, not on top of it, and the
 # process's peak RSS stays about 1.8 MB lower
 from . import gauss, verify
+from .cf import _check_depth
 from .reference import OracleError, reference_mills, reference_mills_grid
 from .tails import FAMILIES, custom, get_family
 
@@ -135,13 +136,13 @@ def run_table(args):
 
 
 def run_maxerr(args):
-    if args.nmax < args.nmin:
-        raise ValueError("nmax must be >= nmin")
+    nmin = _check_depth(args.nmin, "maxerr --nmin")
+    nmax = _check_depth(args.nmax, "maxerr --nmax", lo=nmin)
     fam = _resolve_family(args)
     xmin = 1.0 if fam.kind == "classic" else 0.0
     print(f"family: {fam.kind}  scan [{_fmt(xmin)}, 20.0] step 0.001")
-    for n in range(args.nmin, args.nmax + 1):
-        if n >= 0 and fam.value(n, xmin) == 0.0:   # R_n(xmin) is infinite
+    for n in range(nmin, nmax + 1):
+        if fam.value(n, xmin) == 0.0:   # R_n(xmin) is infinite
             print(f"n={n}  undefined: {fam.kind} with n = {n} vanishes "
                   f"at x = {xmin:g}")
             continue

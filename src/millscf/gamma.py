@@ -42,11 +42,13 @@ from itertools import count
 
 from .cf import (
     _LEVEL_HEADROOM,
+    _MAX_DEPTH,
     _RESCALE_FACTOR,
     _RESCALE_LIMIT,
     _RESCALE_SHIFT,
     CFEvaluationError,
     CFSpec,
+    _check_depth,
     eval_backward,
 )
 
@@ -57,10 +59,6 @@ ADAPTIVE_MAX_DEPTH = 500
 # truncate instead of dividing through numerators of order 1e-16
 _SNAP = 1e-13
 
-# reduce_s spends about 0.1 us per step; past this many it refuses the shape
-# (from s = 2**53 on, s - (ceil(s) - 1) even rounds to 0)
-_REDUCTION_MAX_STEPS = 2**20
-
 _PAIR_SAFE = 2.0**-24   # a pair this small cannot overflow at any level
 _LOG_TWICE_MAX = math.log(1.7976931348623157e308) + math.log(2.0)
 
@@ -70,13 +68,12 @@ class ConvergenceError(ArithmeticError):
 
 
 def _check(form, s, x, n=None):
-    """The one domain check of a Gamma entry point: 0 < s, x < inf, n >= 0."""
+    """Check 0 < s, x < inf and, unless None, n by the depth rule; return n."""
     if not 0.0 < s < math.inf:
         raise ValueError(f"{form} needs a shape 0 < s < inf, got s={s!r}")
     if not 0.0 < x < math.inf:
         raise ValueError(f"{form} needs 0 < x < inf, got x={x!r}")
-    if n is not None and n < 0:
-        raise ValueError(f"{form} needs a depth n >= 0, got n={n!r}")
+    return n if n is None else _check_depth(n, form)
 
 
 def _snap_zero(v):
@@ -241,7 +238,7 @@ def _evaluate(spec, s, x, n):
 
 def cf_l1(s, x, n=None):
     """M_s(x) through the alternating-denominator form; depth n or adaptive."""
-    _check("cf_l1", s, x, n)
+    n = _check("cf_l1", s, x, n)
     return _evaluate(l1_spec(s), s, x, n)
 
 
@@ -253,7 +250,7 @@ def laguerre(s, x, n=None):
     where the first numerator x^s underflows to 0, which would make the
     fraction 0.
     """
-    _check("laguerre", s, x, n)
+    n = _check("laguerre", s, x, n)
     power = x ** (s - 1.0)
     if power == 0.0:
         raise OverflowError(
@@ -272,10 +269,9 @@ def lower_cf(s, x, n=None):
     x^(1-s) e^x Gamma(s)/2 passes the largest double: the value is larger
     there, since the median of Gamma(s) lies below s.
     """
+    n = _check("lower_cf", s, x or 1.0, n)   # x = 0 is in this form's domain
     if x == 0.0:
-        _check("lower_cf", s, 1.0, n)   # x = 0 itself is in this form's domain
         return 0.0
-    _check("lower_cf", s, x, n)
     if n is None and s <= x and s < 1e300 and (
             (1.0 - s) * math.log(x) + x + math.lgamma(s) > _LOG_TWICE_MAX):
         raise OverflowError(f"lower_cf: the cumulative side at s={s!r}, "
@@ -285,7 +281,7 @@ def lower_cf(s, x, n=None):
 
 def winitzki_cf(s, x, n=None):
     """M_s(x) through the unit-denominator form in v = 1/x."""
-    _check("winitzki_cf", s, x, n)
+    n = _check("winitzki_cf", s, x, n)
     return _evaluate(winitzki_spec(s), s, x, n)
 
 
@@ -307,10 +303,8 @@ def reduce_s(s, x, evaluator=None):
     if not callable(evaluator):
         raise TypeError(f"evaluator must be callable, got {evaluator!r}")
     steps = math.ceil(s) - 1
-    if steps > _REDUCTION_MAX_STEPS:
-        raise ValueError(
-            f"reduce_s at s={s!r} needs more than {_REDUCTION_MAX_STEPS} steps"
-        )
+    if steps > _MAX_DEPTH:
+        raise ValueError(f"reduce_s at s={s!r} needs more than {_MAX_DEPTH} steps")
     base = s - steps
     value = evaluator(base, x)
     for j in range(1, steps + 1):
@@ -330,11 +324,12 @@ def bounds_s01(s, x, n):
     value; at s = 1 the numerator 1 - s kills the fraction and both sides
     collapse to the exact value 1.
     """
-    _check("bounds_s01", s, x, n)
+    _check("bounds_s01", s, x)
+    n = _check_depth(n, "bounds_s01", top=_MAX_DEPTH - 1)
     if s > 1.0:
         raise ValueError("bounds_s01 is stated for s in (0, 1]")
     spec = l1_spec(s)
-    hi = _evaluate(spec, s, x, n + 1)   # first, so a missing n fails at once
+    hi = _evaluate(spec, s, x, n + 1)
     lo = _evaluate(spec, s, x, n)
     if lo > hi:
         lo, hi = hi, lo

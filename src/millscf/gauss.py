@@ -36,8 +36,8 @@ from functools import lru_cache
 from typing import NamedTuple, Optional
 
 from . import reference
-from .cf import (_LEVEL_HEADROOM, _RESCALE_FACTOR, _RESCALE_LIMIT,
-                 _RESCALE_SHIFT, CFEvaluationError)
+from .cf import (_LEVEL_HEADROOM, _MAX_DEPTH, _RESCALE_FACTOR, _RESCALE_LIMIT,
+                 _RESCALE_SHIFT, CFEvaluationError, _check_depth)
 from .tails import _is_array, get_family
 
 SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
@@ -92,13 +92,11 @@ _set_bound_side = Approximation.bound_side.__set__
 _set_trunc_bound = Approximation.trunc_bound.__set__
 
 
-# With x in [2^-1000, 2^1000], a tail of at least 2^-1000 and n below 2^20,
-# no step of the fold can overflow: every denominator after the tail is
-# x + k/t > x, so no quotient k/t passes 2^1020.  Only a fold outside that
-# box pays for a check at every level.
+# With x in [2^-1000, 2^1000] and a tail t >= 2^-1000, every later t is
+# x + k/t > x, and the depth rule keeps k <= 2^20, so no quotient k/t passes
+# 2^1020: no step can overflow.  Only a fold outside that box checks levels.
 _FOLD_LO = 2.0 ** -1000
 _FOLD_HI = 2.0 ** 1000
-_FOLD_MAX_N = 2 ** 20
 
 # The level numbers 0, 1, ..., 127 as floats, for the scalar recurrences:
 # k * B and k / t then take CPython's float-float paths instead of the mixed
@@ -106,11 +104,6 @@ _FOLD_MAX_N = 2 ** 20
 # product and quotient is the same double as with an int k.  Past the tuple
 # the loops fall back to range.
 _LEVELS = tuple(map(float, range(128)))
-
-
-def _outside(n, x):
-    return ValueError(f"R_n needs n >= 0, got n={n!r}" if n < 0 else
-                      f"R_n needs x >= 0, got x={x!r}")
 
 
 def _not_positive(fam, n, x, t):
@@ -126,15 +119,15 @@ def _overflow(n, x, k):
 def _fold(x, n, fam):
     """R_n from the family's tail t: t <- x + k/t for k = n, ..., 1, then 1/t.
 
-    R_n's one domain check, in order: n >= 0 and x >= 0, else ValueError;
-    x and t = beta_n(x) finite, else CFEvaluationError; t > 0, else
-    ValueError.  Every level x + k/t is then positive: no denominator
-    vanishes.  The arithmetic is cf.eval_backward(verify._laplace_spec(), x,
-    n + 1, t)'s, except that a level that overflows raises OverflowError, where
-    eval_backward folds the inf on into a wrong value (the classic R_1 at
-    x = 5e-324 came out 0).  Only the last step 1/t may overflow: R_n then
-    exceeds the largest double and is returned as inf, as truncation_bound
-    returns a bound past it.
+    R_n's one domain check once n has passed the depth rule, in order:
+    x >= 0, else ValueError; x and t = beta_n(x) finite, else
+    CFEvaluationError; t > 0, else ValueError.  Every level x + k/t is then
+    positive: no denominator vanishes.  The arithmetic is
+    cf.eval_backward(verify._laplace_spec(), x, n + 1, t)'s, except that a
+    level that overflows raises OverflowError, where eval_backward folds the
+    inf on into a wrong value (the classic R_1 at x = 5e-324 came out 0).
+    Only the last step 1/t may overflow: R_n then exceeds the largest double
+    and is returned as inf, as truncation_bound returns a bound past it.
 
     A tail that overflows at a finite x past 2^1000 (improved-expo's c_n x
     near the largest double) is no error.  For n >= 1, n/t is far below half
@@ -145,8 +138,8 @@ def _fold(x, n, fam):
     to its length, so the loop does float/float divisions; the quotients
     are the same doubles as with int levels.
     """
-    if n < 0 or x < 0.0:
-        raise _outside(n, x)
+    if x < 0.0:
+        raise ValueError(f"R_n needs x >= 0, got x={x!r}")
     t = float(fam.value(n, x))
     if not (math.isfinite(x) and math.isfinite(t)):
         if not (t == math.inf and _FOLD_HI < x < math.inf):
@@ -155,7 +148,7 @@ def _fold(x, n, fam):
             return _huge_r0(fam, x)
     if not t > 0.0:
         raise _not_positive(fam, n, x, t)
-    if _FOLD_LO <= x <= _FOLD_HI and t >= _FOLD_LO and n < _FOLD_MAX_N:
+    if _FOLD_LO <= x <= _FOLD_HI and t >= _FOLD_LO:
         for k in _LEVELS[n:0:-1] if n < len(_LEVELS) else range(n, 0, -1):
             t = x + k / t
         return 1.0 / t
@@ -189,12 +182,13 @@ def mills_grid(x, n, family="improved-expo"):
     """
     import numpy as np
 
+    n = _check_depth(n, "mills_grid")
     fam = get_family(family)
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise ValueError(f"mills_grid needs a 1-D array, got shape {x.shape}")
-    if n < 0 or (x < 0.0).any():
-        raise _outside(n, float(np.nanmin(x, initial=0.0)))
+    if (x < 0.0).any():
+        raise ValueError(f"R_n needs x >= 0, got x={np.nanmin(x).item()!r}")
     # the explicit checks are the overflow signal, not numpy's warning
     with np.errstate(over="ignore"):
         t = np.broadcast_to(fam.value(n, x), x.shape)   # or one float
@@ -232,6 +226,8 @@ def mills(x, n, family="improved-expo"):
     fam = get_family(family)
     if not isinstance(x, float) and _is_array(x):
         raise TypeError("mills takes one x; call mills_grid for an array")
+    if not (type(n) is int and 0 <= n <= _MAX_DEPTH):   # _check_depth, inlined
+        n = _check_depth(n, "mills")
     value = _fold(x, n, fam)
     bound = truncation_bound(x, n) if fam.kind == "classic" else None
     return Approximation(value, n, fam.kind, _bound_side(fam, n), bound)
@@ -282,8 +278,7 @@ def truncation_bound(x, n):
     """
     if not 0.0 < x < math.inf:
         raise ValueError(f"truncation bound needs 0 < x < inf, got x={x!r}")
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    n = _check_depth(n, "truncation_bound")
     # Level k + 1 has numerator k; level 1's numerator 1 meets B_prev = 0.
     B_prev, B = 0.0, 1.0
     scale = 0
@@ -315,6 +310,7 @@ def delta(x, n, family="improved-expo"):
     x may be a 1-D numpy array: the grid then goes through the array oracle
     and one fold over the array instead of a call per point.
     """
+    n = _check_depth(n, "delta")
     fam = get_family(family)
     if not isinstance(x, float) and _is_array(x):
         # the oracle before the fold, as on a float, so that both routes
@@ -353,11 +349,14 @@ def scan_max_delta(family, n, xmin=0.0):
     The grid has step 1e-3 and is evaluated in one array call, with the
     reference tail computed once per xmin and shared by every depth and
     family scanned on it; the bracketing interval around the best grid point
-    (the first, on ties) is narrowed to 1e-8 by golden-section search.  xmin
-    exists for the classic family, whose tail is undefined at 0.
+    (the first, on ties) is narrowed to 1e-8 by golden-section search.  xmin,
+    in [0, 20], exists for the classic family, whose tail is undefined at 0.
     """
     import numpy as np
 
+    n = _check_depth(n, "scan_max_delta")
+    if not 0.0 <= xmin <= _SCAN_XMAX:
+        raise ValueError(f"scan_max_delta needs 0 <= xmin <= 20, got xmin={xmin!r}")
     fam = get_family(family)
 
     def f(x):
@@ -387,6 +386,7 @@ def scan_max_delta(family, n, xmin=0.0):
 
 def decays_beyond(family, n):
     """True when |Delta_n| strictly decreases along x = 22, 26, 30."""
+    n = _check_depth(n, "decays_beyond")
     vals = [abs(delta(x, n, family)) for x in (22.0, 26.0, 30.0)]
     return all(a > b for a, b in zip(vals, vals[1:]))
 
@@ -408,8 +408,7 @@ def asymptotic_series(x, m):
     """
     if not x > 0.0:
         raise ValueError("asymptotic series needs x > 0")
-    if m < 0:
-        raise ValueError("m must be >= 0")
+    m = _check_depth(m, "asymptotic_series")
     xx = x * x
     total = term = 1.0
     if m and not xx:
@@ -463,9 +462,7 @@ def taylor_mills(x, m=None):
         raise ValueError(f"taylor_mills is restricted to |x| <= 4, got x={x!r}")
     if m is None:
         return taylor_sum(x)
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    return taylor_sum(x, tol=0.0, cap=m)
+    return taylor_sum(x, tol=0.0, cap=_check_depth(m, "taylor_mills", lo=1))
 
 
 def pade_r2(x, origin_terms=1):

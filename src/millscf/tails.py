@@ -31,6 +31,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
 
+from .cf import _check_depth
+
 # depths in use at once are few: n <= 60 even in long scans
 _CONSTANTS_CACHE = 128
 
@@ -49,12 +51,9 @@ def _is_array(x):
 def beta0(n):
     """Exactness value beta_n(0), by log-gamma to stay finite for large n.
 
-    n must be a finite integral value >= 0 (an int or an integral float),
-    else ValueError; the check runs on a cache miss only.
+    The depth rule (cf._check_depth) checks n on a cache miss only.
     """
-    if not (n >= 0 and (isinstance(n, int) or float(n).is_integer())):
-        raise ValueError(f"depth n must be a finite integer >= 0, got n={n!r}")
-    half = n / 2.0
+    half = _check_depth(n, "beta0") / 2.0
     return math.exp(0.5 * math.log(2.0)
                     + math.lgamma(half + 1.0) - math.lgamma(half + 0.5))
 
@@ -78,11 +77,12 @@ class ModConstants:
 
 @lru_cache(maxsize=_CONSTANTS_CACHE)
 def mod_constants(n):
-    """The ModConstants record of depth n, checked as in beta0.
+    """The ModConstants record of depth n, checked by the depth rule.
 
     r_n > 0 for every n, but as a difference of numbers near n it loses its
-    digits at huge depths; where it comes out <= 0, ValueError names n.
+    digits; where it comes out <= 0 (from n = 31301), ValueError names n.
     """
+    n = _check_depth(n, "mod_constants")
     b = beta0(n)
     g = b * b
     lam = g - n

@@ -17,8 +17,8 @@ import random
 from fractions import Fraction
 
 from . import gamma, gauss, reference
-from .cf import (CFEvaluationError, CFSpec, _check_x, _coeff, eval_backward,
-                 forward_recurrence)
+from .cf import (CFEvaluationError, CFSpec, _check_depth, _check_x, _coeff,
+                 eval_backward, forward_recurrence)
 from .tails import FAMILIES, beta0, get_family, mod_constants
 
 _X_GRID = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
@@ -60,8 +60,7 @@ def _eval_doubly_modified(spec, x, n, alpha, gamma):
     over the same combination of B's.  alpha = a_n, gamma = 0 reduces to the
     plain convergent; alpha = 0 collapses to the depth n-1 convergent.
     """
-    if n < 2:
-        raise ValueError("doubly modified evaluation needs depth n >= 2")
+    n = _check_depth(n, "doubly modified evaluation", lo=2)
     st = forward_recurrence(spec, x, n - 1)
     bn = _coeff(spec, "b", n, x)
     num = (bn + gamma) * st.A + alpha * st.A_prev
@@ -103,9 +102,6 @@ def _equivalence_transform(spec, p):
     return CFSpec(a=a2, b=b2, name=f"{spec.name}|equiv")
 
 
-_CONTINUANT_MAX = 8
-
-
 def _continuant_oracle(spec, x, n):
     """(A_n, B_n) as tridiagonal determinants via np.linalg.det, n <= 8.
 
@@ -115,8 +111,7 @@ def _continuant_oracle(spec, x, n):
     """
     import numpy as np
 
-    if not 0 <= n <= _CONTINUANT_MAX:
-        raise ValueError(f"continuant oracle supports 0 <= n <= {_CONTINUANT_MAX}")
+    n = _check_depth(n, "continuant oracle", top=8)
     _check_x(spec, x)
     m = np.zeros((n + 1, n + 1))   # m[0, 0] is A_0 = 0
     for k in range(1, n + 1):

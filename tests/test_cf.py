@@ -1,16 +1,25 @@
-"""Engine-level checks: recursions, backward folding, and verify's toolkit."""
+"""Engine-level checks: recursions, backward folding, the depth rule, and
+verify's toolkit."""
 
 import math
+from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from millscf import gamma
 from millscf.cf import (
     CFEvaluationError,
     CFSpec,
     eval_backward,
     forward_recurrence,
 )
+from millscf.gamma import bounds_s01, cf_l1, laguerre, lower_cf, winitzki_cf
+from millscf.gauss import (asymptotic_series, decays_beyond, delta, mills,
+                           mills_grid, scan_max_delta, taylor_mills,
+                           truncation_bound)
+from millscf.tails import beta0, custom, mod_constants
 from millscf.verify import (
     _InvalidTransformError as InvalidTransformError,
     _continuant_oracle as continuant_oracle,
@@ -92,10 +101,89 @@ def test_domain_rejection():
 @settings(max_examples=50, deadline=None)
 @given(x=st.floats(min_value=1e-3, max_value=1e3), n=st.integers(max_value=-1))
 def test_negative_depth_raises_on_every_route(x, n):
-    with pytest.raises(ValueError, match="depth n must be >= 0"):
+    with pytest.raises(ValueError, match=r"^forward_recurrence needs a depth"):
         forward_recurrence(LAP, x, n)
-    with pytest.raises(ValueError, match="depth n must be >= 0"):
+    with pytest.raises(ValueError, match=r"^eval_backward needs a depth"):
         eval_backward(LAP, x, n, x)
+
+
+def _untouchable(*args):
+    raise AssertionError("a tail or level was read before the depth check")
+
+
+_NO_TAIL = custom(_untouchable)
+_NO_SPEC = CFSpec(a=_untouchable, b=_untouchable, name="untouchable",
+                  levels=_untouchable)
+
+# every entry point that takes a depth or a term count, on inputs that are
+# valid apart from it; a tail, a spec level or a Gamma fold read before the
+# depth check fails the test
+_DEPTH_TAKERS = {
+    "mills": lambda n: mills(1.0, n, _NO_TAIL),
+    "mills_grid": lambda n: mills_grid(np.array([1.0]), n, _NO_TAIL),
+    "delta": lambda n: delta(1.0, n, _NO_TAIL),
+    "scan_max_delta": lambda n: scan_max_delta(_NO_TAIL, n),
+    "decays_beyond": lambda n: decays_beyond(_NO_TAIL, n),
+    "truncation_bound": lambda n: truncation_bound(1.0, n),
+    "asymptotic_series": lambda n: asymptotic_series(1.0, n),
+    "taylor_mills": lambda n: taylor_mills(1.0, n),
+    "beta0": beta0,
+    "mod_constants": mod_constants,
+    "eval_backward": lambda n: eval_backward(_NO_SPEC, 1.0, n, 1.0),
+    "forward_recurrence": lambda n: forward_recurrence(_NO_SPEC, 1.0, n),
+    "cf_l1": lambda n: cf_l1(0.5, 1.0, n),
+    "laguerre": lambda n: laguerre(0.5, 1.0, n),
+    "lower_cf": lambda n: lower_cf(0.5, 1.0, n),
+    "winitzki_cf": lambda n: winitzki_cf(0.5, 1.0, n),
+    "bounds_s01": lambda n: bounds_s01(0.5, 1.0, n),
+}
+# None means adaptive for the Gamma forms, and all terms for taylor_mills
+_NONE_IS_VALID = {"cf_l1", "laguerre", "lower_cf", "winitzki_cf", "taylor_mills"}
+
+# ints past 2**20 go up to 10**400, so an entry point that folds before it
+# checks hangs instead of passing
+_BAD_DEPTHS = st.one_of(
+    st.integers(max_value=-1),
+    st.integers(min_value=2**20 + 1, max_value=10**400),
+    st.sampled_from([2.5, 3.0, -0.0, 1e300, math.nan, math.inf, -math.inf,
+                     None]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(name=st.sampled_from(sorted(_DEPTH_TAKERS)), n=_BAD_DEPTHS)
+@example(name="bounds_s01", n=2**20)   # it folds depth n + 1
+def test_every_depth_taker_refuses_a_bad_depth_by_name(name, n):
+    if n is None and name in _NONE_IS_VALID:
+        return
+    with mock.patch.object(gamma, "_evaluate", _untouchable), \
+            pytest.raises(ValueError) as err:
+        _DEPTH_TAKERS[name](n)
+    text = str(err.value)
+    assert text.startswith(f"{name} needs a depth") and \
+        text.endswith(f"got {n!r}"), text
+
+
+def test_the_depth_rule_at_its_edges():
+    # a bare TypeError, a bare OverflowError, c_0 for nan, and a fold that
+    # did not return
+    for f, n in ((mills, 2.5), (mills, 2**20 + 1), (taylor_mills, math.nan),
+                 (taylor_mills, math.inf)):
+        with pytest.raises(ValueError, match=f"got {n!r}$"):
+            f(1.0, n, "classic") if f is mills else f(1.0, n)
+    with pytest.raises(ValueError, match="got 10{400}$"):
+        mills(1.0, 10**400, "sqrt")
+    with pytest.raises(ValueError, match="got 10{400}$"):
+        beta0(10**400)
+    # integral floats are refused, where the series took 2.5 as 3 terms
+    with pytest.raises(ValueError, match="got 3.0$"):
+        taylor_mills(1.0, 3.0)
+    with pytest.raises(ValueError, match="from 1 to"):
+        taylor_mills(1.0, 0)
+    # the deepest fold still runs (about 0.2 s); ints of any kind are depths
+    deepest = mills(1.0, 2**20, "classic")
+    assert deepest.n == 2**20 and 0.0 < deepest.value < 1.0
+    assert mills(1.0, np.int64(3), "sqrt") == mills(1.0, 3, "sqrt")
+    assert type(mills(1.0, np.int64(3)).n) is int
 
 
 @settings(max_examples=200, deadline=None)

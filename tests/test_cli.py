@@ -238,6 +238,16 @@ def test_maxerr_reads_undefined_depths_off_the_tail(tmp_path, capsys):
     assert "custom tail beta_0(0.0) = -1.0 is not positive" in err
 
 
+def test_depths_past_the_rule_exit_2_with_one_error_line(capsys):
+    # eval at n = 2**20 + 1 printed a value and exited 0
+    for argv in (["eval", "--x", "1.0", "--n", "1048577", "--family", "classic"],
+                 ["maxerr", "--nmin", "-1", "--nmax", "0"],
+                 ["maxerr", "--nmin", "0", "--nmax", "1048577"]):
+        rc, out, err = run_cli(argv, capsys)
+        assert (rc, out) == (2, ""), argv
+        assert err.count("error:") == 1 and err.startswith("error: "), argv
+
+
 def test_verify_subcommand(capsys, monkeypatch):
     rc, out, _ = run_cli(["verify", "--suite", "alternating"], capsys)
     assert rc == 0

@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import math
 import pickle
+import re
 
 import mpmath
 import numpy as np
@@ -101,7 +102,7 @@ def test_rn_domain_faults_are_refused():
     empty = mills_grid(np.array([]), 1)
     assert isinstance(empty, np.ndarray) and empty.shape == (0,)
     assert delta(np.array([]), 1).shape == (0,)
-    with pytest.raises(ValueError, match="n >= 0"):
+    with pytest.raises(ValueError, match=r"^mills_grid needs a depth .* got -1$"):
         mills_grid(np.array([1.0]), -1)
 
 
@@ -602,6 +603,18 @@ def test_scan_max_delta_improved_depth0():
     assert worst == pytest.approx(2.139459e-4, rel=1e-3)
     assert x_star == pytest.approx(1.387, abs=5e-3)
     assert decays_beyond("improved-expo", 0)
+
+
+def test_scan_refuses_xmin_outside_its_grid():
+    # nan, inf and 25 ended in numpy's argmax of an empty sequence or a bare
+    # int conversion error
+    for xmin in (math.nan, math.inf, -math.inf, 25.0, -1e-3):
+        with pytest.raises(ValueError, match=r"^scan_max_delta needs 0 <= xmin "
+                           rf"<= 20, got xmin={re.escape(repr(xmin))}$"):
+            scan_max_delta("improved-expo", 1, xmin=xmin)
+    # xmin = 20 is the grid's last point alone
+    x_star, worst = scan_max_delta("improved-expo", 1, xmin=20.0)
+    assert x_star == 20.0 and worst == abs(delta(20.0, 1))
 
 
 # (argmax, max) from the point-by-point scan that the array scan replaced

@@ -115,13 +115,20 @@ def _rn_mp(x, n, family):
         return 1 / t
 
 
+# a negative, a non-integral and a too-deep depth, which both routes refuse
+_BAD_DEPTHS = (-1, 2.5, 2**20 + 1)
+
+
 @settings(max_examples=500, deadline=None)
-@given(x=_X, n=st.integers(min_value=0, max_value=60), family=_TAILS)
+@given(x=_X, n=st.one_of(st.integers(min_value=0, max_value=60),
+                         st.sampled_from(_BAD_DEPTHS)), family=_TAILS)
 def test_scalar_and_array_routes_agree(x, n, family):
     # R_n is a positive float, inf only past the largest double, or one of
     # its documented errors; the array route gives the same on one element
     value = _outcome(lambda: mills(x, n, family).value)
-    if isinstance(value, type):
+    if n in _BAD_DEPTHS:
+        assert value is ValueError, (x, n, family, value)
+    elif isinstance(value, type):
         assert value in _RN_ERRORS, (x, n, family, value)
     else:
         assert type(mills(x, n, family).value) is float

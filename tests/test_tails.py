@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -37,16 +38,19 @@ def test_beta0_anchors():
 
 
 def test_bad_depths_raise_value_error_naming_n():
-    # nan and inf gave nan, 2.5 a record no family can use
-    for bad in (math.nan, math.inf, -math.inf, 2.5, -1, -1.0):
+    # nan and inf gave nan, 2.5 a record no family can use; the depth rule
+    # refuses integral floats too, and ints past 2**20 (10**400 gave a bare
+    # OverflowError)
+    for bad in (math.nan, math.inf, -math.inf, 2.5, -1, -1.0, 3.0, 1e300,
+                2**20 + 1, 10**400):
         for f in (beta0, mod_constants):
-            with pytest.raises(ValueError, match=f"n={bad!r}"):
+            with pytest.raises(ValueError, match=rf"^{f.__name__} needs a "
+                               rf"depth .* got {re.escape(repr(bad))}$"):
                 f(bad)
-    # an integral depth whose r_n cancels to below 0 gave a bare
-    # "math domain error"
-    with pytest.raises(ValueError, match="n=1e[+]300"):
-        mod_constants(1e300)
-    assert mod_constants(3.0).r == mod_constants(3).r
+    # within the rule, a depth whose r_n cancels to <= 0 is refused by name
+    # (1e300 gave a bare "math domain error")
+    with pytest.raises(ValueError, match="n=31301"):
+        mod_constants(31301)
 
 
 def test_beta0_recursion_and_bracket():
