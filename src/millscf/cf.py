@@ -31,7 +31,7 @@ class CFEvaluationError(ArithmeticError):
     """A continued fraction could not be evaluated at the requested point."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class CFSpec:
     """Coefficients of K(a_k/b_k), claimed for 0 < x < inf.
 
@@ -42,12 +42,28 @@ class CFSpec:
     `levels`, when set, maps x to an iterator of (a(k, x), b(k, x)) for
     k = 1, 2, ..., bit for bit the values of the callables, for loops that
     consume levels in order and cannot afford two calls per level.
+
+    Frozen and slotted, built like gauss.Approximation (every Gamma call
+    builds one): no __dict__, and dataclasses.replace works.
     """
 
     a: Callable[[int, float], float]
     b: Callable[[int, float], float]
-    name: str = ""
-    levels: Optional[Callable[[float], Iterator[tuple]]] = None
+    name: str
+    levels: Optional[Callable[[float], Iterator[tuple]]]
+
+    def __init__(self, a, b, name="", levels=None):
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_name(self, name)
+        _set_levels(self, levels)
+
+
+# the slot descriptors' setters, bound once; frozen blocks only __setattr__
+_set_a = CFSpec.a.__set__
+_set_b = CFSpec.b.__set__
+_set_name = CFSpec.name.__set__
+_set_levels = CFSpec.levels.__set__
 
 
 def _check_x(spec, x):

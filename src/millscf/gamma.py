@@ -33,8 +33,9 @@ level number exactly, so no value moves.  One flat Wallis-Euler loop folds
 that stream: a level with |a_k| + |b_k| above 2^512 scales each pair that
 could overflow down by 2^-512 before the multiply, tracking the A-B
 exponent difference, so the continuants stay finite for any finite x, and
-the new A, B are scaled down after it once either exceeds 2^500.  The
-fixed-depth route keeps using eval_backward on the a/b callables.
+the new A, B are scaled down after it once either exceeds 2^500.  The 2^512
+test runs only outside a box of (s, x) where it cannot fire (see _BOX_LO).
+The fixed-depth route keeps using eval_backward on the a/b callables.
 """
 
 import math
@@ -186,6 +187,18 @@ def winitzki_spec(s):
     return CFSpec(a=a, b=b, name="winitzki", levels=levels)
 
 
+# The box of _adaptive.  With 2^-200 <= x <= 2^200, 0 < s <= 2^200 and at
+# most 2^20 (_MAX_DEPTH) levels, every level k >= 2 of the four forms has
+# |a_k| + |b_k| <= 2^402: l1 a_k <= k + s, b_k in {x, 1}; laguerre
+# a_k = (k-1)|s-k+1|, b_k <= x + 2k + s; lower |a_k| = (k-2+s) x,
+# b_k <= k + s + x; winitzki a_k <= (k+s)/x, b_k = 1.  Level 1 is (x, x),
+# (x, s), (1, 1) or laguerre's (x^s, x+1-s), and x^s passes 2^512 at
+# moderate x (s = 142.55, x = 138.36), so the box also asks x <= 1 or
+# s log2 x <= 500 (x^s at most about 2^501).  Inside it the headroom test
+# cannot fire, rounding included, so skipping it gives the same bits.
+_BOX_LO, _BOX_HI = 2.0**-200, 2.0**200
+
+
 def _adaptive(spec, s, x, rel_tol=ADAPTIVE_REL_TOL, max_depth=ADAPTIVE_MAX_DEPTH):
     # forward recursion, stopping on relative agreement of successive
     # convergents.  Every level leaves all four continuants at most 2**500 in
@@ -193,12 +206,15 @@ def _adaptive(spec, s, x, rel_tol=ADAPTIVE_REL_TOL, max_depth=ADAPTIVE_MAX_DEPTH
     # A level past the headroom scales only a pair that could overflow, so
     # a far smaller pair is not pushed to 0; `shift` = A's exponent - B's.
     headroom, limit, factor = _LEVEL_HEADROOM, _RESCALE_LIMIT, _RESCALE_FACTOR
+    # the headroom test cannot fire inside the box of _BOX_LO
+    checked = not (_BOX_LO <= x <= _BOX_HI and s <= _BOX_HI and max_depth <= _MAX_DEPTH
+                   and (x <= 1.0 or s * math.log2(x) <= 500.0))
     A_prev, B_prev = 1.0, 0.0
     A, B = 0.0, 1.0
     shift = 0
     prev = math.nan   # no convergent yet: the first agreement test fails
     for _, (ak, bk) in zip(range(max_depth), spec.levels(x)):
-        if abs(ak) + abs(bk) > headroom:
+        if checked and abs(ak) + abs(bk) > headroom:
             if abs(A) > _PAIR_SAFE or abs(A_prev) > _PAIR_SAFE:
                 A, A_prev = A * factor, A_prev * factor
                 shift += _RESCALE_SHIFT
@@ -246,16 +262,25 @@ def laguerre(s, x, n=None):
     """M_s(x) through the contracted form; exact at integer s.
 
     Raises OverflowError where x^(s-1) underflows to 0: M_s(x) is at least
-    0.88 x^(1-s) there, past the largest double.  Raises CFEvaluationError
-    where the first numerator x^s underflows to 0, which would make the
-    fraction 0.
+    0.88 x^(1-s) there, past the largest double; likewise where it overflows
+    (subnormal x, s < 1) and cannot be divided back out.  Raises
+    CFEvaluationError where the first numerator x^s underflows to 0, which
+    would make the fraction 0, and where it overflows (x > 1), which the
+    contracted form cannot carry; cf_l1 evaluates M_s(x) there.
     """
     n = _check("laguerre", s, x, n)
-    power = x ** (s - 1.0)
+    try:
+        power, first = x ** (s - 1.0), x ** s
+    except OverflowError:
+        if x < 1.0:   # subnormal x and s < 1: only the divisor overflows
+            raise OverflowError(f"laguerre: the divisor x**(s-1) at s={s!r}, "
+                                f"x={x!r} exceeds the largest double") from None
+        raise CFEvaluationError(f"laguerre form of M_s(x) at s={s!r}, x={x!r}: "
+                                "the first numerator x**s overflows") from None
     if power == 0.0:
         raise OverflowError(
             f"laguerre: M_s(x) at s={s!r}, x={x!r} exceeds the largest double")
-    if x ** s == 0.0:
+    if first == 0.0:
         raise CFEvaluationError(
             f"laguerre form of M_s(x) at s={s!r}, x={x!r}: the first "
             "numerator x**s underflows to 0")

@@ -1,6 +1,7 @@
 """Engine-level checks: recursions, backward folding, the depth rule, and
 verify's toolkit."""
 
+import dataclasses
 import math
 from unittest import mock
 
@@ -296,3 +297,22 @@ def test_cross_determinant_under_separate_scales():
         # the unit fraction's convergents are F_n / F_{n+1}
         assert st_.value() == pytest.approx(
             2.0 ** -900 * fib[n - 1] / fib[n], rel=1e-15)
+
+
+def test_cfspec_is_a_frozen_slotted_record():
+    a = lambda k, x: 1.0
+    b = lambda k, x: x
+    spec = CFSpec(a, b)
+    assert (spec.a, spec.b, spec.name, spec.levels) == (a, b, "", None)
+    assert not hasattr(spec, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        spec.name = "other"
+    stream = lambda x: iter(())
+    kw = CFSpec(a=a, b=b, name="n", levels=stream)
+    assert kw == CFSpec(a, b, "n", stream) and kw != spec
+    assert (kw.name, kw.levels) == ("n", stream)
+    # the benchmark tracer swaps a counting a in through replace
+    f = lambda k, x: 2.0
+    swapped = dataclasses.replace(kw, a=f)
+    assert type(swapped) is CFSpec and swapped.a is f
+    assert (swapped.b, swapped.name, swapped.levels) == (b, "n", stream)

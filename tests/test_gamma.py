@@ -12,7 +12,13 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import gammainc, gammaln
 
 from millscf import gamma
-from millscf.cf import CFEvaluationError
+from millscf.cf import (
+    _LEVEL_HEADROOM,
+    _RESCALE_FACTOR,
+    _RESCALE_LIMIT,
+    _RESCALE_SHIFT,
+    CFEvaluationError,
+)
 from millscf.gamma import (
     ConvergenceError,
     bounds_s01,
@@ -177,6 +183,22 @@ def test_laguerre_at_tiny_x_raises_documented_errors():
                 laguerre(s, x, n)
 
 
+def test_laguerre_at_large_x_power_raises_a_documented_error():
+    # x^s (or x^(s-1)) past the largest double raised the bare pow error
+    # "(34, 'Numerical result out of range')"; M_s(x) is about 1 + (s-1)/x
+    for s, x in ((50.0, 1e10), (31.5, 1e10)):
+        assert cf_l1(s, x) == pytest.approx(1.0 + (s - 1.0) / x, rel=1e-15)
+        for n in (None, 0, 3):
+            with pytest.raises(CFEvaluationError, match=re.escape(
+                    f"laguerre form of M_s(x) at s={s!r}, x={x!r}: the first "
+                    "numerator x**s overflows")):
+                laguerre(s, x, n)
+    # at subnormal x and small s only the divisor x^(s-1) overflows
+    with pytest.raises(OverflowError, match=re.escape(
+            "laguerre: the divisor x**(s-1) at s=0.001, x=5e-324 exceeds")):
+        laguerre(0.001, 5e-324)
+
+
 def test_subnormal_x_gives_no_underflowed_value():
     # M_{1/2}(x) = sqrt(pi x) e^x erfc(sqrt x), about 3.9e-162 at x = 5e-324;
     # cf_l1 returned 0.0 at 5e-324 and 1e-320, where two convergents that
@@ -266,6 +288,76 @@ def test_adaptive_matches_the_per_level_reference():
                 assert _outcome(gamma._adaptive, spec, 0.5, x, 1e-12, d) == \
                     _outcome(_reference_adaptive, spec, 0.5, x, 1e-12, d), \
                     (spec.name, x, d)
+
+
+def _checked_adaptive(spec, s, x, rel_tol=gamma.ADAPTIVE_REL_TOL,
+                      max_depth=gamma.ADAPTIVE_MAX_DEPTH):
+    """gamma._adaptive as it was before the box: every level is checked."""
+    headroom, limit, factor = _LEVEL_HEADROOM, _RESCALE_LIMIT, _RESCALE_FACTOR
+    A_prev, B_prev = 1.0, 0.0
+    A, B = 0.0, 1.0
+    shift = 0
+    prev = math.nan   # no convergent yet: the first agreement test fails
+    for _, (ak, bk) in zip(range(max_depth), spec.levels(x)):
+        if abs(ak) + abs(bk) > headroom:
+            if abs(A) > gamma._PAIR_SAFE or abs(A_prev) > gamma._PAIR_SAFE:
+                A, A_prev = A * factor, A_prev * factor
+                shift += _RESCALE_SHIFT
+            if abs(B) > gamma._PAIR_SAFE or abs(B_prev) > gamma._PAIR_SAFE:
+                B, B_prev = B * factor, B_prev * factor
+                shift -= _RESCALE_SHIFT
+        A, A_prev = bk * A + ak * A_prev, A
+        B, B_prev = bk * B + ak * B_prev, B
+        if abs(A) > limit or abs(B) > limit:
+            A, B = A * factor, B * factor
+            A_prev, B_prev = A_prev * factor, B_prev * factor
+        if B != 0.0:
+            cur = A / B
+            if shift:
+                cur = math.ldexp(cur, shift)
+            mag = abs(cur)
+            if abs(cur - prev) <= rel_tol * (mag if mag > 1e-300 else 1e-300):
+                if cur != 0.0 and prev != 0.0:
+                    return cur
+            prev = cur
+    raise ConvergenceError(
+        f"{spec.name} form of M_s(x) at s={s!r}, x={x!r}: successive "
+        f"convergents still apart after {max_depth} levels"
+    )
+
+
+def _same_as_checked(s, x):
+    for factory in SPECS:
+        spec = factory(s)
+        assert _outcome(gamma._adaptive, spec, s, x) == \
+            _outcome(_checked_adaptive, spec, s, x), (spec.name, s, x)
+
+
+def test_adaptive_box_gives_the_bits_of_the_checked_loop():
+    # the box's edges, with the far sides of each, points far outside it
+    # where the headroom test changes the result, and the laguerre level-1
+    # region, where x^s passes 2^512 (and 2^1012) at moderate x
+    lo, hi = 2.0**-200, 2.0**200
+    edges = [lo, hi, math.nextafter(lo, 0.0), math.nextafter(lo, 1.0),
+             math.nextafter(hi, 0.0), math.nextafter(hi, math.inf)]
+    xs = edges + [5e-324, 1e-300, 1e-190, 1e-72, 1e154, 1e232, 1e300,
+                  1.7976931348623157e308]
+    shapes = [hi, math.nextafter(hi, 0.0), math.nextafter(hi, math.inf), 0.5, 7.3,
+              1e3, 1e250]
+    for s in shapes:
+        for x in xs:
+            _same_as_checked(s, x)
+    _same_as_checked(142.55348917826527, 138.3648412257077)
+    for s in np.linspace(140.0, 400.0, 27).tolist():
+        for d in np.linspace(-4.0, 4.0, 9).tolist():
+            _same_as_checked(s, s - 1.0 + d)
+
+
+@settings(max_examples=150, deadline=None)
+@given(s=st.floats(min_value=0.0, max_value=2.0**21, exclude_min=True),
+       x=st.floats(min_value=5e-324, max_value=1.7976931348623157e308))
+def test_adaptive_box_matches_the_checked_loop_everywhere(s, x):
+    _same_as_checked(s, x)
 
 
 def test_level_streams_match_the_coefficient_callables():
