@@ -9,8 +9,11 @@ A_n/B_n satisfies the three-term (Wallis-Euler) recursion
 
 The paper's approximations are one operation, eval_backward: fold the levels
 innermost-first from a positive "tail" in place of the last denominator.
-gamma and gauss read only that, CFSpec, CFEvaluationError, the rescale
-constants and the depth rule _check_depth.
+gauss (on a tail family) and gamma (on a spec's level stream) run that
+fold's arithmetic in their own _fold, and the tests check them against
+it.  From here both read CFEvaluationError, the rescale constants,
+the depth rule _check_depth and the record helper _frozen_slots (gauss) or
+CFSpec (gamma).
 forward_recurrence runs the recursion above, rescaled so that B_n (which
 can grow like sqrt(n!)) never overflows; it is the second route the verify
 suites and the tests check the fold against, and it stays here because the
@@ -23,7 +26,7 @@ Laplace fraction for the Gaussian Mills ratio is 1/x.
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Callable, Iterator, Optional
 
 
@@ -31,6 +34,29 @@ class CFEvaluationError(ArithmeticError):
     """A continued fraction could not be evaluated at the requested point."""
 
 
+def _frozen_slots(cls):
+    """Make every attribute set or delete on cls raise FrozenInstanceError.
+
+    The __setattr__/__delattr__ that dataclass(frozen=True) writes call
+    super() on the class that slots=True replaced, so a name that is not a
+    field raised TypeError.  Constructors store fields through the slot
+    descriptors, which never call __setattr__, so building costs the same.
+    """
+
+    frozen = f"of a frozen {cls.__name__}"
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to {name!r} {frozen}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete {name!r} {frozen}")
+
+    cls.__setattr__ = __setattr__
+    cls.__delattr__ = __delattr__
+    return cls
+
+
+@_frozen_slots
 @dataclass(frozen=True, slots=True, init=False)
 class CFSpec:
     """Coefficients of K(a_k/b_k), claimed for 0 < x < inf.
@@ -41,7 +67,9 @@ class CFSpec:
 
     `levels`, when set, maps x to an iterator of (a(k, x), b(k, x)) for
     k = 1, 2, ..., bit for bit the values of the callables, for loops that
-    consume levels in order and cannot afford two calls per level.
+    cannot afford two calls per level.  Every Gamma spec sets it, and the
+    Gamma forms read only it: the adaptive loop consumes it in order, and a
+    fixed depth n folds a list of its first n levels backward.
 
     Frozen and slotted, built like gauss.Approximation (every Gamma call
     builds one): no __dict__, and dataclasses.replace works.
@@ -59,7 +87,7 @@ class CFSpec:
         _set_levels(self, levels)
 
 
-# the slot descriptors' setters, bound once; frozen blocks only __setattr__
+# the slot descriptors' setters, bound once; they bypass __setattr__
 _set_a = CFSpec.a.__set__
 _set_b = CFSpec.b.__set__
 _set_name = CFSpec.name.__set__

@@ -24,22 +24,26 @@ runs the fraction adaptively until two successive nonzero convergents agree
 to 1e-12 relative, capped at depth 500 (no a-priori truncation bound is
 available here, unlike the Gaussian case).
 
-The adaptive route reads each form's coefficients from one level stream,
+Both routes read each form's coefficients from one level stream,
 the spec's `levels(x)` generator, which yields (a_k, b_k) for k = 1, 2, ...
 with the same arithmetic as the spec's a/b callables, so the values are
 bit for bit the same.  The streams count their levels in floats
 (count(1.0)), which keeps every operation float-float; a double holds each
-level number exactly, so no value moves.  One flat Wallis-Euler loop folds
-that stream: a level with |a_k| + |b_k| above 2^512 scales each pair that
-could overflow down by 2^-512 before the multiply, tracking the A-B
-exponent difference, so the continuants stay finite for any finite x, and
-the new A, B are scaled down after it once either exceeds 2^500.  The 2^512
-test runs only outside a box of (s, x) where it cannot fire (see _BOX_LO).
-The fixed-depth route keeps using eval_backward on the a/b callables.
+level number exactly, so no value moves.  Adaptively, one flat
+Wallis-Euler loop folds that stream: a level with |a_k| + |b_k| above
+2^512 scales each pair that could overflow down by 2^-512 before the
+multiply, tracking the A-B exponent difference, so the continuants stay
+finite for any finite x, and the new A, B are scaled down after it once
+either exceeds 2^500.  The 2^512 test runs only outside a box of (s, x)
+where it cannot fire (see _BOX_LO).
+A fixed depth n folds the first n levels of the same stream backward
+(_fold), with eval_backward's arithmetic and checks in its order, so it
+gives eval_backward's bits without two coefficient calls per level;
+bounds_s01 folds both of its depths from one list of n + 1 levels.
 """
 
 import math
-from itertools import count
+from itertools import count, islice
 
 from .cf import (
     _LEVEL_HEADROOM,
@@ -50,7 +54,6 @@ from .cf import (
     CFEvaluationError,
     CFSpec,
     _check_depth,
-    eval_backward,
 )
 
 ADAPTIVE_REL_TOL = 1e-12
@@ -244,12 +247,54 @@ def _adaptive(spec, s, x, rel_tol=ADAPTIVE_REL_TOL, max_depth=ADAPTIVE_MAX_DEPTH
     )
 
 
+def _fold(levels, n, name):
+    """cf.eval_backward(spec, x, n, spec.b(n, x)) on a list of spec.levels(x).
+
+    levels[k-1] is (a_k, b_k); n >= 1 of them are folded, innermost first,
+    with the tail b_n.  The checks, their order and their texts are
+    eval_backward's, so the outcome is the same bits or the same error.
+    The list is built first, so a level the stream cannot compute raises
+    before any check; only laguerre's x**s can, and laguerre() tests it
+    before it folds.
+    """
+    isfinite = math.isfinite
+    am, t = levels[n - 1]
+    if not isfinite(t):
+        raise CFEvaluationError(f"non-finite tail {t!r}")
+    t = float(t)
+    for m in range(n, 1, -1):
+        a_next, lead = levels[m - 2]
+        if not isfinite(am):
+            raise CFEvaluationError(
+                f"non-finite coefficient a({m}) = {am!r} in spec {name!r}")
+        if not isfinite(lead):
+            raise CFEvaluationError(
+                f"non-finite coefficient b({m - 1}) = {lead!r} in spec {name!r}")
+        if am == 0.0:
+            t = lead
+        elif t == 0.0:
+            raise CFEvaluationError(
+                f"zero denominator while folding level {m} of spec {name!r}")
+        else:
+            t = lead + am / t
+        am = a_next
+    if not isfinite(am):
+        raise CFEvaluationError(
+            f"non-finite coefficient a(1) = {am!r} in spec {name!r}")
+    if am == 0.0:
+        return 0.0
+    if t == 0.0:
+        raise CFEvaluationError(
+            f"zero denominator while folding level 1 of spec {name!r}")
+    return 0.0 + am / t   # b_0 = 0 turns a -0.0 into 0.0, as eval_backward
+
+
 def _evaluate(spec, s, x, n):
     if n is None:
         return _adaptive(spec, s, x)
     if n == 0:
         return 0.0
-    return eval_backward(spec, x, n, spec.b(n, x))
+    return _fold(list(islice(spec.levels(x), n)), n, spec.name)
 
 
 def cf_l1(s, x, n=None):
@@ -354,8 +399,9 @@ def bounds_s01(s, x, n):
     if s > 1.0:
         raise ValueError("bounds_s01 is stated for s in (0, 1]")
     spec = l1_spec(s)
-    hi = _evaluate(spec, s, x, n + 1)
-    lo = _evaluate(spec, s, x, n)
+    levels = list(islice(spec.levels(x), n + 1))
+    hi = _fold(levels, n + 1, spec.name)
+    lo = _fold(levels, n, spec.name) if n else 0.0
     if lo > hi:
         lo, hi = hi, lo
     return lo, hi

@@ -37,7 +37,7 @@ from typing import NamedTuple, Optional
 
 from . import reference
 from .cf import (_LEVEL_HEADROOM, _MAX_DEPTH, _RESCALE_FACTOR, _RESCALE_LIMIT,
-                 _RESCALE_SHIFT, CFEvaluationError, _check_depth)
+                 _RESCALE_SHIFT, CFEvaluationError, _check_depth, _frozen_slots)
 from .tails import _is_array, get_family
 
 SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
@@ -60,6 +60,7 @@ def phi(x):
         return np.exp(-0.5 * x * x) / SQRT_TWO_PI
 
 
+@_frozen_slots
 @dataclass(frozen=True, slots=True, init=False)
 class Approximation:
     """One evaluated Mills approximation with its bound metadata.
@@ -84,7 +85,7 @@ class Approximation:
         _set_trunc_bound(self, trunc_bound)
 
 
-# the slot descriptors' setters, bound once; frozen blocks only __setattr__
+# the slot descriptors' setters, bound once; they bypass __setattr__
 _set_value = Approximation.value.__set__
 _set_n = Approximation.n.__set__
 _set_family = Approximation.family.__set__

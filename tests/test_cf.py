@@ -156,7 +156,9 @@ _BAD_DEPTHS = st.one_of(
 def test_every_depth_taker_refuses_a_bad_depth_by_name(name, n):
     if n is None and name in _NONE_IS_VALID:
         return
+    # bounds_s01 folds through gamma._fold, the Gamma forms through _evaluate
     with mock.patch.object(gamma, "_evaluate", _untouchable), \
+            mock.patch.object(gamma, "_fold", _untouchable), \
             pytest.raises(ValueError) as err:
         _DEPTH_TAKERS[name](n)
     text = str(err.value)
@@ -307,6 +309,12 @@ def test_cfspec_is_a_frozen_slotted_record():
     assert not hasattr(spec, "__dict__")
     with pytest.raises(dataclasses.FrozenInstanceError):
         spec.name = "other"
+    # a name that is not a field is refused the same way, set or deleted
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        spec.other = 1
+    for name in ("name", "other"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(spec, name)
     stream = lambda x: iter(())
     kw = CFSpec(a=a, b=b, name="n", levels=stream)
     assert kw == CFSpec(a, b, "n", stream) and kw != spec

@@ -18,6 +18,8 @@ from millscf.cf import (
     _RESCALE_LIMIT,
     _RESCALE_SHIFT,
     CFEvaluationError,
+    CFSpec,
+    eval_backward,
 )
 from millscf.gamma import (
     ConvergenceError,
@@ -360,15 +362,114 @@ def test_adaptive_box_matches_the_checked_loop_everywhere(s, x):
     _same_as_checked(s, x)
 
 
+# the domain edges, with 2^-200 and 2^200 and their neighbours
+EDGE_XS = [5e-324, 1e-320, 1e-300, 2.0**-200, math.nextafter(2.0**-200, 0.0),
+           math.nextafter(2.0**-200, 1.0), 2.0**200, math.nextafter(2.0**200, 0.0),
+           math.nextafter(2.0**200, math.inf), 1e300, 1.7976931348623157e308]
+# shapes within _SNAP of an integer, which the streams snap
+NEAR_INTEGER_SHAPES = (3.0 - 1e-14, 7.0 + 5e-14)
+
+
+def _levels_or_error(make):
+    try:
+        return np.array(make()).tobytes()
+    except OverflowError as exc:   # laguerre's a_1 = x**s past a double
+        return type(exc), str(exc)
+
+
 def test_level_streams_match_the_coefficient_callables():
+    # the fixed-depth route folds the stream, so this pins it everywhere
+    # that route reaches, domain edges and snapped shapes included
     for factory in SPECS:
-        for s in SHAPES:
+        for s in SHAPES + NEAR_INTEGER_SHAPES:
             spec = factory(s)
-            for x in XS:
-                stream = list(islice(spec.levels(x), 500))
-                want = [(spec.a(k, x), spec.b(k, x)) for k in range(1, 501)]
-                assert np.array(stream).tobytes() == np.array(want).tobytes(), \
-                    (spec.name, s, x)
+            for x in XS + EDGE_XS:
+                stream = _levels_or_error(lambda: list(islice(spec.levels(x), 500)))
+                want = _levels_or_error(
+                    lambda: [(spec.a(k, x), spec.b(k, x)) for k in range(1, 501)])
+                assert stream == want, (spec.name, s, x)
+
+
+def _callable_fold(spec, x, n):
+    """The fixed-depth route as it was: eval_backward on the a/b callables."""
+    return eval_backward(spec, x, n, spec.b(n, x))
+
+
+def _two_call_bounds(s, x, n):
+    """bounds_s01 as it was: each end folded on its own from the callables."""
+    spec = gamma.l1_spec(s)
+    hi = _callable_fold(spec, x, n + 1)
+    lo = _callable_fold(spec, x, n) if n else 0.0
+    if lo > hi:
+        lo, hi = hi, lo
+    return lo, hi
+
+
+def _pair_outcome(fn, *args):
+    try:
+        return struct.pack("<2d", *fn(*args))
+    except ArithmeticError as exc:
+        return type(exc), str(exc)
+
+
+def _same_fold(spec, s, x, n):
+    assert _outcome(gamma._evaluate, spec, s, x, n) == \
+        _outcome(_callable_fold, spec, x, n), (spec.name, s, x, n)
+
+
+def _same_bounds(s, x, n):
+    assert _pair_outcome(bounds_s01, s, x, n) == \
+        _pair_outcome(_two_call_bounds, s, x, n), (s, x, n)
+
+
+def test_fixed_depth_folds_the_bits_of_eval_backward():
+    # a fixed depth folds spec.levels(x): same value bits, or the same
+    # error type and text, as eval_backward on the a/b callables
+    raised = 0
+    for factory in SPECS:
+        for s in SHAPES + NEAR_INTEGER_SHAPES:
+            spec = factory(s)
+            for x in XS + EDGE_XS:
+                for n in (1, 2, 3, 17, 40, 41, 400, 500):
+                    _same_fold(spec, s, x, n)
+                raised += isinstance(_outcome(gamma._evaluate, spec, s, x, 3), tuple)
+    assert raised > 0   # the error paths are compared too
+    # int s and x reach the fold as they are; eval_backward floats the tail,
+    # and x/3.0 here is not the int quotient x/3
+    for n in (1, 2, 3):
+        _same_fold(gamma.lower_spec(3), 3, 2**60 + 32, n)
+    for s in (0.01, 0.3, 0.5, 1.0 - 1e-14, 1.0):
+        for x in XS + EDGE_XS:
+            for n in list(range(45)) + [399, 499]:
+                _same_bounds(s, x, n)
+
+
+def test_fold_checks_levels_in_the_order_of_eval_backward():
+    # levels no Gamma spec yields at valid (s, x): non-finite tails and b_k,
+    # zero numerators and denominators, and a level 1 quotient of -0.0
+    values = (1.0, -1.0, 2.0, 0.0, -0.0, 5e-324, -5e-324, 1e308, math.inf,
+              -math.inf, math.nan)
+    rng = np.random.default_rng(19)
+    for _ in range(4000):
+        n = int(rng.integers(1, 7))
+        rows = [tuple(float(v) for v in rng.choice(values, 2)) for _ in range(n)]
+        spec = CFSpec(a=lambda k, x: rows[k - 1][0], b=lambda k, x: rows[k - 1][1],
+                      name="table")
+        assert _outcome(gamma._fold, rows, n, "table") == \
+            _outcome(_callable_fold, spec, 1.0, n), rows
+    assert _outcome(gamma._fold, [(-5e-324, 1e10)], 1, "table") == \
+        struct.pack("<d", 0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(s=st.floats(min_value=0.0, max_value=64.0, exclude_min=True),
+       x=st.floats(min_value=5e-324, max_value=1.7976931348623157e308),
+       n=st.integers(min_value=0, max_value=64),
+       form=st.sampled_from(SPECS))
+def test_fixed_depth_matches_eval_backward_everywhere(s, x, n, form):
+    if n:
+        _same_fold(form(s), s, x, n)
+    _same_bounds(min(s, 1.0), x, n)
 
 
 @settings(max_examples=200, deadline=None)

@@ -275,7 +275,10 @@ def test_approximation_record_semantics():
         for name in names:
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(a, name, None)
-        with pytest.raises((AttributeError, TypeError)):
+        for name in names + ["extra"]:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(a, name)
+        with pytest.raises(dataclasses.FrozenInstanceError):
             a.extra = 1
         assert not hasattr(a, "__dict__")
         assert not isinstance(a, tuple)   # callers that encode tuples differ
