@@ -15,9 +15,10 @@ forms are implemented and cross-checked against one another:
 At s = 1/2 the first form reduces to the Gaussian Laplace fraction:
 M_{1/2}(z^2/2) = z R(z) with R the Gaussian Mills ratio (substitute
 u = t^2/2 in the tail integral).  For s > 1 the ratio is reduced by
-induction on the integer part via M_s = 1 + ((s-1)/x) M_{s-1}, so only
-shapes in (0, 1] ever reach a fraction; there the cf_l1 coefficients stay
-nonnegative and consecutive convergents bracket the true value.
+induction on the integer part via M_s = 1 + ((s-1)/x) M_{s-1}, which
+starts from the lower series below x = base + 1 (see reduce_s).  For s in
+(0, 1] the cf_l1 coefficients stay nonnegative and consecutive convergents
+bracket the true value.
 
 Depth control: passing n evaluates a single depth-n convergent; omitting it
 runs the fraction adaptively until two successive nonzero convergents agree
@@ -108,7 +109,7 @@ def l1_spec(s):
             yield (0.0 if abs(t) < _SNAP else t), 1.0
             yield j, x
 
-    return CFSpec(a=a, b=b, name="l1", levels=levels)
+    return CFSpec(a, b, "l1", levels)
 
 
 def laguerre_spec(s):
@@ -133,7 +134,7 @@ def laguerre_spec(s):
             t = s - k + 1.0
             yield (k - 1.0) * (0.0 if abs(t) < _SNAP else t), x + 2.0 * k - 1.0 - s
 
-    return CFSpec(a=a, b=b, name="laguerre", levels=levels)
+    return CFSpec(a, b, "laguerre", levels)
 
 
 def lower_spec(s):
@@ -158,7 +159,7 @@ def lower_spec(s):
         for k in count(2.0):
             yield -(k - 2.0 + s) * x, (k - 1.0) + s + x
 
-    return CFSpec(a=a, b=b, name="lower", levels=levels)
+    return CFSpec(a, b, "lower", levels)
 
 
 def winitzki_spec(s):
@@ -187,7 +188,7 @@ def winitzki_spec(s):
             yield (0.0 if abs(t) < _SNAP else t) * v, 1.0
             yield j * v, 1.0
 
-    return CFSpec(a=a, b=b, name="winitzki", levels=levels)
+    return CFSpec(a, b, "winitzki", levels)
 
 
 # The box of _adaptive.  With 2^-200 <= x <= 2^200, 0 < s <= 2^200 and at
@@ -355,29 +356,70 @@ def winitzki_cf(s, x, n=None):
     return _evaluate(winitzki_spec(s), s, x, n)
 
 
+def _lower_series(s, x):
+    """M_s(x) from the lower incomplete-gamma series, for s > 0 and x < s + 1.
+
+    With Q_k = s(s+1)...(s+k-1), x^(1-s) e^x gamma(s, x) = sum_{k>=1} x^k/Q_k,
+    so M_s(x) = exp((1-s) ln x + x + lgamma(s)) - sum_{k>=1} x^k/Q_k.  Every
+    term is positive and each is x/(s+k) < 1 times the one before; the sum
+    stops once a term no longer moves it (below half an ulp), after at most
+    27 terms for s in (1, 2].  The difference keeps Gamma(s, x)/Gamma(s) of
+    the first term, at least e^-2 for s >= 1, so it cancels less than a
+    digit there.  Raises math.exp's OverflowError where the first term
+    passes the largest double.
+    """
+    first = math.exp((1.0 - s) * math.log(x) + x + math.lgamma(s))
+    term = total = x / s
+    k = s
+    while True:
+        k += 1.0
+        term *= x / k
+        new = total + term
+        if new == total:
+            return first - total
+        total = new
+
+
 def reduce_s(s, x, evaluator=None):
     """M_s(x) for s > 1 by induction on the integer part of the shape.
 
     M_s = 1 + ((s-1)/x) M_{s-1} follows from integrating Gamma(s, x) by
-    parts; applied repeatedly it lowers the shape into (0, 1], where the
-    supplied evaluator (default: adaptive laguerre) takes over.  Raises
-    OverflowError as soon as the running value stops being finite, which
-    happens when M_s(x) exceeds the largest double (large s, small x), and
-    ValueError for shapes that need more than 2**20 steps (s > 2**20 + 1).
+    parts; applied repeatedly it lowers the shape to a base in (0, 1].  A
+    supplied evaluator takes over at the base.  By default the base is
+    M_1 = 1 at an integer shape; otherwise the lower series (_lower_series)
+    gives M_{base+1} below x = base + 1, and adaptive laguerre gives M_base
+    from x = base + 1 on.  Starting at base + 1 skips the step (base/x) M_base,
+    which overflows at subnormal x, and Gamma(base), which overflows at a
+    tiny base.  Raises OverflowError as soon as the running value stops
+    being finite, which happens when M_s(x) exceeds the largest double
+    (large s, small x), and ValueError for shapes that need more than 2**20
+    steps (s > 2**20 + 1).
     """
     _check("reduce_s", s, x)
     if s <= 1.0:
         raise ValueError("reduce_s handles s > 1; call an evaluator directly")
-    if evaluator is None:
-        evaluator = laguerre
-    if not callable(evaluator):
+    if evaluator is not None and not callable(evaluator):
         raise TypeError(f"evaluator must be callable, got {evaluator!r}")
     steps = math.ceil(s) - 1
     if steps > _MAX_DEPTH:
         raise ValueError(f"reduce_s at s={s!r} needs more than {_MAX_DEPTH} steps")
     base = s - steps
-    value = evaluator(base, x)
-    for j in range(1, steps + 1):
+    done = 0
+    if evaluator is not None:
+        value = evaluator(base, x)
+    elif base == 1.0:
+        value = 1.0   # M_1 = 1; laguerre(1.0, x) drops bits of x below x = 0.66
+    elif x < base + 1.0:
+        # M_{base+1} >= 1; near base = 0 the difference can round an ulp below
+        try:
+            value = max(_lower_series(base + 1.0, x), 1.0)
+        except OverflowError:
+            raise OverflowError(f"M_s(x) at s={s!r}, x={x!r} exceeds the "
+                                "largest double") from None
+        done = 1
+    else:
+        value = laguerre(base, x)
+    for j in range(done + 1, steps + 1):
         value = 1.0 + ((base + j - 1.0) / x) * value
         if not math.isfinite(value):
             raise OverflowError(

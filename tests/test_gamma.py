@@ -3,9 +3,11 @@
 import math
 import re
 import struct
+import sys
 import time
 from itertools import islice
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -119,6 +121,9 @@ def test_reduce_s():
             assert reduce_s(s, x) == pytest.approx(direct, rel=1e-8), (s, x)
     assert reduce_s(4.5, 3.0, evaluator=lambda s_, x_: laguerre(s_, x_, 80)) == \
         pytest.approx(laguerre(4.5, 3.0, 80), rel=1e-8)
+    # an integer shape starts from M_1 = 1; laguerre(1.0, x) gave
+    # 0.9999999999999991 at x = 0.1 and raised ConvergenceError at 1e-20
+    assert (reduce_s(2.0, 0.1), reduce_s(3.0, 0.1), reduce_s(2.0, 1e-20)) == (11.0, 221.0, 1e20)
     with pytest.raises(ValueError):
         reduce_s(1.0, 2.0)
     with pytest.raises(ValueError):
@@ -223,6 +228,49 @@ def test_reduce_s_raises_once_the_value_overflows():
     with pytest.raises(OverflowError, match=r"s=100000\.5, x=3\.0 is not finite "
                                              r"after 216 of 100000 reduction steps"):
         reduce_s(1e5 + 0.5, 3.0)
+
+
+def _mp_mills(s, x):
+    """M_s(x) = x^(1-s) e^x (Gamma(s) - gamma(s, x)) from mpmath, at 60 digits."""
+    with mpmath.workdps(60):
+        s, x = mpmath.mpf(s), mpmath.mpf(x)
+        upper = mpmath.gamma(s) - mpmath.gammainc(s, 0, x)
+        return x ** (1 - s) * mpmath.exp(x) * upper
+
+
+# fractional shapes in (1, 200]; the base s - (ceil(s) - 1) is not an integer
+_SERIES_SHAPES = (1.0 + 1e-9, 1.03125, 1.5, 1.9, 2.001, 2.5, 2.999, 3.3, 4.75,
+                  7.1, 10.5, 13.37, 20.2, 31.5, 49.5, 50.0 - 1e-9, 64.25, 99.9,
+                  100.5, 128.7, 150.01, 175.5, 199.5, 200.0 - 1e-9, 200.0 - 2.0**-40)
+
+
+def test_reduce_s_series_region_against_mpmath():
+    # x < base + 1 takes the lower series at base + 1: within 1e-12 of mpmath
+    # where M_s(x) is a double, OverflowError where it is not.  The laguerre
+    # base raised ConvergenceError at most of these points.
+    values = overflows = 0
+    for s in _SERIES_SHAPES:
+        top = (s - math.ceil(s) + 2.0) * (1.0 - 2.0**-30)   # just below base + 1
+        xs = np.geomspace(1e-300, top, 25).tolist() + np.geomspace(1e-3, top, 8).tolist()
+        for x in xs:
+            want = _mp_mills(s, x)
+            if want > sys.float_info.max:
+                with pytest.raises(OverflowError, match=re.escape(f"s={s!r}, x={x!r}")):
+                    reduce_s(s, x)
+                overflows += 1
+                continue
+            got = reduce_s(s, x)
+            assert abs(got - want) <= 1e-12 * want, (s, x, got, float(want))
+            values += 1
+    assert values > 200 and overflows > 200, (values, overflows)
+
+
+def test_reduce_s_at_the_smallest_subnormal_x():
+    # M_{1.03125} (about 1.25e10) raised OverflowError from laguerre's
+    # divisor x**(s-1), and M_{1.5} (about 3.99e161) raised ConvergenceError
+    for s in (1.03125, 1.5):
+        want = _mp_mills(s, 5e-324)
+        assert abs(reduce_s(s, 5e-324) - want) <= 1e-13 * want, s
 
 
 def test_reduce_s_refuses_shapes_past_the_step_ceiling():
@@ -544,7 +592,7 @@ def test_bounds_s01_is_an_ordered_pair_in_the_unit_interval(s, x, n):
 def test_reduce_s_is_finite_and_at_least_one_or_raises(s, x):
     try:
         m = reduce_s(s, x)
-    except (ValueError, OverflowError, ConvergenceError):
+    except OverflowError:
         return
     assert math.isfinite(m) and m >= 1.0, m
 

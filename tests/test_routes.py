@@ -33,6 +33,7 @@ for form in (m.laguerre, m.cf_l1, m.winitzki_cf, m.lower_cf):
     form(0.5, 2.0)
     form(0.5, 2.0, 7)
 m.reduce_s(3.5, 2.0)
+m.reduce_s(3.5, 0.5)   # the lower series below x = base + 1
 m.bounds_s01(0.5, 1.0, 8)
 assert "numpy" not in sys.modules, "a scalar call loaded numpy"
 
