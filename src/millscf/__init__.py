@@ -19,6 +19,7 @@ from .gamma import (
     ConvergenceError,
     bounds_s01,
     cf_l1,
+    gamma_mills,
     laguerre,
     lower_cf,
     reduce_s,
@@ -48,6 +49,7 @@ __all__ = [
     "decays_beyond",
     "delta",
     "eval_backward",
+    "gamma_mills",
     "get_family",
     "hazard",
     "laguerre",

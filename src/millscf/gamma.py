@@ -20,10 +20,17 @@ starts from the lower series below x = base + 1 (see reduce_s).  For s in
 (0, 1] the cf_l1 coefficients stay nonnegative and consecutive convergents
 bracket the true value.
 
-Depth control: passing n evaluates a single depth-n convergent; omitting it
-runs the fraction adaptively until two successive nonzero convergents agree
-to 1e-12 relative, capped at depth 500 (no a-priori truncation bound is
-available here, unlike the Gaussian case).
+The front door gamma_mills(s, x) gives M_s(x) to about 1e-12 relative for
+any s in (0, 2^20 + 1] and x > 0, or raises OverflowError where it passes
+the largest double: from a small-shape sum or the lower series below
+x = s + 1, and from reduce_s or the adaptive cf_l1 fraction above it.
+
+Depth control: passing n evaluates a single depth-n convergent of the raw
+fraction; omitting it returns gamma_mills(s, x) (lower_cf: its complement).
+The raw adaptive loop, which runs until two successive nonzero convergents
+agree to 1e-12 relative, capped at depth 500, is what gamma_mills runs on
+its fraction branch; reduce_s's base step and the Gamma oracle run it on
+the contracted form (_raw_laguerre).
 
 Both routes read each form's coefficients from one level stream,
 the spec's `levels(x)` generator, which yields (a_k, b_k) for k = 1, 2, ...
@@ -65,7 +72,6 @@ ADAPTIVE_MAX_DEPTH = 500
 _SNAP = 1e-13
 
 _PAIR_SAFE = 2.0**-24   # a pair this small cannot overflow at any level
-_LOG_TWICE_MAX = math.log(1.7976931348623157e308) + math.log(2.0)
 
 
 class ConvergenceError(ArithmeticError):
@@ -125,14 +131,16 @@ def laguerre_spec(s):
             return x ** s
         return (k - 1) * _snap_zero(s - k + 1.0)
 
+    # b_k = x + ((2k-1) - s): the shape is taken off the integer first, so
+    # b_1 keeps every bit of x where s is near 1
     def b(k, x):
-        return x + 2.0 * k - 1.0 - s
+        return x + ((2.0 * k - 1.0) - s)
 
     def levels(x):
-        yield x ** s, x + 2.0 - 1.0 - s   # b_1 in the order of b_k
+        yield x ** s, x + (1.0 - s)
         for k in count(2.0):
             t = s - k + 1.0
-            yield (k - 1.0) * (0.0 if abs(t) < _SNAP else t), x + 2.0 * k - 1.0 - s
+            yield (k - 1.0) * (0.0 if abs(t) < _SNAP else t), x + ((2.0 * k - 1.0) - s)
 
     return CFSpec(a, b, "laguerre", levels)
 
@@ -299,22 +307,40 @@ def _evaluate(spec, s, x, n):
 
 
 def cf_l1(s, x, n=None):
-    """M_s(x) through the alternating-denominator form; depth n or adaptive."""
+    """M_s(x) through the alternating-denominator form at depth n; without
+    n, gamma_mills(s, x)."""
     n = _check("cf_l1", s, x, n)
+    if n is None:
+        return _mills(s, x)
     return _evaluate(l1_spec(s), s, x, n)
 
 
 def laguerre(s, x, n=None):
-    """M_s(x) through the contracted form; exact at integer s.
+    """M_s(x) through the contracted form at depth n; without n,
+    gamma_mills(s, x).
 
-    Raises OverflowError where x^(s-1) underflows to 0: M_s(x) is at least
-    0.88 x^(1-s) there, past the largest double; likewise where it overflows
-    (subnormal x, s < 1) and cannot be divided back out.  Raises
-    CFEvaluationError where the first numerator x^s underflows to 0, which
-    would make the fraction 0, and where it overflows (x > 1), which the
-    contracted form cannot carry; cf_l1 evaluates M_s(x) there.
+    At a fixed depth it raises OverflowError where x^(s-1) underflows to 0:
+    M_s(x) is at least 0.88 x^(1-s) there, past the largest double; likewise
+    where it overflows (subnormal x, s < 1) and cannot be divided back out.
+    It raises CFEvaluationError where the first numerator x^s underflows to
+    0, which would make the fraction 0, and where it overflows (x > 1),
+    which the contracted form cannot carry.  Without n none of these apply:
+    the front door evaluates M_s(x) wherever it is a double.
     """
     n = _check("laguerre", s, x, n)
+    if n is None:
+        return _mills(s, x)
+    return _raw_laguerre(s, x, n)
+
+
+def _raw_laguerre(s, x, n=None):
+    """The contracted fraction at depth n, or adaptively for n = None,
+    divided by x^(s-1), with laguerre's power checks; the caller has
+    checked s and x.
+
+    reduce_s's base step and the Gamma oracle run the adaptive fraction
+    here rather than the front door.
+    """
     try:
         power, first = x ** (s - 1.0), x ** s
     except OverflowError:
@@ -336,48 +362,163 @@ def laguerre(s, x, n=None):
 def lower_cf(s, x, n=None):
     """x^(1-s) e^x int_0^x u^(s-1) e^-u du, the cumulative complement; 0 at x = 0.
 
-    Adaptive, it raises OverflowError where s <= x, s < 1e300 and
-    x^(1-s) e^x Gamma(s)/2 passes the largest double: the value is larger
-    there, since the median of Gamma(s) lies below s.
+    Without n it is the series sum_{k>=1} x^k/(s(s+1)...(s+k-1)) for
+    x < s + 1, and x^(1-s) e^x Gamma(s) - gamma_mills(s, x) from there on.
+    It raises OverflowError where the value passes the largest double: below
+    x = s + 1 wherever the sum does, and from there on wherever
+    x^(1-s) e^x Gamma(s) does, as M_s(x) is far below an ulp of so large a
+    term.  Where the series needs more than 2**20 terms (s past about 1e10,
+    x near s) it raises ConvergenceError, and from x = s + 1 on it raises
+    gamma_mills's ValueError for s > 2**20 + 1.  A fixed depth n folds the
+    raw fraction.
     """
     n = _check("lower_cf", s, x or 1.0, n)   # x = 0 is in this form's domain
     if x == 0.0:
         return 0.0
-    if n is None and s <= x and s < 1e300 and (
-            (1.0 - s) * math.log(x) + x + math.lgamma(s) > _LOG_TWICE_MAX):
+    if n is not None:
+        return _evaluate(lower_spec(s), s, x, n)
+    if x < s + 1.0:
+        total = _lower_sum(s, x)
+        if total == math.inf:
+            raise OverflowError(f"lower_cf: the cumulative side at s={s!r}, "
+                                f"x={x!r} exceeds the largest double")
+        return total
+    m = _mills(s, x)   # ValueError past s = 2**20 + 1
+    try:
+        return math.exp((1.0 - s) * math.log(x) + x + math.lgamma(s)) - m
+    except OverflowError:
         raise OverflowError(f"lower_cf: the cumulative side at s={s!r}, "
-                            f"x={x!r} exceeds the largest double")
-    return _evaluate(lower_spec(s), s, x, n)
+                            f"x={x!r} exceeds the largest double") from None
 
 
 def winitzki_cf(s, x, n=None):
-    """M_s(x) through the unit-denominator form in v = 1/x."""
+    """M_s(x) through the unit-denominator form in v = 1/x at depth n;
+    without n, gamma_mills(s, x)."""
     n = _check("winitzki_cf", s, x, n)
+    if n is None:
+        return _mills(s, x)
     return _evaluate(winitzki_spec(s), s, x, n)
+
+
+def _lower_sum(s, x):
+    """sum_{k>=1} x^k/Q_k with Q_k = s(s+1)...(s+k-1), for s > 0 and x < s + 1.
+
+    Every term is positive and each is x/(s+k) < 1 times the one before; the
+    sum stops once a term no longer moves it (below half an ulp).  It is
+    +inf where x/s overflows, and raises ConvergenceError past 2**20 terms.
+    """
+    term = total = x / s
+    k = s
+    for _ in range(_MAX_DEPTH):
+        k += 1.0
+        term *= x / k
+        new = total + term
+        if new == total:
+            return total
+        total = new
+    raise ConvergenceError(f"lower series at s={s!r}, x={x!r}: still moving "
+                           f"after {_MAX_DEPTH} terms")
 
 
 def _lower_series(s, x):
     """M_s(x) from the lower incomplete-gamma series, for s > 0 and x < s + 1.
 
-    With Q_k = s(s+1)...(s+k-1), x^(1-s) e^x gamma(s, x) = sum_{k>=1} x^k/Q_k,
-    so M_s(x) = exp((1-s) ln x + x + lgamma(s)) - sum_{k>=1} x^k/Q_k.  Every
-    term is positive and each is x/(s+k) < 1 times the one before; the sum
-    stops once a term no longer moves it (below half an ulp), after at most
-    27 terms for s in (1, 2].  The difference keeps Gamma(s, x)/Gamma(s) of
-    the first term, at least e^-2 for s >= 1, so it cancels less than a
-    digit there.  Raises math.exp's OverflowError where the first term
-    passes the largest double.
+    x^(1-s) e^x gamma(s, x) = _lower_sum(s, x), so M_s(x) =
+    exp((1-s) ln x + x + lgamma(s)) - _lower_sum(s, x); the sum takes at
+    most 27 terms for s in (1, 2].  The difference keeps Gamma(s, x)/Gamma(s)
+    of the first term, at least e^-2 for s >= 1, so it cancels less than a
+    digit there; below s = 1/4 it cancels (see _small_shape).  Raises
+    math.exp's OverflowError where the first term passes the largest
+    double; the sum is then below an ulp of it, so M_s(x) passes it too.
     """
     first = math.exp((1.0 - s) * math.log(x) + x + math.lgamma(s))
-    term = total = x / s
-    k = s
+    return first - _lower_sum(s, x)
+
+
+# lgamma(1 + s)/s = -euler_gamma + sum_{k>=2} (-1)^k zeta(k)/k s^(k-1), |s| < 1;
+# these terms reach 1e-17 relative up to s = 1/4
+_LGAMMA1P_OVER_S = (
+    -0.5772156649015329, 0.8224670334241132, -0.40068563438653143,
+    0.27058080842778454, -0.20738555102867398, 0.1695571769974082,
+    -0.1440498967688461, 0.12550966952474304, -0.11133426586956469,
+    0.1000994575127818, -0.09095401714582904, 0.083353840546109,
+    -0.0769325164113522, 0.07143294629536133, -0.06666870588242046,
+    0.06250095514121304, -0.058823978658684585, 0.055555767627403614,
+    -0.05263167937961666, 0.05000004769810169, -0.047619070330142226,
+    0.04545455629320467, -0.04347826605304026, 0.04166666915034121,
+    -0.04000000119214014, 0.03846153903467518)
+_SMALL_SHAPE = 0.25   # below it the lower series loses digits to cancellation
+_SERIES_SHAPE = 200.0   # above it the lower series's exponent rounds too coarsely
+
+
+def _expm1_over(t):
+    """expm1(t)/t, taking no quotient by a subnormal t."""
+    if abs(t) < 1e-5:
+        return 1.0 + t * (0.5 + t / 6.0)
+    return math.expm1(t) / t
+
+
+def _small_shape(s, x):
+    """M_s(x) for 0 < s <= 1/4 and x < s + 1, where the lower series cancels.
+
+    Gamma(s, x) = (Gamma(1+s) - 1)/s - expm1(s ln x)/s
+                  - x^s sum_{k>=1} (-x)^k/(k! (s+k)),
+    with lgamma(1+s)/s from its Taylor series (math.lgamma(1.0 + s) drops
+    the bits of s) and no division by s, so a subnormal s keeps its value.
+    M_s(x) = x (x^-s e^x Gamma(s, x)), with the multiply by x last.
+    """
+    h = 0.0
+    for c in reversed(_LGAMMA1P_OVER_S):
+        h = h * s + c
+    lx = math.log(x)
+    term, total, k = 1.0, 0.0, 0.0
     while True:
         k += 1.0
-        term *= x / k
-        new = total + term
+        term *= -x / k
+        new = total + term / (s + k)
         if new == total:
-            return first - total
+            break
         total = new
+    upper = (h * _expm1_over(s * h) - lx * _expm1_over(s * lx)
+             - math.exp(s * lx) * total)
+    return x * (math.exp(x - s * lx) * upper)
+
+
+def gamma_mills(s, x):
+    """M_s(x) = x^(1-s) e^x Gamma(s, x) to 1e-12 relative, 0 < s <= 2**20 + 1.
+
+    Branches (DiDonato & Morris, ACM TOMS 12, 1986; Gil, Segura & Temme,
+    SIAM J. Sci. Comput. 34, 2012):
+      integer s:            1 at s = 1, reduce_s from M_1 = 1 above it;
+      x < s + 1, s <= 1/4:  the small-shape sum (_small_shape);
+      x < s + 1, s <= 200:  the lower series (_lower_series);
+      otherwise, s > 1:     reduce_s;
+      s < 1, x >= s + 1:    adaptive cf_l1, whose consecutive convergents
+                            bracket M_s, so its stop bounds the error.
+    Raises OverflowError, naming the largest double, where M_s(x) passes
+    it, and ValueError for shapes past 2**20 + 1, as reduce_s does.  Where
+    M_s(x) is below 2^-1022 the error is at most 1e-12 * 2^-1022 absolute.
+    It never raises ConvergenceError.
+    """
+    _check("gamma_mills", s, x)
+    return _mills(s, x)
+
+
+def _mills(s, x):
+    """gamma_mills(s, x) with s and x already checked."""
+    if s % 1.0 == 0.0:   # M_1 = 1, and reduce_s steps up from it
+        return 1.0 if s == 1.0 else reduce_s(s, x)
+    if x >= s + 1.0:
+        return _adaptive(l1_spec(s), s, x) if s < 1.0 else reduce_s(s, x)
+    if s <= _SMALL_SHAPE:
+        return _small_shape(s, x)
+    if s > _SERIES_SHAPE:
+        return reduce_s(s, x)
+    try:
+        return _lower_series(s, x)
+    except OverflowError:
+        raise OverflowError(f"gamma_mills: M_s(x) at s={s!r}, x={x!r} "
+                            "exceeds the largest double") from None
 
 
 def reduce_s(s, x, evaluator=None):
@@ -387,13 +528,13 @@ def reduce_s(s, x, evaluator=None):
     parts; applied repeatedly it lowers the shape to a base in (0, 1].  A
     supplied evaluator takes over at the base.  By default the base is
     M_1 = 1 at an integer shape; otherwise the lower series (_lower_series)
-    gives M_{base+1} below x = base + 1, and adaptive laguerre gives M_base
-    from x = base + 1 on.  Starting at base + 1 skips the step (base/x) M_base,
-    which overflows at subnormal x, and Gamma(base), which overflows at a
-    tiny base.  Raises OverflowError as soon as the running value stops
-    being finite, which happens when M_s(x) exceeds the largest double
-    (large s, small x), and ValueError for shapes that need more than 2**20
-    steps (s > 2**20 + 1).
+    gives M_{base+1} below x = base + 1, and the adaptive contracted
+    fraction (_raw_laguerre) gives M_base from x = base + 1 on.  Starting at
+    base + 1 skips the step (base/x) M_base, which overflows at subnormal x,
+    and Gamma(base), which overflows at a tiny base.  Raises OverflowError
+    as soon as the running value stops being finite, which happens when
+    M_s(x) exceeds the largest double (large s, small x), and ValueError for
+    shapes that need more than 2**20 steps (s > 2**20 + 1).
     """
     _check("reduce_s", s, x)
     if s <= 1.0:
@@ -408,7 +549,7 @@ def reduce_s(s, x, evaluator=None):
     if evaluator is not None:
         value = evaluator(base, x)
     elif base == 1.0:
-        value = 1.0   # M_1 = 1; laguerre(1.0, x) drops bits of x below x = 0.66
+        value = 1.0   # M_1 = 1, exactly
     elif x < base + 1.0:
         # M_{base+1} >= 1; near base = 0 the difference can round an ulp below
         try:
@@ -418,13 +559,13 @@ def reduce_s(s, x, evaluator=None):
                                 "largest double") from None
         done = 1
     else:
-        value = laguerre(base, x)
+        value = _raw_laguerre(base, x)
     for j in range(done + 1, steps + 1):
         value = 1.0 + ((base + j - 1.0) / x) * value
         if not math.isfinite(value):
             raise OverflowError(
                 f"M_s(x) at s={s!r}, x={x!r} is not finite after {j} of "
-                f"{steps} reduction steps"
+                f"{steps} reduction steps: it exceeds the largest double"
             )
     return value
 

@@ -34,7 +34,7 @@ either route, so the two give the same bits.
 import math
 from functools import lru_cache
 
-from .gamma import ConvergenceError, laguerre
+from .gamma import ConvergenceError, _raw_laguerre
 
 
 class OracleError(RuntimeError):
@@ -332,7 +332,7 @@ def reference_gamma_mills(s, x):
     if not (s > 0.0 and x > 0.0):
         raise ValueError("reference_gamma_mills needs s > 0 and x > 0")
     try:
-        value = laguerre(s, x)
+        value = _raw_laguerre(s, x)
     except ConvergenceError as exc:
         raise OracleError(f"M_{s}({x}): fraction did not settle") from exc
     if x >= 1.0:

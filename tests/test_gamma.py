@@ -89,19 +89,36 @@ def test_lower_fraction():
     assert lower_cf(s, x) + laguerre(s, x) == pytest.approx(total, rel=1e-8)
 
 
+# The raw adaptive loop of each tail form.  gamma_mills runs cf_l1's, and
+# reduce_s's base step and the Gamma oracle run laguerre's; without a depth
+# the public forms answer through gamma_mills instead
+RAW_ADAPTIVE = {
+    "cf_l1": lambda s, x: gamma._evaluate(gamma.l1_spec(s), s, x, None),
+    "laguerre": gamma._raw_laguerre,
+    "winitzki_cf": lambda s, x: gamma._evaluate(gamma.winitzki_spec(s), s, x, None),
+}
+
+
+def _near_mpmath(got, s, x):
+    want = _mp_mills(s, x)
+    return abs(got - want) <= 1e-12 * want
+
+
 def test_adaptive_depth_and_failure():
     # adaptive mode needs no explicit depth on friendly inputs
-    assert laguerre(0.5, 2.0) == pytest.approx(laguerre(0.5, 2.0, 300),
-                                               rel=1e-11)
+    assert RAW_ADAPTIVE["laguerre"](0.5, 2.0) == pytest.approx(laguerre(0.5, 2.0, 300),
+                                                              rel=1e-11)
     # the 1/x-variable form creeps at small x and hits the cap
     with pytest.raises(ConvergenceError):
-        winitzki_cf(0.5, 0.125)
+        RAW_ADAPTIVE["winitzki_cf"](0.5, 0.125)
+    # the public form answers through the front door there
+    assert _near_mpmath(winitzki_cf(0.5, 0.125), 0.5, 0.125)
 
 
 def test_convergence_error_names_form_s_and_x():
     with pytest.raises(ConvergenceError,
                        match=r"^winitzki form of M_s\(x\) at s=0\.5, x=0\.125: "):
-        winitzki_cf(0.5, 0.125)
+        RAW_ADAPTIVE["winitzki_cf"](0.5, 0.125)
 
 
 def test_form_validation():
@@ -168,12 +185,13 @@ def test_headroom_scales_only_a_pair_that_can_overflow():
     # numerators, x^(1-s) below its denominators at the largest double, and
     # winitzki_cf's at tiny x, where both returned 0.0
     for s in (0.01, 0.3):
-        m = laguerre(s, 1.7976931348623157e308)
+        m = RAW_ADAPTIVE["laguerre"](s, 1.7976931348623157e308)
         assert abs(m - 1.0) <= 1e-12, (s, m)
     for s in (0.01, 0.3, 0.5, 0.99):
         for x in (1e-300, 1e-250):
             with pytest.raises(ConvergenceError, match=re.escape(f"s={s!r}, x={x!r}")):
-                winitzki_cf(s, x)
+                RAW_ADAPTIVE["winitzki_cf"](s, x)
+            assert _near_mpmath(winitzki_cf(s, x), s, x), (s, x)
 
 
 def test_laguerre_at_tiny_x_raises_documented_errors():
@@ -181,13 +199,22 @@ def test_laguerre_at_tiny_x_raises_documented_errors():
     # double (this divided by zero); x^s alone underflows: the fraction's
     # first numerator is 0 (this returned -0.0 and 0.0 for M_s near 1e125
     # and 2e240)
+    # (n = None: the raw adaptive route; the public one answers below)
     for n in (None, 0, 3):
         with pytest.raises(OverflowError, match="exceeds the largest double"):
-            laguerre(2.5, 5e-324, n)
+            gamma._raw_laguerre(2.5, 5e-324, n)
         for s, x in ((1.5, 1e-250), (3.0, 1e-120)):
             with pytest.raises(CFEvaluationError,
                                match=re.escape(f"s={s!r}, x={x!r}")):
-                laguerre(s, x, n)
+                gamma._raw_laguerre(s, x, n)
+            if n is not None:
+                with pytest.raises(CFEvaluationError,
+                                   match=re.escape(f"s={s!r}, x={x!r}")):
+                    laguerre(s, x, n)
+    with pytest.raises(OverflowError, match="exceeds the largest double"):
+        laguerre(2.5, 5e-324)
+    for s, x in ((1.5, 1e-250), (3.0, 1e-120)):
+        assert _near_mpmath(laguerre(s, x), s, x), (s, x)
 
 
 def test_laguerre_at_large_x_power_raises_a_documented_error():
@@ -195,15 +222,16 @@ def test_laguerre_at_large_x_power_raises_a_documented_error():
     # "(34, 'Numerical result out of range')"; M_s(x) is about 1 + (s-1)/x
     for s, x in ((50.0, 1e10), (31.5, 1e10)):
         assert cf_l1(s, x) == pytest.approx(1.0 + (s - 1.0) / x, rel=1e-15)
+        assert laguerre(s, x) == cf_l1(s, x)   # the front door, without a depth
         for n in (None, 0, 3):
             with pytest.raises(CFEvaluationError, match=re.escape(
                     f"laguerre form of M_s(x) at s={s!r}, x={x!r}: the first "
                     "numerator x**s overflows")):
-                laguerre(s, x, n)
+                gamma._raw_laguerre(s, x, n) if n is None else laguerre(s, x, n)
     # at subnormal x and small s only the divisor x^(s-1) overflows
     with pytest.raises(OverflowError, match=re.escape(
             "laguerre: the divisor x**(s-1) at s=0.001, x=5e-324 exceeds")):
-        laguerre(0.001, 5e-324)
+        gamma._raw_laguerre(0.001, 5e-324)
 
 
 def test_subnormal_x_gives_no_underflowed_value():
@@ -212,15 +240,17 @@ def test_subnormal_x_gives_no_underflowed_value():
     # had underflowed to 0 "agreed"
     for x in (5e-324, 1e-320, 1e-310):
         want = math.sqrt(math.pi) * math.sqrt(x) * math.exp(x) * math.erfc(math.sqrt(x))
-        for form in (cf_l1, winitzki_cf, laguerre):
+        for name, raw in RAW_ADAPTIVE.items():
             try:
-                got = form(0.5, x)
+                got = raw(0.5, x)
             except ConvergenceError:
                 continue
-            assert got == pytest.approx(want, rel=1e-10), (form.__name__, x, got)
+            assert got == pytest.approx(want, rel=1e-10), (name, x, got)
+        for form in (cf_l1, winitzki_cf, laguerre):   # the front door
+            assert form(0.5, x) == pytest.approx(want, rel=1e-12), (form.__name__, x)
     for x in (5e-324, 1e-320):
         with pytest.raises(ConvergenceError, match=re.escape(f"x={x!r}")):
-            cf_l1(0.5, x)
+            RAW_ADAPTIVE["cf_l1"](0.5, x)
 
 
 def test_reduce_s_raises_once_the_value_overflows():
@@ -527,12 +557,14 @@ def test_adaptive_forms_stay_inside_the_s01_bracket(s, x):
     # for s <= 1, Gamma(s, x) <= x^(s-1) e^-x gives M <= 1, and the depth-2
     # l1 convergent x/(x + 1 - s) is a lower bound
     lo = x / (x + 1.0 - s) - 1e-12
-    for form in (laguerre, cf_l1, winitzki_cf):
+    for name, raw in RAW_ADAPTIVE.items():
         try:
-            m = form(s, x)
+            m = raw(s, x)
         except ConvergenceError:
             continue
-        assert math.isfinite(m) and lo <= m <= 1.0 + 1e-12, (form.__name__, s, x, m)
+        assert math.isfinite(m) and lo <= m <= 1.0 + 1e-12, (name, s, x, m)
+    m = gamma.gamma_mills(s, x)   # the public forms' answer, which never raises
+    assert math.isfinite(m) and lo <= m <= 1.0 + 1e-12, (s, x, m)
 
 
 # what the one domain check refuses as a shape or an abscissa

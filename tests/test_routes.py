@@ -34,6 +34,8 @@ for form in (m.laguerre, m.cf_l1, m.winitzki_cf, m.lower_cf):
     form(0.5, 2.0, 7)
 m.reduce_s(3.5, 2.0)
 m.reduce_s(3.5, 0.5)   # the lower series below x = base + 1
+for s, x in ((0.1, 0.5), (0.5, 2.0), (3.5, 2.0), (3.5, 10.0)):   # every branch
+    m.gamma_mills(s, x)
 m.bounds_s01(0.5, 1.0, 8)
 assert "numpy" not in sys.modules, "a scalar call loaded numpy"
 
@@ -62,7 +64,7 @@ def test_scalar_calls_leave_numpy_unloaded():
 
 def test_public_surface():
     names = millscf.__all__
-    assert len(names) == len(set(names)) == 31
+    assert len(names) == len(set(names)) == 32
     for name in names:
         assert getattr(millscf, name) is not None, name
     # the proof operators and the forward toolkit live in verify (the
