@@ -16,14 +16,15 @@ At s = 1/2 the first form reduces to the Gaussian Laplace fraction:
 M_{1/2}(z^2/2) = z R(z) with R the Gaussian Mills ratio (substitute
 u = t^2/2 in the tail integral).  For s > 1 the ratio is reduced by
 induction on the integer part via M_s = 1 + ((s-1)/x) M_{s-1}, which
-starts from the lower series below x = base + 1 (see reduce_s).  For s in
-(0, 1] the cf_l1 coefficients stay nonnegative and consecutive convergents
-bracket the true value.
+starts from the lower series at shape base + 1 below x = base + 7/2 (see
+reduce_s).  For s in (0, 1] the cf_l1 coefficients stay nonnegative and
+consecutive convergents bracket the true value.
 
 The front door gamma_mills(s, x) gives M_s(x) to about 1e-12 relative for
 any s in (0, 2^20 + 1] and x > 0, or raises OverflowError where it passes
 the largest double: from a small-shape sum or the lower series below
-x = s + 1, and from reduce_s or the adaptive cf_l1 fraction above it.
+x = s + 1, and for s < 1 below x = s + 5/2 (_SERIES_REACH); from reduce_s
+or the adaptive cf_l1 fraction above that.
 
 Depth control: passing n evaluates a single depth-n convergent of the raw
 fraction; omitting it returns gamma_mills(s, x) (lower_cf: its complement).
@@ -319,6 +320,12 @@ def laguerre(s, x, n=None):
     """M_s(x) through the contracted form at depth n; without n,
     gamma_mills(s, x).
 
+    At an integer shape s >= 2 and small x the raw fraction cancels at any
+    depth: b_1 = x + (1 - s) nearly cancels a_2/b_2 (at s = 2 their sum is
+    x^2/(x + 1)), so the loss grows as x falls.  laguerre(2.0, 0.1, n) is
+    11.000000000000064 for n >= 2 (M_2 = 11), and at x = 1e-10 the sum
+    rounds to 0.  Without n the front door gives 11.0 from M_1 = 1.
+
     At a fixed depth it raises OverflowError where x^(s-1) underflows to 0:
     M_s(x) is at least 0.88 x^(1-s) there, past the largest double; likewise
     where it overflows (subnormal x, s < 1) and cannot be divided back out.
@@ -421,14 +428,16 @@ def _lower_sum(s, x):
 
 
 def _lower_series(s, x):
-    """M_s(x) from the lower incomplete-gamma series, for s > 0 and x < s + 1.
+    """M_s(x) from the lower incomplete-gamma series, for s > 0 and x below
+    s + 1, or below s + _SERIES_REACH where s < 2.
 
     x^(1-s) e^x gamma(s, x) = _lower_sum(s, x), so M_s(x) =
     exp((1-s) ln x + x + lgamma(s)) - _lower_sum(s, x); the sum takes at
-    most 27 terms for s in (1, 2].  The difference keeps Gamma(s, x)/Gamma(s)
-    of the first term, at least e^-2 for s >= 1, so it cancels less than a
-    digit there; below s = 1/4 it cancels (see _small_shape).  Raises
-    math.exp's OverflowError where the first term passes the largest
+    most 34 terms for s in (1, 2] and x < s + 5/2.  The difference keeps
+    Gamma(s, x)/Gamma(s) of the first term, at least e^-3.5 for s >= 1 and
+    x < s + 5/2, so it cancels less than two digits there (about e^-5 at
+    s = 1/4, x = s + 5/2); below s = 1/4 it cancels (see _small_shape).
+    Raises math.exp's OverflowError where the first term passes the largest
     double; the sum is then below an ulp of it, so M_s(x) passes it too.
     """
     first = math.exp((1.0 - s) * math.log(x) + x + math.lgamma(s))
@@ -449,6 +458,17 @@ _LGAMMA1P_OVER_S = (
     -0.04000000119214014, 0.03846153903467518)
 _SMALL_SHAPE = 0.25   # below it the lower series loses digits to cancellation
 _SERIES_SHAPE = 200.0   # above it the lower series's exponent rounds too coarsely
+# Below shape 2 the series answers up to x = shape + _SERIES_REACH (s < 1 in
+# gamma_mills, the base + 1 start of reduce_s), where the fractions are
+# slowest: l1 folds 125 levels at x = s + 1 and 57 at s + 2.5.  Worst error
+# against mpmath at 40 digits (3000 shapes a class), by band of x - shape:
+#                         [2, 2.25)  [2.25, 2.5)  [2.5, 2.75)  [2.75, 3)
+#   small-shape sum         3.9e-14     5.9e-14      8.8e-14     1.7e-13
+#   lower series, s < 1     1.5e-13     1.7e-13      2.5e-13     3.8e-13
+#   lower series, (1, 2]    2.9e-14     3.6e-14      5.7e-14     7.1e-14
+# against 4.8e-13 for the l1 fraction's 1e-12 stop; 2.5 is the largest
+# quarter step that keeps every class within 2e-13.
+_SERIES_REACH = 2.5
 
 
 def _expm1_over(t):
@@ -459,7 +479,8 @@ def _expm1_over(t):
 
 
 def _small_shape(s, x):
-    """M_s(x) for 0 < s <= 1/4 and x < s + 1, where the lower series cancels.
+    """M_s(x) for 0 < s <= 1/4 and x < s + _SERIES_REACH, where the lower
+    series cancels.
 
     Gamma(s, x) = (Gamma(1+s) - 1)/s - expm1(s ln x)/s
                   - x^s sum_{k>=1} (-x)^k/(k! (s+k)),
@@ -489,12 +510,16 @@ def gamma_mills(s, x):
 
     Branches (DiDonato & Morris, ACM TOMS 12, 1986; Gil, Segura & Temme,
     SIAM J. Sci. Comput. 34, 2012):
-      integer s:            1 at s = 1, reduce_s from M_1 = 1 above it;
-      x < s + 1, s <= 1/4:  the small-shape sum (_small_shape);
-      x < s + 1, s <= 200:  the lower series (_lower_series);
-      otherwise, s > 1:     reduce_s;
-      s < 1, x >= s + 1:    adaptive cf_l1, whose consecutive convergents
-                            bracket M_s, so its stop bounds the error.
+      integer s:              1 at s = 1, reduce_s from M_1 = 1 above it;
+      s <= 1/4, x < s + 5/2:  the small-shape sum (_small_shape);
+      s < 1, x < s + 5/2,
+      or s <= 200, x < s + 1: the lower series (_lower_series);
+      otherwise, s > 1:       reduce_s;
+      s < 1, x >= s + 5/2:    adaptive cf_l1, whose consecutive convergents
+                              bracket M_s, so its stop bounds the error.
+    The series reach s + 5/2 (_SERIES_REACH) below shape 1, past the
+    classical switch at s + 1, where the fraction needs up to 125 levels
+    and 57 at s + 5/2; the series is the more accurate there too.
     Raises OverflowError, naming the largest double, where M_s(x) passes
     it, and ValueError for shapes past 2**20 + 1, as reduce_s does.  Where
     M_s(x) is below 2^-1022 the error is at most 1e-12 * 2^-1022 absolute.
@@ -508,8 +533,11 @@ def _mills(s, x):
     """gamma_mills(s, x) with s and x already checked."""
     if s % 1.0 == 0.0:   # M_1 = 1, and reduce_s steps up from it
         return 1.0 if s == 1.0 else reduce_s(s, x)
-    if x >= s + 1.0:
-        return _adaptive(l1_spec(s), s, x) if s < 1.0 else reduce_s(s, x)
+    if s < 1.0:
+        if x >= s + _SERIES_REACH:
+            return _adaptive(l1_spec(s), s, x)
+    elif x >= s + 1.0:
+        return reduce_s(s, x)
     if s <= _SMALL_SHAPE:
         return _small_shape(s, x)
     if s > _SERIES_SHAPE:
@@ -528,13 +556,15 @@ def reduce_s(s, x, evaluator=None):
     parts; applied repeatedly it lowers the shape to a base in (0, 1].  A
     supplied evaluator takes over at the base.  By default the base is
     M_1 = 1 at an integer shape; otherwise the lower series (_lower_series)
-    gives M_{base+1} below x = base + 1, and the adaptive contracted
-    fraction (_raw_laguerre) gives M_base from x = base + 1 on.  Starting at
-    base + 1 skips the step (base/x) M_base, which overflows at subnormal x,
-    and Gamma(base), which overflows at a tiny base.  Raises OverflowError
-    as soon as the running value stops being finite, which happens when
-    M_s(x) exceeds the largest double (large s, small x), and ValueError for
-    shapes that need more than 2**20 steps (s > 2**20 + 1).
+    gives M_{base+1} below x = base + 1 + _SERIES_REACH (base + 7/2), where
+    the fraction is slowest (55 levels at x = base + 1, 21 at base + 7/2),
+    and the adaptive contracted fraction (_raw_laguerre) gives M_base from
+    there on.  Starting at base + 1 skips the step (base/x) M_base, which
+    overflows at subnormal x, and Gamma(base), which overflows at a tiny
+    base.  Raises OverflowError as soon as the running value stops being
+    finite, which happens when M_s(x) exceeds the largest double (large s,
+    small x), and ValueError for shapes that need more than 2**20 steps
+    (s > 2**20 + 1).
     """
     _check("reduce_s", s, x)
     if s <= 1.0:
@@ -550,7 +580,7 @@ def reduce_s(s, x, evaluator=None):
         value = evaluator(base, x)
     elif base == 1.0:
         value = 1.0   # M_1 = 1, exactly
-    elif x < base + 1.0:
+    elif x < base + 1.0 + _SERIES_REACH:
         # M_{base+1} >= 1; near base = 0 the difference can round an ulp below
         try:
             value = max(_lower_series(base + 1.0, x), 1.0)

@@ -275,13 +275,16 @@ _SERIES_SHAPES = (1.0 + 1e-9, 1.03125, 1.5, 1.9, 2.001, 2.5, 2.999, 3.3, 4.75,
 
 
 def test_reduce_s_series_region_against_mpmath():
-    # x < base + 1 takes the lower series at base + 1: within 1e-12 of mpmath
-    # where M_s(x) is a double, OverflowError where it is not.  The laguerre
-    # base raised ConvergenceError at most of these points.
+    # x < base + 1 + _SERIES_REACH takes the lower series at base + 1: within
+    # 1e-12 of mpmath where M_s(x) is a double, OverflowError where it is
+    # not.  The laguerre base raised ConvergenceError at most of these points.
     values = overflows = 0
     for s in _SERIES_SHAPES:
-        top = (s - math.ceil(s) + 2.0) * (1.0 - 2.0**-30)   # just below base + 1
+        start = s - math.ceil(s) + 2.0   # base + 1
+        top = start * (1.0 - 2.0**-30)   # just below base + 1
+        end = start + gamma._SERIES_REACH
         xs = np.geomspace(1e-300, top, 25).tolist() + np.geomspace(1e-3, top, 8).tolist()
+        xs += np.linspace(start, end, 6)[:-1].tolist() + [math.nextafter(end, 0.0)]
         for x in xs:
             want = _mp_mills(s, x)
             if want > sys.float_info.max:

@@ -108,13 +108,46 @@ def test_gamma_mills_within_1e_12_of_mpmath_everywhere(s, x):
 
 def test_each_branch_and_its_edges():
     # the small-shape sum, the lower series, reduce_s and the fraction, on
-    # both sides of s = 1/4, s = 200, x = s + 1 and at integer shapes
+    # both sides of s = 1/4, s = 200, x = s + 1, x = s + _SERIES_REACH (where
+    # s < 1 turns to the fraction) and at integer shapes
     for s in (5e-324, 1e-300, 2.2e-16, 1e-6, 0.25, math.nextafter(0.25, 1.0), 0.5,
               1.0, 2.0, 3.5, 200.0, math.nextafter(200.0, 300.0), 1000.5, 1e5 + 0.5):
-        edge = s + 1.0
+        edge, reach = s + 1.0, s + gamma._SERIES_REACH
         for x in (5e-324, 1e-300, 1e-10, 0.5, math.nextafter(edge, 0.0), edge,
-                  2.0 * edge, 1e300, DOUBLE_MAX):
+                  math.nextafter(reach, 0.0), reach, 2.0 * edge, 1e300, DOUBLE_MAX):
             _assert_front_door(s, x)
+
+
+BAND_TOL = 2e-13   # the series band's own bound, tighter than the front door's
+
+
+def _assert_band(s, x, call):
+    want = mp_gamma_mills(s, x)
+    got = call(s, x)
+    assert abs(got - want) <= BAND_TOL * want, (s, x, got, float(want))
+
+
+def test_the_series_band_below_shape_2():
+    # Below shape 2 the series answers up to x = shape + _SERIES_REACH, past
+    # the classical switch at shape + 1: gamma_mills for s < 1 (the
+    # small-shape sum at s <= 1/4, the lower series above) and reduce_s's
+    # start at base + 1 for bases in (0, 1).  The series is within 2e-13 of
+    # mpmath there, where the l1 fraction's stop is up to 4.8e-13 off.  At
+    # the edge itself the fraction takes over, under the front door's bound.
+    reach = gamma._SERIES_REACH
+    for s in (1e-300, 1e-6, 0.01, 0.1, 0.25, math.nextafter(0.25, 1.0), 0.26, 0.3,
+              0.5, 0.75, 0.999):
+        band = np.linspace(s + 1.0, s + reach, 9)[:-1].tolist()
+        for x in band + [math.nextafter(s + reach, 0.0)]:
+            _assert_band(s, x, gamma_mills)
+        _assert_front_door(s, s + reach)
+    for base in (2.0**-52, 0.01, 0.25, 0.3, 0.5, 0.999, 1.0 - 2.0**-40):
+        start = base + 1.0
+        band = np.linspace(start, start + reach, 9)[:-1].tolist()
+        for s in (start, base + 3.0):
+            for x in band + [math.nextafter(start + reach, 0.0)]:
+                _assert_band(s, x, reduce_s)
+            _assert_front_door(s, start + reach, reduce_s)
 
 
 def test_closed_forms_are_exact():
