@@ -28,9 +28,8 @@ or the adaptive cf_l1 fraction above that.
 
 Depth control: passing n evaluates a single depth-n convergent of the raw
 fraction; omitting it returns gamma_mills(s, x) (lower_cf: its complement).
-The raw adaptive loop, which runs until two successive nonzero convergents
-agree to 1e-12 relative, capped at depth 500, is what gamma_mills runs on
-its fraction branch; reduce_s's base step and the Gamma oracle run it on
+The raw adaptive loop runs until two successive nonzero convergents agree
+to 1e-12 relative, capped at depth 500; only the Gamma oracle runs it, on
 the contracted form (_raw_laguerre).
 
 Both routes read each form's coefficients from one level stream,
@@ -47,8 +46,15 @@ either exceeds 2^500.  The 2^512 test runs only outside a box of (s, x)
 where it cannot fire (see _BOX_LO).
 A fixed depth n folds the first n levels of the same stream backward
 (_fold), with eval_backward's arithmetic and checks in its order, so it
-gives eval_backward's bits without two coefficient calls per level;
-bounds_s01 folds both of its depths from one list of n + 1 levels.
+gives eval_backward's bits without two coefficient calls per level.
+
+The l1 fraction is also written out from its closed-form coefficients,
+a_1 = x, a_2j = j - s, a_2j+1 = j over b_k = x, 1, x, ..., with no stream:
+for 0 < s <= 1 every level is nonnegative, so neither the loop's guards
+nor the fold's checks can fire, and the same arithmetic gives the same
+bits.  gamma_mills' fraction branch and reduce_s's base step run the
+adaptive loop that way (_l1_adaptive), and bounds_s01 folds both of its
+depths that way (_l1_fold), in constant memory.
 """
 
 import math
@@ -299,6 +305,75 @@ def _fold(levels, n, name):
     return 0.0 + am / t   # b_0 = 0 turns a -0.0 into 0.0, as eval_backward
 
 
+def _l1_adaptive(s, x):
+    """_adaptive(l1_spec(s), s, x) from l1's closed-form coefficients, for
+    0 < s < 1 and x >= 5/2; two levels a pass, no stream.
+
+    Up to x = 2^200 this is inside _adaptive's box, where every a_k >= 0,
+    b_k is x or 1, every B_k >= 1 and every convergent >= x/(x + 1): its
+    headroom test, shift and subnormal floor cannot fire, so its multiply,
+    post-multiply rescale, stop and cap give the same bits.  Past 2^200
+    M_s(x) is 1 + (s-1)/x; the next term is below 2^-399 relative.
+    """
+    if x > _BOX_HI:
+        return 1.0 + (s - 1.0) / x
+    x = float(x)   # the stream's A_1 = x * 1.0 is a float for an int x too
+    limit, factor, tol = _RESCALE_LIMIT, _RESCALE_FACTOR, ADAPTIVE_REL_TOL
+    # levels 1 and 2 are (x, x) and (1 - s, 1): convergents 1 and x/(x + a_2)
+    A_prev, A = x, x
+    B_prev, B = x, x + _snap_zero(1.0 - s)
+    prev = A / B
+    if abs(prev - 1.0) <= tol * prev:
+        return prev
+    # pass j folds levels 2j + 1, (j, x), and 2j + 2, (j + 1 - s, 1)
+    for j in map(float, range(1, ADAPTIVE_MAX_DEPTH // 2)):
+        A, A_prev = x * A + j * A_prev, A
+        B, B_prev = x * B + j * B_prev, B
+        if A > limit or B > limit:
+            A, B = A * factor, B * factor
+            A_prev, B_prev = A_prev * factor, B_prev * factor
+        cur = A / B
+        if abs(cur - prev) <= tol * cur:
+            return cur
+        a = (j + 1.0) - s   # at least 1: only a_2 can snap
+        A, A_prev = A + a * A_prev, A
+        B, B_prev = B + a * B_prev, B
+        if A > limit or B > limit:
+            A, B = A * factor, B * factor
+            A_prev, B_prev = A_prev * factor, B_prev * factor
+        prev = A / B
+        if abs(prev - cur) <= tol * prev:
+            return prev
+    raise ConvergenceError(
+        f"l1 form of M_s(x) at s={s!r}, x={x!r}: successive convergents "
+        f"still apart after {ADAPTIVE_MAX_DEPTH} levels")
+
+
+def _l1_fold(s, x, m):
+    """_fold(list(islice(l1_spec(s).levels(x), m)), m, "l1") from l1's
+    closed-form coefficients, with no list, for 0 < s <= 1, 0 < x < inf
+    and m >= 1.
+
+    t = b_k + a_{k+1}/t innermost first, as _fold.  Every a_k is finite
+    and at least 0 and every b_k is x or 1, so each t is at least
+    min(x, 1) > 0 or is inf, which folds on as in _fold, and none of
+    _fold's checks can fire; where a_2 snaps to 0, x + 0/t is _fold's x.
+    x/t >= +0, so _fold's 0.0 + for a quotient of -0.0 is not needed.
+    """
+    a2 = _snap_zero(1.0 - s)
+    half, odd = divmod(m, 2)
+    if odd:
+        t = float(x)   # the tail b_m = x
+    else:              # the tail b_m = 1, folded into level m - 1
+        half -= 1
+        t = x + ((half + 1.0) - s if half else a2)
+    for j in map(float, range(half, 1, -1)):
+        t = x + (j - s) / (1.0 + j / t)
+    if half:
+        t = x + a2 / (1.0 + 1.0 / t)
+    return x / t
+
+
 def _evaluate(spec, s, x, n):
     if n is None:
         return _adaptive(spec, s, x)
@@ -345,8 +420,8 @@ def _raw_laguerre(s, x, n=None):
     divided by x^(s-1), with laguerre's power checks; the caller has
     checked s and x.
 
-    reduce_s's base step and the Gamma oracle run the adaptive fraction
-    here rather than the front door.
+    The Gamma oracle runs the adaptive fraction here rather than the front
+    door.
     """
     try:
         power, first = x ** (s - 1.0), x ** s
@@ -515,8 +590,11 @@ def gamma_mills(s, x):
       s < 1, x < s + 5/2,
       or s <= 200, x < s + 1: the lower series (_lower_series);
       otherwise, s > 1:       reduce_s;
-      s < 1, x >= s + 5/2:    adaptive cf_l1, whose consecutive convergents
-                              bracket M_s, so its stop bounds the error.
+      s < 1, x >= s + 5/2:    adaptive cf_l1 from its closed-form
+                              coefficients (_l1_adaptive), whose
+                              consecutive convergents bracket M_s, so its
+                              stop bounds the error; past x = 2^200,
+                              1 + (s-1)/x.
     The series reach s + 5/2 (_SERIES_REACH) below shape 1, past the
     classical switch at s + 1, where the fraction needs up to 125 levels
     and 57 at s + 5/2; the series is the more accurate there too.
@@ -535,7 +613,7 @@ def _mills(s, x):
         return 1.0 if s == 1.0 else reduce_s(s, x)
     if s < 1.0:
         if x >= s + _SERIES_REACH:
-            return _adaptive(l1_spec(s), s, x)
+            return _l1_adaptive(s, x)
     elif x >= s + 1.0:
         return reduce_s(s, x)
     if s <= _SMALL_SHAPE:
@@ -557,11 +635,12 @@ def reduce_s(s, x, evaluator=None):
     supplied evaluator takes over at the base.  By default the base is
     M_1 = 1 at an integer shape; otherwise the lower series (_lower_series)
     gives M_{base+1} below x = base + 1 + _SERIES_REACH (base + 7/2), where
-    the fraction is slowest (55 levels at x = base + 1, 21 at base + 7/2),
-    and the adaptive contracted fraction (_raw_laguerre) gives M_base from
-    there on.  Starting at base + 1 skips the step (base/x) M_base, which
-    overflows at subnormal x, and Gamma(base), which overflows at a tiny
-    base.  Raises OverflowError as soon as the running value stops being
+    the fraction is slowest (l1 folds up to 125 levels at x = base + 1 and
+    44 at base + 7/2), and the adaptive cf_l1 fraction from its closed form
+    (_l1_adaptive) gives M_base from there on, within 5.8e-14 of mpmath
+    after the steps.  Starting at base + 1 skips the step (base/x) M_base,
+    which overflows at subnormal x, and Gamma(base), which overflows at a
+    tiny base.  Raises OverflowError as soon as the running value stops being
     finite, which happens when M_s(x) exceeds the largest double (large s,
     small x), and ValueError for shapes that need more than 2**20 steps
     (s > 2**20 + 1).
@@ -589,7 +668,7 @@ def reduce_s(s, x, evaluator=None):
                                 "largest double") from None
         done = 1
     else:
-        value = _raw_laguerre(base, x)
+        value = _l1_adaptive(base, x)
     for j in range(done + 1, steps + 1):
         value = 1.0 + ((base + j - 1.0) / x) * value
         if not math.isfinite(value):
@@ -605,16 +684,16 @@ def bounds_s01(s, x, n):
 
     Nonnegative coefficients make consecutive convergents enclose the true
     value; at s = 1 the numerator 1 - s kills the fraction and both sides
-    collapse to the exact value 1.
+    collapse to the exact value 1.  Each depth is folded from l1's
+    closed-form coefficients (_l1_fold), in constant memory and with the
+    bits of the fixed-depth cf_l1.
     """
     _check("bounds_s01", s, x)
     n = _check_depth(n, "bounds_s01", top=_MAX_DEPTH - 1)
     if s > 1.0:
         raise ValueError("bounds_s01 is stated for s in (0, 1]")
-    spec = l1_spec(s)
-    levels = list(islice(spec.levels(x), n + 1))
-    hi = _fold(levels, n + 1, spec.name)
-    lo = _fold(levels, n, spec.name) if n else 0.0
+    hi = _l1_fold(s, x, n + 1)
+    lo = _l1_fold(s, x, n) if n else 0.0
     if lo > hi:
         lo, hi = hi, lo
     return lo, hi

@@ -5,6 +5,7 @@ import re
 import struct
 import sys
 import time
+import tracemalloc
 from itertools import islice
 
 import mpmath
@@ -89,9 +90,10 @@ def test_lower_fraction():
     assert lower_cf(s, x) + laguerre(s, x) == pytest.approx(total, rel=1e-8)
 
 
-# The raw adaptive loop of each tail form.  gamma_mills runs cf_l1's, and
-# reduce_s's base step and the Gamma oracle run laguerre's; without a depth
-# the public forms answer through gamma_mills instead
+# The raw adaptive loop of each tail form.  The Gamma oracle runs
+# laguerre's; gamma_mills and reduce_s run cf_l1's from its closed form
+# (gamma._l1_adaptive), and without a depth the public forms answer through
+# gamma_mills
 RAW_ADAPTIVE = {
     "cf_l1": lambda s, x: gamma._evaluate(gamma.l1_spec(s), s, x, None),
     "laguerre": gamma._raw_laguerre,
@@ -163,6 +165,17 @@ def test_bounds_s01():
     assert (w12[1] - w12[0]) < (w8[1] - w8[0])
     with pytest.raises(ValueError):
         bounds_s01(1.5, 1.0, 8)
+
+
+def test_bounds_s01_folds_in_constant_memory():
+    # the two folds keep no list of levels: 5.7 MB at this depth with one
+    tracemalloc.start()
+    try:
+        bounds_s01(0.5, 1.0, 2**16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024, peak
 
 
 def test_limit_toward_one():
@@ -278,6 +291,7 @@ def test_reduce_s_series_region_against_mpmath():
     # x < base + 1 + _SERIES_REACH takes the lower series at base + 1: within
     # 1e-12 of mpmath where M_s(x) is a double, OverflowError where it is
     # not.  The laguerre base raised ConvergenceError at most of these points.
+    # From there on the l1 fraction gives M_base, with bases near 0 and 1.
     values = overflows = 0
     for s in _SERIES_SHAPES:
         start = s - math.ceil(s) + 2.0   # base + 1
@@ -285,6 +299,7 @@ def test_reduce_s_series_region_against_mpmath():
         end = start + gamma._SERIES_REACH
         xs = np.geomspace(1e-300, top, 25).tolist() + np.geomspace(1e-3, top, 8).tolist()
         xs += np.linspace(start, end, 6)[:-1].tolist() + [math.nextafter(end, 0.0)]
+        xs += [end, end + 0.5, 20.0, 60.0]   # 60 digits cancel past about 100
         for x in xs:
             want = _mp_mills(s, x)
             if want > sys.float_info.max:
@@ -469,6 +484,44 @@ def test_level_streams_match_the_coefficient_callables():
                 want = _levels_or_error(
                     lambda: [(spec.a(k, x), spec.b(k, x)) for k in range(1, 501)])
                 assert stream == want, (spec.name, s, x)
+
+
+# l1 shapes with s = 1 and 1 - 1e-15, where a_2 snaps to 0, and the
+# smallest subnormal
+L1_SHAPES = (5e-324, 1e-300, 0.01, 0.3, 0.5, 0.99, 1.0 - 1e-12, 1.0 - 1e-15, 1.0)
+L1_XS = [2.0**-1000, 1e-10, 0.3, 1.0, 2.5, math.nextafter(2.5, 3.0), 3.7, 10.0,
+         1e3, 1e12, 1e13, 1e100]
+
+
+def _same_closed_form_l1(s, x, depths):
+    """gamma._l1_adaptive and gamma._l1_fold give the stream's bits: the
+    loop inside _adaptive's box (s < 1, 5/2 <= x <= 2^200), the fold at
+    every s in (0, 1] and x > 0."""
+    spec = gamma.l1_spec(s)
+    if s < 1.0 and 2.5 <= x <= 2.0**200:
+        assert _outcome(gamma._l1_adaptive, s, x) == \
+            _outcome(gamma._adaptive, spec, s, x), (s, x)
+    for m in depths:
+        want = _outcome(gamma._fold, list(islice(spec.levels(x), m)), m, "l1")
+        assert _outcome(gamma._l1_fold, s, x, m) == want, (s, x, m)
+
+
+def test_closed_form_l1_gives_the_bits_of_the_stream():
+    # the third writing of l1's coefficients, after the a/b callables and
+    # the stream, which gamma_mills, reduce_s and bounds_s01 run
+    for s in L1_SHAPES:
+        for x in XS + EDGE_XS + L1_XS:
+            _same_closed_form_l1(s, x, (1, 2, 3, 4, 5, 40, 41, 999))
+
+
+@settings(max_examples=300, deadline=None)
+@given(s=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+       x=st.floats(min_value=5e-324, max_value=1.7976931348623157e308),
+       y=st.floats(min_value=2.5, max_value=2.0**200),
+       m=st.integers(min_value=1, max_value=300))
+def test_closed_form_l1_matches_the_stream_everywhere(s, x, y, m):
+    _same_closed_form_l1(s, x, (1, 2, 3, 4, m))
+    _same_closed_form_l1(s, y, ())
 
 
 def _callable_fold(spec, x, n):

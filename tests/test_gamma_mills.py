@@ -14,6 +14,7 @@ import millscf
 from millscf import gamma
 from millscf.gamma import (
     ConvergenceError,
+    bounds_s01,
     cf_l1,
     gamma_mills,
     laguerre,
@@ -228,3 +229,25 @@ def test_reduce_s_and_the_oracle_keep_the_raw_fraction(monkeypatch):
     assert reduce_s(3.5, 10.0) == pytest.approx(1.289292662399244, rel=1e-12)
     assert millscf.reference_gamma_mills(0.5, 2.0) == pytest.approx(
         0.8427384585761089, rel=1e-11)
+
+
+def test_the_l1_routes_need_neither_raw_loop(monkeypatch):
+    # gamma_mills' s < 1 fraction, reduce_s's base step from base + 7/2 on
+    # and bounds_s01 fold l1's closed form; the oracle keeps the contracted
+    # fraction, so it still reaches the raw loop
+    def refuse(*args):
+        raise AssertionError("raw loop called")
+
+    monkeypatch.setattr(gamma, "_adaptive", refuse)
+    monkeypatch.setattr(gamma, "_raw_laguerre", refuse)
+    for s in (1e-9, 1e-3, 0.3, 0.5, 0.99, 1.0 - 1e-15):
+        for x in (s + gamma._SERIES_REACH, 10.0, 1e3, 2.0**200, 1e300, DOUBLE_MAX):
+            _assert_front_door(s, x)
+    for base in (2.0**-52, 1e-9, 0.5, 1.0 - 1e-9, 1.0 - 2.0**-40):
+        for x in (base + 1.0 + gamma._SERIES_REACH, 20.0, 1e300):
+            for s in (base + 1.0, base + 7.0):
+                _assert_front_door(s, x, reduce_s)
+    lo, hi = bounds_s01(0.5, 2.0, 8)
+    assert lo <= mp_gamma_mills(0.5, 2.0) <= hi
+    with pytest.raises(AssertionError, match="raw loop called"):
+        millscf.reference_gamma_mills(0.5, 2.0)
