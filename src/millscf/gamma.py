@@ -28,44 +28,32 @@ or the adaptive cf_l1 fraction above that.
 
 Depth control: passing n evaluates a single depth-n convergent of the raw
 fraction; omitting it returns gamma_mills(s, x) (lower_cf: its complement).
-The raw adaptive loop runs until two successive nonzero convergents agree
-to 1e-12 relative, capped at depth 500; only the Gamma oracle runs it, on
-the contracted form (_raw_laguerre).
 
-Both routes read each form's coefficients from one level stream,
-the spec's `levels(x)` generator, which yields (a_k, b_k) for k = 1, 2, ...
+A fixed depth n reads each form's coefficients from one level stream, the
+spec's `levels(x)` generator, which yields (a_k, b_k) for k = 1, 2, ...
 with the same arithmetic as the spec's a/b callables, so the values are
 bit for bit the same.  The streams count their levels in floats
 (count(1.0)), which keeps every operation float-float; a double holds each
-level number exactly, so no value moves.  Adaptively, one flat
-Wallis-Euler loop folds that stream: a level with |a_k| + |b_k| above
-2^512 scales each pair that could overflow down by 2^-512 before the
-multiply, tracking the A-B exponent difference, so the continuants stay
-finite for any finite x, and the new A, B are scaled down after it once
-either exceeds 2^500.  The 2^512 test runs only outside a box of (s, x)
-where it cannot fire (see _BOX_LO).
-A fixed depth n folds the first n levels of the same stream backward
-(_fold), with eval_backward's arithmetic and checks in its order, so it
-gives eval_backward's bits without two coefficient calls per level.
+level number exactly, so no value moves.  The first n levels are folded
+backward (_fold), with eval_backward's arithmetic and checks in its order,
+so it gives eval_backward's bits without two coefficient calls per level.
 
 The l1 fraction is also written out from its closed-form coefficients,
 a_1 = x, a_2j = j - s, a_2j+1 = j over b_k = x, 1, x, ..., with no stream:
-for 0 < s <= 1 every level is nonnegative, so neither the loop's guards
-nor the fold's checks can fire, and the same arithmetic gives the same
-bits.  gamma_mills' fraction branch and reduce_s's base step run the
-adaptive loop that way (_l1_adaptive), and bounds_s01 folds both of its
-depths that way (_l1_fold), in constant memory.
+for 0 < s <= 1 every level is nonnegative, so the fold's checks cannot
+fire, and the same arithmetic gives the same bits.  gamma_mills' fraction
+branch and reduce_s's base step run it forward until two successive
+convergents agree to 1e-12 relative (_l1_adaptive), and bounds_s01 folds
+both of its depths from it backward (_l1_fold), in constant memory.
 """
 
 import math
 from itertools import count, islice
 
 from .cf import (
-    _LEVEL_HEADROOM,
     _MAX_DEPTH,
     _RESCALE_FACTOR,
     _RESCALE_LIMIT,
-    _RESCALE_SHIFT,
     CFEvaluationError,
     CFSpec,
     _check_depth,
@@ -77,8 +65,6 @@ ADAPTIVE_MAX_DEPTH = 500
 # treat shape distances below this as exact integers so the fractions
 # truncate instead of dividing through numerators of order 1e-16
 _SNAP = 1e-13
-
-_PAIR_SAFE = 2.0**-24   # a pair this small cannot overflow at any level
 
 
 class ConvergenceError(ArithmeticError):
@@ -206,63 +192,6 @@ def winitzki_spec(s):
     return CFSpec(a, b, "winitzki", levels)
 
 
-# The box of _adaptive.  With 2^-200 <= x <= 2^200, 0 < s <= 2^200 and at
-# most 2^20 (_MAX_DEPTH) levels, every level k >= 2 of the four forms has
-# |a_k| + |b_k| <= 2^402: l1 a_k <= k + s, b_k in {x, 1}; laguerre
-# a_k = (k-1)|s-k+1|, b_k <= x + 2k + s; lower |a_k| = (k-2+s) x,
-# b_k <= k + s + x; winitzki a_k <= (k+s)/x, b_k = 1.  Level 1 is (x, x),
-# (x, s), (1, 1) or laguerre's (x^s, x+1-s), and x^s passes 2^512 at
-# moderate x (s = 142.55, x = 138.36), so the box also asks x <= 1 or
-# s log2 x <= 500 (x^s at most about 2^501).  Inside it the headroom test
-# cannot fire, rounding included, so skipping it gives the same bits.
-_BOX_LO, _BOX_HI = 2.0**-200, 2.0**200
-
-
-def _adaptive(spec, s, x, rel_tol=ADAPTIVE_REL_TOL, max_depth=ADAPTIVE_MAX_DEPTH):
-    # forward recursion, stopping on relative agreement of successive
-    # convergents.  Every level leaves all four continuants at most 2**500 in
-    # size, so after the multiply only the new A, B need the (shared) test.
-    # A level past the headroom scales only a pair that could overflow, so
-    # a far smaller pair is not pushed to 0; `shift` = A's exponent - B's.
-    headroom, limit, factor = _LEVEL_HEADROOM, _RESCALE_LIMIT, _RESCALE_FACTOR
-    # the headroom test cannot fire inside the box of _BOX_LO
-    checked = not (_BOX_LO <= x <= _BOX_HI and s <= _BOX_HI and max_depth <= _MAX_DEPTH
-                   and (x <= 1.0 or s * math.log2(x) <= 500.0))
-    A_prev, B_prev = 1.0, 0.0
-    A, B = 0.0, 1.0
-    shift = 0
-    prev = math.nan   # no convergent yet: the first agreement test fails
-    for _, (ak, bk) in zip(range(max_depth), spec.levels(x)):
-        if checked and abs(ak) + abs(bk) > headroom:
-            if abs(A) > _PAIR_SAFE or abs(A_prev) > _PAIR_SAFE:
-                A, A_prev = A * factor, A_prev * factor
-                shift += _RESCALE_SHIFT
-            if abs(B) > _PAIR_SAFE or abs(B_prev) > _PAIR_SAFE:
-                B, B_prev = B * factor, B_prev * factor
-                shift -= _RESCALE_SHIFT
-        A, A_prev = bk * A + ak * A_prev, A
-        B, B_prev = bk * B + ak * B_prev, B
-        if abs(A) > limit or abs(B) > limit:
-            A, B = A * factor, B * factor
-            A_prev, B_prev = A_prev * factor, B_prev * factor
-        if B != 0.0:
-            cur = A / B
-            if shift:
-                cur = math.ldexp(cur, shift)
-            mag = abs(cur)
-            # rel_tol * max(|cur|, 1e-300), written out.  Every form's
-            # fraction is positive, so a convergent of 0.0 has underflowed
-            # (cf_l1 at subnormal x): no agreement with it counts.
-            if abs(cur - prev) <= rel_tol * (mag if mag > 1e-300 else 1e-300):
-                if cur != 0.0 and prev != 0.0:
-                    return cur
-            prev = cur
-    raise ConvergenceError(
-        f"{spec.name} form of M_s(x) at s={s!r}, x={x!r}: successive "
-        f"convergents still apart after {max_depth} levels"
-    )
-
-
 def _fold(levels, n, name):
     """cf.eval_backward(spec, x, n, spec.b(n, x)) on a list of spec.levels(x).
 
@@ -305,17 +234,23 @@ def _fold(levels, n, name):
     return 0.0 + am / t   # b_0 = 0 turns a -0.0 into 0.0, as eval_backward
 
 
-def _l1_adaptive(s, x):
-    """_adaptive(l1_spec(s), s, x) from l1's closed-form coefficients, for
-    0 < s < 1 and x >= 5/2; two levels a pass, no stream.
+# Up to this x every l1 level has a_k + b_k <= 2^201, so a product b_k A or
+# a_k A of continuants at most 2^500 stays finite before the rescale; past
+# it M_s(x) is 1 + (s-1)/x, and the next term is below 2^-399 relative
+_L1_FRACTION_TOP = 2.0**200
 
-    Up to x = 2^200 this is inside _adaptive's box, where every a_k >= 0,
-    b_k is x or 1, every B_k >= 1 and every convergent >= x/(x + 1): its
-    headroom test, shift and subnormal floor cannot fire, so its multiply,
-    post-multiply rescale, stop and cap give the same bits.  Past 2^200
-    M_s(x) is 1 + (s-1)/x; the next term is below 2^-399 relative.
+
+def _l1_adaptive(s, x):
+    """The l1 fraction forward from its closed-form coefficients, for
+    0 < s < 1 and x >= 5/2, until two successive convergents agree to
+    ADAPTIVE_REL_TOL relative, within ADAPTIVE_MAX_DEPTH levels; two levels
+    a pass, no stream.
+
+    Every a_k >= 0, b_k is x or 1, every B_k >= 1 and every convergent is
+    at least x/(x + 1), so only the rescale of A and B past 2^500 is
+    needed.  Past _L1_FRACTION_TOP it returns 1 + (s-1)/x.
     """
-    if x > _BOX_HI:
+    if x > _L1_FRACTION_TOP:
         return 1.0 + (s - 1.0) / x
     x = float(x)   # the stream's A_1 = x * 1.0 is a float for an int x too
     limit, factor, tol = _RESCALE_LIMIT, _RESCALE_FACTOR, ADAPTIVE_REL_TOL
@@ -374,9 +309,8 @@ def _l1_fold(s, x, m):
     return x / t
 
 
-def _evaluate(spec, s, x, n):
-    if n is None:
-        return _adaptive(spec, s, x)
+def _evaluate(spec, x, n):
+    """The depth-n convergent of spec's fraction at x; 0 at n = 0."""
     if n == 0:
         return 0.0
     return _fold(list(islice(spec.levels(x), n)), n, spec.name)
@@ -388,7 +322,7 @@ def cf_l1(s, x, n=None):
     n = _check("cf_l1", s, x, n)
     if n is None:
         return _mills(s, x)
-    return _evaluate(l1_spec(s), s, x, n)
+    return _evaluate(l1_spec(s), x, n)
 
 
 def laguerre(s, x, n=None):
@@ -415,14 +349,9 @@ def laguerre(s, x, n=None):
     return _raw_laguerre(s, x, n)
 
 
-def _raw_laguerre(s, x, n=None):
-    """The contracted fraction at depth n, or adaptively for n = None,
-    divided by x^(s-1), with laguerre's power checks; the caller has
-    checked s and x.
-
-    The Gamma oracle runs the adaptive fraction here rather than the front
-    door.
-    """
+def _raw_laguerre(s, x, n):
+    """The contracted fraction at depth n divided by x^(s-1), with
+    laguerre's power checks; the caller has checked s, x and n."""
     try:
         power, first = x ** (s - 1.0), x ** s
     except OverflowError:
@@ -438,7 +367,7 @@ def _raw_laguerre(s, x, n=None):
         raise CFEvaluationError(
             f"laguerre form of M_s(x) at s={s!r}, x={x!r}: the first "
             "numerator x**s underflows to 0")
-    return _evaluate(laguerre_spec(s), s, x, n) / power
+    return _evaluate(laguerre_spec(s), x, n) / power
 
 
 def lower_cf(s, x, n=None):
@@ -458,7 +387,7 @@ def lower_cf(s, x, n=None):
     if x == 0.0:
         return 0.0
     if n is not None:
-        return _evaluate(lower_spec(s), s, x, n)
+        return _evaluate(lower_spec(s), x, n)
     if x < s + 1.0:
         total = _lower_sum(s, x)
         if total == math.inf:
@@ -479,7 +408,7 @@ def winitzki_cf(s, x, n=None):
     n = _check("winitzki_cf", s, x, n)
     if n is None:
         return _mills(s, x)
-    return _evaluate(winitzki_spec(s), s, x, n)
+    return _evaluate(winitzki_spec(s), x, n)
 
 
 def _lower_sum(s, x):
@@ -627,18 +556,17 @@ def _mills(s, x):
                             "exceeds the largest double") from None
 
 
-def reduce_s(s, x, evaluator=None):
+def reduce_s(s, x):
     """M_s(x) for s > 1 by induction on the integer part of the shape.
 
     M_s = 1 + ((s-1)/x) M_{s-1} follows from integrating Gamma(s, x) by
-    parts; applied repeatedly it lowers the shape to a base in (0, 1].  A
-    supplied evaluator takes over at the base.  By default the base is
-    M_1 = 1 at an integer shape; otherwise the lower series (_lower_series)
-    gives M_{base+1} below x = base + 1 + _SERIES_REACH (base + 7/2), where
-    the fraction is slowest (l1 folds up to 125 levels at x = base + 1 and
-    44 at base + 7/2), and the adaptive cf_l1 fraction from its closed form
-    (_l1_adaptive) gives M_base from there on, within 5.8e-14 of mpmath
-    after the steps.  Starting at base + 1 skips the step (base/x) M_base,
+    parts; applied repeatedly it lowers the shape to a base in (0, 1].  The
+    base is M_1 = 1 at an integer shape; otherwise the lower series
+    (_lower_series) gives M_{base+1} below x = base + 1 + _SERIES_REACH
+    (base + 7/2), where the fraction is slowest (l1 folds up to 125 levels
+    at x = base + 1 and 44 at base + 7/2), and the adaptive cf_l1 fraction
+    from its closed form (_l1_adaptive) gives M_base from there on, within
+    5.8e-14 of mpmath after the steps.  Starting at base + 1 skips the step (base/x) M_base,
     which overflows at subnormal x, and Gamma(base), which overflows at a
     tiny base.  Raises OverflowError as soon as the running value stops being
     finite, which happens when M_s(x) exceeds the largest double (large s,
@@ -647,17 +575,13 @@ def reduce_s(s, x, evaluator=None):
     """
     _check("reduce_s", s, x)
     if s <= 1.0:
-        raise ValueError("reduce_s handles s > 1; call an evaluator directly")
-    if evaluator is not None and not callable(evaluator):
-        raise TypeError(f"evaluator must be callable, got {evaluator!r}")
+        raise ValueError("reduce_s handles s > 1; use gamma_mills for s <= 1")
     steps = math.ceil(s) - 1
     if steps > _MAX_DEPTH:
         raise ValueError(f"reduce_s at s={s!r} needs more than {_MAX_DEPTH} steps")
     base = s - steps
     done = 0
-    if evaluator is not None:
-        value = evaluator(base, x)
-    elif base == 1.0:
+    if base == 1.0:
         value = 1.0   # M_1 = 1, exactly
     elif x < base + 1.0 + _SERIES_REACH:
         # M_{base+1} >= 1; near base = 0 the difference can round an ulp below

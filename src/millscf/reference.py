@@ -1,8 +1,8 @@
 """High-accuracy reference values for the Mills ratios.
 
 Everything here is deliberately written from scratch rather than on top of
-cf/gauss, so a bug in the evaluation engine cannot cancel against the same
-bug in the check.  Two independent routes per quantity:
+cf, gauss or gamma, so a bug in the evaluation engine cannot cancel against
+the same bug in the check.  Two independent routes per quantity:
 
   Gaussian: entire-series summation for small x, and a deep classic fraction
   with a proven per-depth error bound for x >= 1.  The branches overlap on
@@ -12,9 +12,16 @@ bug in the check.  Two independent routes per quantity:
   taken before a level's power-of-two rescale, so the scale cancels and
   certification takes no logarithm.
 
-  Gamma: the Laguerre-type fraction run to convergence, cross-checked for
-  x >= 1 against direct Simpson quadrature of the tail integral
-  integral_0^inf (1 + u/x)^(s-1) e^(-u) du.
+  Gamma: below x = s + 1 the lower series,
+  M_s(x) = exp((1-s) ln x + x + lgamma(s)) - sum_{k>=1} x^k/(s(s+1)...(s+k-1)),
+  and from x = s + 1 on Legendre's contracted fraction
+  x/(x + 1 - s + 1(s-1)/(x + 3 - s + 2(s-2)/(x + 5 - s + ...))), its
+  denominator evaluated by modified Lentz (Press et al., Numerical Recipes,
+  section 6.2).  At s = 1 the fraction's first numerator is 0, so it is
+  x/x = 1 exactly; it answers there below x = 2 too, where the series would
+  round.  For x >= 1 either value is cross-checked, to 1e-7, against
+  Simpson quadrature of the tail integral integral_0^inf (1 + u/x)^(s-1)
+  e^(-u) du, cut off where the rest of the integral is negligible.
 
 reference_mills takes one x; reference_mills_grid takes a 1-D array and
 runs the same two branches with the same stopping and certification rules
@@ -33,8 +40,6 @@ either route, so the two give the same bits.
 
 import math
 from functools import lru_cache
-
-from .gamma import ConvergenceError, _raw_laguerre
 
 
 class OracleError(RuntimeError):
@@ -297,15 +302,16 @@ def reference_tail(x):
 
 
 _QUAD_CUTOFF = 60.0
-_QUAD_INTERVALS = 12000
+_QUAD_INTERVALS = 12000   # a Simpson step of 0.005
 
 
-@lru_cache(maxsize=1)
-def _quadrature_nodes():
-    """The Simpson nodes u on [0, 60] and weights e^-u, once and read-only."""
+@lru_cache(maxsize=None)
+def _quadrature_nodes(cutoff=_QUAD_CUTOFF):
+    """The Simpson nodes u on [0, cutoff] and weights e^-u, once per cutoff
+    and read-only."""
     import numpy as np
 
-    u = np.linspace(0.0, _QUAD_CUTOFF, _QUAD_INTERVALS + 1)
+    u = np.linspace(0.0, cutoff, round(_QUAD_INTERVALS * cutoff / _QUAD_CUTOFF) + 1)
     w = np.exp(-u)
     u.flags.writeable = False
     w.flags.writeable = False
@@ -313,33 +319,81 @@ def _quadrature_nodes():
 
 
 def _gamma_quadrature(s, x):
-    # M_s(x) = integral_0^inf (1 + u/x)^(s-1) e^(-u) du after t = x + u;
-    # beyond u = 60 the integrand is below 1e-18 for every (s, x) we accept.
-    # At large s the power overflows to inf, which the caller refuses.
+    # M_s(x) = integral_0^inf (1 + u/x)^(s-1) e^(-u) du after t = x + u.  The
+    # log integrand phi(u) = (s-1) log1p(u/x) - u is concave (s >= 1) or
+    # falling, with phi' >= -1 and its top at u* = max(0, s-1-x); past a U
+    # where phi is 40 below phi(u*) with slope at most -1/2 the tail is under
+    # 2e-17 of M_s(x) >= (1 - 1/e) e^phi(u*).  U is the first such of 60, 120,
+    # 240 and 480, or 480: past about 745 e^-u rounds to 0, and 0 times an
+    # overflowed power (large s) is nan, not the inf the caller refuses.
     import numpy as np
 
-    u, w = _quadrature_nodes()
+    def phi(u):
+        return (s - 1.0) * math.log1p(u / x) - u
+
+    top, cutoff = phi(max(0.0, s - 1.0 - x)), _QUAD_CUTOFF
+    while cutoff < 480.0 and (phi(cutoff) > top - 40.0 or s - 1.0 > 0.5 * (x + cutoff)):
+        cutoff *= 2.0
+    u, w = _quadrature_nodes(cutoff)
     with np.errstate(over="ignore"):
         y = (1.0 + u / x) ** (s - 1.0) * w
-    h = _QUAD_CUTOFF / _QUAD_INTERVALS
+    h = cutoff / (u.size - 1)
     return float((h / 3.0) * (y[0] + y[-1]
                               + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-1:2].sum()))
 
 
-def reference_gamma_mills(s, x):
-    """M_s(x) = x^(1-s) e^x Gamma(s, x), certified by two disjoint methods."""
-    s, x = float(s), float(x)
-    if not (s > 0.0 and x > 0.0):
-        raise ValueError("reference_gamma_mills needs s > 0 and x > 0")
+_GAMMA_CAP = 2**20   # series terms or fraction levels (911 at s = 1e6, x = s + 1)
+
+
+def _gamma_series(s, x):
+    """M_s(x) = exp((1-s) ln x + x + lgamma(s)) - sum_{k>=1} x^k/(s...(s+k-1))."""
     try:
-        value = _raw_laguerre(s, x)
-    except ConvergenceError as exc:
-        raise OracleError(f"M_{s}({x}): fraction did not settle") from exc
-    if x >= 1.0:
-        quad = _gamma_quadrature(s, x)
-        if not math.isfinite(quad):
-            raise OracleError(f"M_{s}({x}): quadrature {quad!r} is not finite")
-        if abs(value - quad) > 1e-7 * max(1.0, abs(value)):
-            raise OracleError(
-                f"M_{s}({x}): fraction {value!r} vs quadrature {quad!r}")
+        first = math.exp((1.0 - s) * math.log(x) + x + math.lgamma(s))
+    except OverflowError:
+        raise OracleError(f"M_{s}({x}): the series' first term overflows") from None
+    term = total = x / s
+    k = s
+    for _ in range(_GAMMA_CAP):
+        k += 1.0
+        term *= x / k   # x/(s+k) < 1 for x < s + 1
+        if total + term == total:
+            return first - total
+        total += term
+    raise OracleError(f"M_{s}({x}): series still moving after {_GAMMA_CAP} terms")
+
+
+def _gamma_cf(s, x):
+    """M_s(x) = x/D, D = (x + 1 - s) + K_{i>=1}(i(s-i)/(x + 2i + 1 - s)), by
+    modified Lentz: exact where a numerator is 0, else to a factor 1 +- 2^-52."""
+    f = c = x + (1.0 - s)   # at least 2, or x at s = 1
+    d, i = 0.0, 0.0
+    for _ in range(_GAMMA_CAP):
+        i += 1.0
+        a = i * (s - i)
+        if a == 0.0:
+            return x / f
+        b = x + ((2.0 * i + 1.0) - s)
+        d = 1.0 / ((b + a * d) or 1e-300)   # Lentz's stand-in for a 0
+        c = (b + a / c) or 1e-300
+        f *= c * d
+        if abs(c * d - 1.0) <= 2.0**-52:
+            return x / f
+    raise OracleError(f"M_{s}({x}): fraction still moving after {_GAMMA_CAP} levels")
+
+
+def reference_gamma_mills(s, x):
+    """M_s(x) = x^(1-s) e^x Gamma(s, x): the lower series below x = s + 1,
+    Legendre's fraction from there on and at s = 1, where it is exactly 1;
+    checked against quadrature for x >= 1."""
+    s, x = float(s), float(x)
+    if not (0.0 < s < math.inf and 0.0 < x < math.inf):
+        raise ValueError("reference_gamma_mills needs 0 < s < inf and 0 < x < inf")
+    # the quadrature first: at large s its power overflows before the
+    # series' first term does
+    quad = _gamma_quadrature(s, x) if x >= 1.0 else None
+    if quad is not None and not math.isfinite(quad):
+        raise OracleError(f"M_{s}({x}): quadrature {quad!r} is not finite")
+    value = _gamma_series(s, x) if x < s + 1.0 and s != 1.0 else _gamma_cf(s, x)
+    if quad is not None and abs(value - quad) > 1e-7 * max(1.0, abs(value)):
+        raise OracleError(f"M_{s}({x}): {value!r} vs quadrature {quad!r}")
     return value

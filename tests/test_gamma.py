@@ -15,15 +15,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import gammainc, gammaln
 
 from millscf import gamma
-from millscf.cf import (
-    _LEVEL_HEADROOM,
-    _RESCALE_FACTOR,
-    _RESCALE_LIMIT,
-    _RESCALE_SHIFT,
-    CFEvaluationError,
-    CFSpec,
-    eval_backward,
-)
+from millscf.cf import CFEvaluationError, CFSpec, eval_backward
 from millscf.gamma import (
     ConvergenceError,
     bounds_s01,
@@ -36,7 +28,7 @@ from millscf.gamma import (
 from millscf.reference import reference_gamma_mills, reference_mills
 
 SPECS = (gamma.l1_spec, gamma.laguerre_spec, gamma.lower_spec, gamma.winitzki_spec)
-# 1 + 1e-14 snaps to an integer shape; x = 0.125 runs the slow forms to the cap
+# 1 + 1e-14 snaps to an integer shape
 SHAPES = (0.01, 0.3, 0.5, 1.0, 1.0 + 1e-14, 2.0, 2.5, 3.0, 10.5, 50.0)
 XS = np.logspace(-2.0, 2.0, 17).tolist() + [0.125]
 
@@ -90,37 +82,15 @@ def test_lower_fraction():
     assert lower_cf(s, x) + laguerre(s, x) == pytest.approx(total, rel=1e-8)
 
 
-# The raw adaptive loop of each tail form.  The Gamma oracle runs
-# laguerre's; gamma_mills and reduce_s run cf_l1's from its closed form
-# (gamma._l1_adaptive), and without a depth the public forms answer through
-# gamma_mills
-RAW_ADAPTIVE = {
-    "cf_l1": lambda s, x: gamma._evaluate(gamma.l1_spec(s), s, x, None),
-    "laguerre": gamma._raw_laguerre,
-    "winitzki_cf": lambda s, x: gamma._evaluate(gamma.winitzki_spec(s), s, x, None),
-}
-
-
 def _near_mpmath(got, s, x):
     want = _mp_mills(s, x)
     return abs(got - want) <= 1e-12 * want
 
 
 def test_adaptive_depth_and_failure():
-    # adaptive mode needs no explicit depth on friendly inputs
-    assert RAW_ADAPTIVE["laguerre"](0.5, 2.0) == pytest.approx(laguerre(0.5, 2.0, 300),
-                                                              rel=1e-11)
-    # the 1/x-variable form creeps at small x and hits the cap
-    with pytest.raises(ConvergenceError):
-        RAW_ADAPTIVE["winitzki_cf"](0.5, 0.125)
-    # the public form answers through the front door there
+    # without a depth the 1/x-variable form, whose raw fraction creeps at
+    # small x, answers through the front door
     assert _near_mpmath(winitzki_cf(0.5, 0.125), 0.5, 0.125)
-
-
-def test_convergence_error_names_form_s_and_x():
-    with pytest.raises(ConvergenceError,
-                       match=r"^winitzki form of M_s\(x\) at s=0\.5, x=0\.125: "):
-        RAW_ADAPTIVE["winitzki_cf"](0.5, 0.125)
 
 
 def test_form_validation():
@@ -138,8 +108,6 @@ def test_reduce_s():
         for x in (1.0, 2.0, 5.0):
             direct = laguerre(s, x, 200)
             assert reduce_s(s, x) == pytest.approx(direct, rel=1e-8), (s, x)
-    assert reduce_s(4.5, 3.0, evaluator=lambda s_, x_: laguerre(s_, x_, 80)) == \
-        pytest.approx(laguerre(4.5, 3.0, 80), rel=1e-8)
     # an integer shape starts from M_1 = 1; laguerre(1.0, x) gave
     # 0.9999999999999991 at x = 0.1 and raised ConvergenceError at 1e-20
     assert (reduce_s(2.0, 0.1), reduce_s(3.0, 0.1), reduce_s(2.0, 1e-20)) == (11.0, 221.0, 1e20)
@@ -147,8 +115,6 @@ def test_reduce_s():
         reduce_s(1.0, 2.0)
     with pytest.raises(ValueError):
         reduce_s(0.5, 2.0)
-    with pytest.raises(TypeError):
-        reduce_s(2.5, 2.0, evaluator="laguerre")
 
 
 def test_bounds_s01():
@@ -193,17 +159,13 @@ def test_huge_x_rescales_before_the_multiply():
 
 
 def test_headroom_scales_only_a_pair_that_can_overflow():
-    # scaling all four continuants before each level past the headroom
-    # pushed the smaller pair under the subnormal range: laguerre's
-    # numerators, x^(1-s) below its denominators at the largest double, and
-    # winitzki_cf's at tiny x, where both returned 0.0
+    # the raw adaptive loop returned 0.0 for laguerre at the largest double
+    # and for winitzki_cf at tiny x; the public forms answer there
     for s in (0.01, 0.3):
-        m = RAW_ADAPTIVE["laguerre"](s, 1.7976931348623157e308)
+        m = laguerre(s, 1.7976931348623157e308)
         assert abs(m - 1.0) <= 1e-12, (s, m)
     for s in (0.01, 0.3, 0.5, 0.99):
         for x in (1e-300, 1e-250):
-            with pytest.raises(ConvergenceError, match=re.escape(f"s={s!r}, x={x!r}")):
-                RAW_ADAPTIVE["winitzki_cf"](s, x)
             assert _near_mpmath(winitzki_cf(s, x), s, x), (s, x)
 
 
@@ -212,18 +174,14 @@ def test_laguerre_at_tiny_x_raises_documented_errors():
     # double (this divided by zero); x^s alone underflows: the fraction's
     # first numerator is 0 (this returned -0.0 and 0.0 for M_s near 1e125
     # and 2e240)
-    # (n = None: the raw adaptive route; the public one answers below)
-    for n in (None, 0, 3):
+    # (at a fixed depth; without one the front door answers, below)
+    for n in (0, 3):
         with pytest.raises(OverflowError, match="exceeds the largest double"):
-            gamma._raw_laguerre(2.5, 5e-324, n)
+            laguerre(2.5, 5e-324, n)
         for s, x in ((1.5, 1e-250), (3.0, 1e-120)):
             with pytest.raises(CFEvaluationError,
                                match=re.escape(f"s={s!r}, x={x!r}")):
-                gamma._raw_laguerre(s, x, n)
-            if n is not None:
-                with pytest.raises(CFEvaluationError,
-                                   match=re.escape(f"s={s!r}, x={x!r}")):
-                    laguerre(s, x, n)
+                laguerre(s, x, n)
     with pytest.raises(OverflowError, match="exceeds the largest double"):
         laguerre(2.5, 5e-324)
     for s, x in ((1.5, 1e-250), (3.0, 1e-120)):
@@ -236,15 +194,15 @@ def test_laguerre_at_large_x_power_raises_a_documented_error():
     for s, x in ((50.0, 1e10), (31.5, 1e10)):
         assert cf_l1(s, x) == pytest.approx(1.0 + (s - 1.0) / x, rel=1e-15)
         assert laguerre(s, x) == cf_l1(s, x)   # the front door, without a depth
-        for n in (None, 0, 3):
+        for n in (0, 3):
             with pytest.raises(CFEvaluationError, match=re.escape(
                     f"laguerre form of M_s(x) at s={s!r}, x={x!r}: the first "
                     "numerator x**s overflows")):
-                gamma._raw_laguerre(s, x, n) if n is None else laguerre(s, x, n)
+                laguerre(s, x, n)
     # at subnormal x and small s only the divisor x^(s-1) overflows
     with pytest.raises(OverflowError, match=re.escape(
             "laguerre: the divisor x**(s-1) at s=0.001, x=5e-324 exceeds")):
-        gamma._raw_laguerre(0.001, 5e-324)
+        laguerre(0.001, 5e-324, 3)
 
 
 def test_subnormal_x_gives_no_underflowed_value():
@@ -253,17 +211,8 @@ def test_subnormal_x_gives_no_underflowed_value():
     # had underflowed to 0 "agreed"
     for x in (5e-324, 1e-320, 1e-310):
         want = math.sqrt(math.pi) * math.sqrt(x) * math.exp(x) * math.erfc(math.sqrt(x))
-        for name, raw in RAW_ADAPTIVE.items():
-            try:
-                got = raw(0.5, x)
-            except ConvergenceError:
-                continue
-            assert got == pytest.approx(want, rel=1e-10), (name, x, got)
         for form in (cf_l1, winitzki_cf, laguerre):   # the front door
             assert form(0.5, x) == pytest.approx(want, rel=1e-12), (form.__name__, x)
-    for x in (5e-324, 1e-320):
-        with pytest.raises(ConvergenceError, match=re.escape(f"x={x!r}")):
-            RAW_ADAPTIVE["cf_l1"](0.5, x)
 
 
 def test_reduce_s_raises_once_the_value_overflows():
@@ -367,97 +316,6 @@ def _outcome(fn, *args):
         return type(exc), str(exc)
 
 
-def test_adaptive_matches_the_per_level_reference():
-    capped = 0
-    for factory in SPECS:
-        for s in SHAPES:
-            spec = factory(s)
-            for x in XS:
-                got = _outcome(gamma._adaptive, spec, s, x)
-                assert got == _outcome(_reference_adaptive, spec, s, x), \
-                    (spec.name, s, x)
-                capped += isinstance(got, tuple)
-    assert capped > 0   # the cap-hit path is compared too
-    # a cap of d levels folds exactly d: convergence at the last level counts
-    for factory in SPECS:
-        spec = factory(0.5)
-        for x in (0.5, 2.0, 8.0):
-            for d in range(1, 41):
-                assert _outcome(gamma._adaptive, spec, 0.5, x, 1e-12, d) == \
-                    _outcome(_reference_adaptive, spec, 0.5, x, 1e-12, d), \
-                    (spec.name, x, d)
-
-
-def _checked_adaptive(spec, s, x, rel_tol=gamma.ADAPTIVE_REL_TOL,
-                      max_depth=gamma.ADAPTIVE_MAX_DEPTH):
-    """gamma._adaptive as it was before the box: every level is checked."""
-    headroom, limit, factor = _LEVEL_HEADROOM, _RESCALE_LIMIT, _RESCALE_FACTOR
-    A_prev, B_prev = 1.0, 0.0
-    A, B = 0.0, 1.0
-    shift = 0
-    prev = math.nan   # no convergent yet: the first agreement test fails
-    for _, (ak, bk) in zip(range(max_depth), spec.levels(x)):
-        if abs(ak) + abs(bk) > headroom:
-            if abs(A) > gamma._PAIR_SAFE or abs(A_prev) > gamma._PAIR_SAFE:
-                A, A_prev = A * factor, A_prev * factor
-                shift += _RESCALE_SHIFT
-            if abs(B) > gamma._PAIR_SAFE or abs(B_prev) > gamma._PAIR_SAFE:
-                B, B_prev = B * factor, B_prev * factor
-                shift -= _RESCALE_SHIFT
-        A, A_prev = bk * A + ak * A_prev, A
-        B, B_prev = bk * B + ak * B_prev, B
-        if abs(A) > limit or abs(B) > limit:
-            A, B = A * factor, B * factor
-            A_prev, B_prev = A_prev * factor, B_prev * factor
-        if B != 0.0:
-            cur = A / B
-            if shift:
-                cur = math.ldexp(cur, shift)
-            mag = abs(cur)
-            if abs(cur - prev) <= rel_tol * (mag if mag > 1e-300 else 1e-300):
-                if cur != 0.0 and prev != 0.0:
-                    return cur
-            prev = cur
-    raise ConvergenceError(
-        f"{spec.name} form of M_s(x) at s={s!r}, x={x!r}: successive "
-        f"convergents still apart after {max_depth} levels"
-    )
-
-
-def _same_as_checked(s, x):
-    for factory in SPECS:
-        spec = factory(s)
-        assert _outcome(gamma._adaptive, spec, s, x) == \
-            _outcome(_checked_adaptive, spec, s, x), (spec.name, s, x)
-
-
-def test_adaptive_box_gives_the_bits_of_the_checked_loop():
-    # the box's edges, with the far sides of each, points far outside it
-    # where the headroom test changes the result, and the laguerre level-1
-    # region, where x^s passes 2^512 (and 2^1012) at moderate x
-    lo, hi = 2.0**-200, 2.0**200
-    edges = [lo, hi, math.nextafter(lo, 0.0), math.nextafter(lo, 1.0),
-             math.nextafter(hi, 0.0), math.nextafter(hi, math.inf)]
-    xs = edges + [5e-324, 1e-300, 1e-190, 1e-72, 1e154, 1e232, 1e300,
-                  1.7976931348623157e308]
-    shapes = [hi, math.nextafter(hi, 0.0), math.nextafter(hi, math.inf), 0.5, 7.3,
-              1e3, 1e250]
-    for s in shapes:
-        for x in xs:
-            _same_as_checked(s, x)
-    _same_as_checked(142.55348917826527, 138.3648412257077)
-    for s in np.linspace(140.0, 400.0, 27).tolist():
-        for d in np.linspace(-4.0, 4.0, 9).tolist():
-            _same_as_checked(s, s - 1.0 + d)
-
-
-@settings(max_examples=150, deadline=None)
-@given(s=st.floats(min_value=0.0, max_value=2.0**21, exclude_min=True),
-       x=st.floats(min_value=5e-324, max_value=1.7976931348623157e308))
-def test_adaptive_box_matches_the_checked_loop_everywhere(s, x):
-    _same_as_checked(s, x)
-
-
 # the domain edges, with 2^-200 and 2^200 and their neighbours
 EDGE_XS = [5e-324, 1e-320, 1e-300, 2.0**-200, math.nextafter(2.0**-200, 0.0),
            math.nextafter(2.0**-200, 1.0), 2.0**200, math.nextafter(2.0**200, 0.0),
@@ -494,13 +352,13 @@ L1_XS = [2.0**-1000, 1e-10, 0.3, 1.0, 2.5, math.nextafter(2.5, 3.0), 3.7, 10.0,
 
 
 def _same_closed_form_l1(s, x, depths):
-    """gamma._l1_adaptive and gamma._l1_fold give the stream's bits: the
-    loop inside _adaptive's box (s < 1, 5/2 <= x <= 2^200), the fold at
-    every s in (0, 1] and x > 0."""
+    """gamma._l1_adaptive gives the bits of the adaptive loop on the a/b
+    callables (s < 1, 5/2 <= x <= 2^200), and gamma._l1_fold the stream's
+    bits at every s in (0, 1] and x > 0."""
     spec = gamma.l1_spec(s)
     if s < 1.0 and 2.5 <= x <= 2.0**200:
         assert _outcome(gamma._l1_adaptive, s, x) == \
-            _outcome(gamma._adaptive, spec, s, x), (s, x)
+            _outcome(_reference_adaptive, spec, s, x), (s, x)
     for m in depths:
         want = _outcome(gamma._fold, list(islice(spec.levels(x), m)), m, "l1")
         assert _outcome(gamma._l1_fold, s, x, m) == want, (s, x, m)
@@ -547,7 +405,7 @@ def _pair_outcome(fn, *args):
 
 
 def _same_fold(spec, s, x, n):
-    assert _outcome(gamma._evaluate, spec, s, x, n) == \
+    assert _outcome(gamma._evaluate, spec, x, n) == \
         _outcome(_callable_fold, spec, x, n), (spec.name, s, x, n)
 
 
@@ -566,7 +424,7 @@ def test_fixed_depth_folds_the_bits_of_eval_backward():
             for x in XS + EDGE_XS:
                 for n in (1, 2, 3, 17, 40, 41, 400, 500):
                     _same_fold(spec, s, x, n)
-                raised += isinstance(_outcome(gamma._evaluate, spec, s, x, 3), tuple)
+                raised += isinstance(_outcome(gamma._evaluate, spec, x, 3), tuple)
     assert raised > 0   # the error paths are compared too
     # int s and x reach the fold as they are; eval_backward floats the tail,
     # and x/3.0 here is not the int quotient x/3
@@ -613,12 +471,6 @@ def test_adaptive_forms_stay_inside_the_s01_bracket(s, x):
     # for s <= 1, Gamma(s, x) <= x^(s-1) e^-x gives M <= 1, and the depth-2
     # l1 convergent x/(x + 1 - s) is a lower bound
     lo = x / (x + 1.0 - s) - 1e-12
-    for name, raw in RAW_ADAPTIVE.items():
-        try:
-            m = raw(s, x)
-        except ConvergenceError:
-            continue
-        assert math.isfinite(m) and lo <= m <= 1.0 + 1e-12, (name, s, x, m)
     m = gamma.gamma_mills(s, x)   # the public forms' answer, which never raises
     assert math.isfinite(m) and lo <= m <= 1.0 + 1e-12, (s, x, m)
 

@@ -1,5 +1,6 @@
 """The Gamma front door gamma_mills(s, x), against mpmath over the whole domain."""
 
+import inspect
 import math
 import re
 import sys
@@ -233,12 +234,12 @@ def test_reduce_s_and_the_oracle_keep_the_raw_fraction(monkeypatch):
 
 def test_the_l1_routes_need_neither_raw_loop(monkeypatch):
     # gamma_mills' s < 1 fraction, reduce_s's base step from base + 7/2 on
-    # and bounds_s01 fold l1's closed form; the oracle keeps the contracted
-    # fraction, so it still reaches the raw loop
+    # and bounds_s01 fold l1's closed form, not the contracted fraction; the
+    # oracle has its own series and fraction, so it answers with every
+    # function of gamma refusing
     def refuse(*args):
         raise AssertionError("raw loop called")
 
-    monkeypatch.setattr(gamma, "_adaptive", refuse)
     monkeypatch.setattr(gamma, "_raw_laguerre", refuse)
     for s in (1e-9, 1e-3, 0.3, 0.5, 0.99, 1.0 - 1e-15):
         for x in (s + gamma._SERIES_REACH, 10.0, 1e3, 2.0**200, 1e300, DOUBLE_MAX):
@@ -249,5 +250,9 @@ def test_the_l1_routes_need_neither_raw_loop(monkeypatch):
                 _assert_front_door(s, x, reduce_s)
     lo, hi = bounds_s01(0.5, 2.0, 8)
     assert lo <= mp_gamma_mills(0.5, 2.0) <= hi
-    with pytest.raises(AssertionError, match="raw loop called"):
-        millscf.reference_gamma_mills(0.5, 2.0)
+    for name, value in vars(gamma).items():
+        if inspect.isfunction(value) and value.__module__ == gamma.__name__:
+            monkeypatch.setattr(gamma, name, refuse)
+    for s, x in ((0.5, 0.5), (0.5, 2.0), (3.5, 10.0)):
+        assert millscf.reference_gamma_mills(s, x) == pytest.approx(
+            mp_gamma_mills(s, x), rel=1e-12)

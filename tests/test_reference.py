@@ -4,8 +4,10 @@ scipy.special appears here only as a second opinion; the package itself
 never imports it for function values.
 """
 
+import ast
 import math
 import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -14,6 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.special import erfcx, gammaincc
 from scipy.special import gamma as gamma_fn
 
+from millscf import reference
 from millscf.reference import (
     _STRAGGLERS,
     OracleError,
@@ -230,6 +233,42 @@ def test_gamma_oracle_against_scipy():
                            * gammaincc(s, x) * gamma_fn(s))
             assert reference_gamma_mills(s, x) == pytest.approx(
                 independent, rel=1e-9), (s, x)
+
+
+def test_gamma_oracle_against_mpmath():
+    # x^(1-s) e^x Gamma(s, x) at 40 digits on a 15 x 15 log grid; the oracle
+    # on the engine's adaptive contracted fraction raised OracleError at 60
+    # of these points and was 100 % off at worst
+    worst = (0.0, None)
+    with mpmath.workdps(40):
+        for s in np.geomspace(1e-2, 50.0, 15).tolist():
+            for x in np.geomspace(1e-2, 1e2, 15).tolist():
+                want = (mpmath.mpf(x) ** (1 - mpmath.mpf(s)) * mpmath.exp(x)
+                        * mpmath.gammainc(s, x, mpmath.inf))
+                err = float(abs(reference_gamma_mills(s, x) - want) / want)
+                worst = max(worst, (err, (s, x)))
+    assert worst[0] <= 1e-12, worst
+
+
+def test_gamma_oracle_is_exactly_one_at_shape_one():
+    # the fraction's first numerator 1(s - 1) is 0 at s = 1: x/x, no series
+    for x in (5e-324, 0.5, 2.0, 49.0, 1e300, sys.float_info.max):
+        assert reference_gamma_mills(1.0, x) == 1.0, x
+
+
+def test_oracle_imports_nothing_from_the_engine():
+    # the oracle is kept independent, so an engine bug cannot cancel in it
+    engine = {"cf", "gamma", "gauss", "tails"}
+    tree = ast.parse(Path(reference.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = {node.module or ""} | {a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            names = {a.name for a in node.names}
+        else:
+            continue
+        parts = {p for name in names for p in name.split(".")}
+        assert not parts & engine, ast.unparse(node)
 
 
 def test_gamma_oracle_domain():
