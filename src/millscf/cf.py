@@ -1,19 +1,22 @@
 """Evaluation kernels for continued fractions K_{k>=1}(a_k / b_k).
 
-A fraction is described by coefficient callables a(k, x), b(k, x) for levels
-k >= 1; no fraction in the library has a leading term.  The n-th convergent
-A_n/B_n satisfies the three-term (Wallis-Euler) recursion
+A fraction is described by its levels (a_k, b_k), k >= 1: coefficient
+callables a(k, x), b(k, x), or a level stream (see CFSpec); no fraction in
+the library has a leading term.  The n-th convergent A_n/B_n satisfies the
+three-term (Wallis-Euler) recursion
 
     A_k = b_k A_{k-1} + a_k A_{k-2},      A_{-1} = 1, A_0 = 0,
     B_k = b_k B_{k-1} + a_k B_{k-2},      B_{-1} = 0, B_0 = 1.
 
 The paper's approximations are one operation, eval_backward: fold the levels
 innermost-first from a positive "tail" in place of the last denominator.
-gauss (on a tail family) and gamma (on a spec's level stream) run that
-fold's arithmetic in their own _fold, and the tests check them against
-it.  From here both read CFEvaluationError, the rescale constants,
-the depth rule _check_depth and the record helper _frozen_slots (gauss) or
-CFSpec (gamma).
+That fold (_fold) is written once, here: eval_backward runs it on any spec,
+and gamma's fixed depths run it on a Gamma spec's level stream with the
+tail b_n.  gauss folds its tail families in a loop of its own, with R_n's
+domain check and its overflow rule, and the tests check it against
+eval_backward.  From here both also read CFEvaluationError, the rescale
+constants, the depth rule _check_depth and the record helper _frozen_slots
+(gauss) or CFSpec (gamma).
 forward_recurrence runs the recursion above, rescaled so that B_n (which
 can grow like sqrt(n!)) never overflows; it is the second route the verify
 suites and the tests check the fold against, and it stays here because the
@@ -27,6 +30,7 @@ Laplace fraction for the Gaussian Mills ratio is 1/x.
 import math
 import operator
 from dataclasses import FrozenInstanceError, dataclass
+from itertools import chain, islice
 from typing import Callable, Iterator, Optional
 
 
@@ -65,22 +69,22 @@ class CFSpec:
     the closure (e.g. modified fractions at x = 0) go through eval_backward,
     which only validates coefficients.
 
-    `levels`, when set, maps x to an iterator of (a(k, x), b(k, x)) for
-    k = 1, 2, ..., bit for bit the values of the callables, for loops that
-    cannot afford two calls per level.  Every Gamma spec sets it, and the
-    Gamma forms read only it: the adaptive loop consumes it in order, and a
-    fixed depth n folds a list of its first n levels backward.
+    A spec gives its coefficients either as callables a(k, x), b(k, x), or
+    as `levels`, a map from x to an endless iterator of (a_k, b_k) for
+    k = 1, 2, ..., for fractions that compute each level from the one
+    before; when `levels` is set, eval_backward and forward_recurrence read
+    only it.  Every Gamma spec is a stream, with a and b None.
 
     Frozen and slotted, built like gauss.Approximation (every Gamma call
     builds one): no __dict__, and dataclasses.replace works.
     """
 
-    a: Callable[[int, float], float]
-    b: Callable[[int, float], float]
+    a: Optional[Callable[[int, float], float]]
+    b: Optional[Callable[[int, float], float]]
     name: str
     levels: Optional[Callable[[float], Iterator[tuple]]]
 
-    def __init__(self, a, b, name="", levels=None):
+    def __init__(self, a=None, b=None, name="", levels=None):
         _set_a(self, a)
         _set_b(self, b)
         _set_name(self, name)
@@ -154,13 +158,11 @@ _RESCALE_FACTOR = 2.0**-_RESCALE_SHIFT
 _LEVEL_HEADROOM = 2.0**512
 
 
-def _coeff(spec, which, k, x):
-    v = (spec.a if which == "a" else spec.b)(k, x)
-    if not math.isfinite(v):
-        raise CFEvaluationError(
-            f"non-finite coefficient {which}({k}) = {v!r} in spec {spec.name!r}"
-        )
-    return v
+def _non_finite(which, k, v, name):
+    """The error for a coefficient a(k) or b(k) = v of spec name that is not
+    finite."""
+    return CFEvaluationError(
+        f"non-finite coefficient {which}({k}) = {v!r} in spec {name!r}")
 
 
 def forward_recurrence(spec, x, n):
@@ -178,9 +180,16 @@ def forward_recurrence(spec, x, n):
     A_prev, B_prev = 1.0, 0.0
     A, B = 0.0, 1.0
     a_scale = b_scale = 0
-    for k in range(1, n + 1):
-        ak = _coeff(spec, "a", k, x)
-        bk = _coeff(spec, "b", k, x)
+    if spec.levels is None:
+        a, b = spec.a, spec.b
+        levels = ((a(k, x), b(k, x)) for k in range(1, n + 1))
+    else:
+        levels = islice(spec.levels(x), n)
+    for k, (ak, bk) in enumerate(levels, 1):
+        if not math.isfinite(ak):
+            raise _non_finite("a", k, ak, spec.name)
+        if not math.isfinite(bk):
+            raise _non_finite("b", k, bk, spec.name)
         if abs(ak) + abs(bk) > _LEVEL_HEADROOM:
             A, A_prev = A * _RESCALE_FACTOR, A_prev * _RESCALE_FACTOR
             B, B_prev = B * _RESCALE_FACTOR, B_prev * _RESCALE_FACTOR
@@ -206,6 +215,41 @@ def forward_recurrence(spec, x, n):
                            scale_log2=b_scale, a_scale_log2=a_scale)
 
 
+def _fold(levels, n, tail, name):
+    """t <- b_{m-1} + a_m / t for m = n, ..., 1 from t = tail, with b_0 = 0.
+
+    levels yields (a_m, b_m) innermost first, m = n, n-1, ..., 1; tail
+    stands in for b_n, which is not read.  The tail, then each a_m and
+    b_{m-1} as it is reached, must be finite, else CFEvaluationError names
+    it; a zero numerator ends the fraction there (t = b_{m-1}), and a zero
+    t under a nonzero a_m raises.  n = 0 returns the tail.
+    """
+    isfinite = math.isfinite
+    if not isfinite(tail):
+        raise CFEvaluationError(f"non-finite tail {tail!r}")
+    t = float(tail)
+    if n == 0:
+        return t
+    levels = iter(levels)
+    am = next(levels)[0]
+    # level 1 folds onto b_0 = 0, which turns a quotient of -0.0 into 0.0;
+    # the a_0 that comes with it is never read
+    for m, (a_next, lead) in zip(range(n, 0, -1), chain(levels, ((0.0, 0.0),))):
+        if not isfinite(am):
+            raise _non_finite("a", m, am, name)
+        if not isfinite(lead):
+            raise _non_finite("b", m - 1, lead, name)
+        if am == 0.0:
+            t = lead
+        elif t == 0.0:
+            raise CFEvaluationError(
+                f"zero denominator while folding level {m} of spec {name!r}")
+        else:
+            t = lead + am / t
+        am = a_next
+    return t
+
+
 def eval_backward(spec, x, n, tail):
     """Value of the depth-n fraction with the last denominator replaced by tail.
 
@@ -213,24 +257,17 @@ def eval_backward(spec, x, n, tail):
 
         t <- b_{m-1} + a_m / t,    starting from t = tail, with b_0 = 0.
 
-    With tail = b(n, x) this reproduces forward_recurrence's A_n/B_n.  A zero
+    With tail = b_n this reproduces forward_recurrence's A_n/B_n.  A zero
     numerator terminates the fraction exactly (the deeper levels cannot
     contribute), which is what lets integer shape parameters truncate the
     Gamma fractions without dividing by junk.  n = 0 returns tail itself.
+    A stream spec's first n levels are listed and read in reverse; a
+    callable spec's are computed one at a time, in constant memory.
     """
     n = _check_depth(n, "eval_backward")
-    if not math.isfinite(tail):
-        raise CFEvaluationError(f"non-finite tail {tail!r}")
-    t = float(tail)
-    for m in range(n, 0, -1):
-        am = _coeff(spec, "a", m, x)
-        lead = _coeff(spec, "b", m - 1, x) if m > 1 else 0.0
-        if am == 0.0:
-            t = lead
-            continue
-        if t == 0.0:
-            raise CFEvaluationError(
-                f"zero denominator while folding level {m} of spec {spec.name!r}"
-            )
-        t = lead + am / t
-    return t
+    if spec.levels is None:
+        a, b = spec.a, spec.b
+        levels = ((a(k, x), b(k, x)) for k in range(n, 0, -1))
+    else:
+        levels = reversed(list(islice(spec.levels(x), n)))
+    return _fold(levels, n, tail, spec.name)

@@ -29,14 +29,13 @@ or the adaptive cf_l1 fraction above that.
 Depth control: passing n evaluates a single depth-n convergent of the raw
 fraction; omitting it returns gamma_mills(s, x) (lower_cf: its complement).
 
-A fixed depth n reads each form's coefficients from one level stream, the
-spec's `levels(x)` generator, which yields (a_k, b_k) for k = 1, 2, ...
-with the same arithmetic as the spec's a/b callables, so the values are
-bit for bit the same.  The streams count their levels in floats
+Each form's coefficients are written once, as a level stream: the spec's
+`levels(x)` generator, which yields (a_k, b_k) for k = 1, 2, ...; the
+specs have no a/b callables.  The streams count their levels in floats
 (count(1.0)), which keeps every operation float-float; a double holds each
-level number exactly, so no value moves.  The first n levels are folded
-backward (_fold), with eval_backward's arithmetic and checks in its order,
-so it gives eval_backward's bits without two coefficient calls per level.
+level number exactly, so no value moves.  A fixed depth n folds the first
+n levels backward from the tail b_n through cf's one fold, so it gives
+cf.eval_backward(spec, x, n, b_n)'s bits or error.
 
 The l1 fraction is also written out from its closed-form coefficients,
 a_1 = x, a_2j = j - s, a_2j+1 = j over b_k = x, 1, x, ..., with no stream:
@@ -57,6 +56,7 @@ from .cf import (
     CFEvaluationError,
     CFSpec,
     _check_depth,
+    _fold,
 )
 
 ADAPTIVE_REL_TOL = 1e-12
@@ -92,15 +92,6 @@ def l1_spec(s):
     nonnegative, which is what the bracketing of bounds_s01 rests on.
     """
 
-    def a(k, x):
-        if k == 1:
-            return x
-        j, odd = divmod(k, 2)
-        return float(j) if odd else _snap_zero(j - s)
-
-    def b(k, x):
-        return x if k % 2 == 1 else 1.0
-
     def levels(x):
         yield x, x
         for j in count(1.0):
@@ -108,7 +99,7 @@ def l1_spec(s):
             yield (0.0 if abs(t) < _SNAP else t), 1.0
             yield j, x
 
-    return CFSpec(a, b, "l1", levels)
+    return CFSpec(name="l1", levels=levels)
 
 
 def laguerre_spec(s):
@@ -119,23 +110,15 @@ def laguerre_spec(s):
     fraction exactly (after snapping).
     """
 
-    def a(k, x):
-        if k == 1:
-            return x ** s
-        return (k - 1) * _snap_zero(s - k + 1.0)
-
     # b_k = x + ((2k-1) - s): the shape is taken off the integer first, so
     # b_1 keeps every bit of x where s is near 1
-    def b(k, x):
-        return x + ((2.0 * k - 1.0) - s)
-
     def levels(x):
         yield x ** s, x + (1.0 - s)
         for k in count(2.0):
             t = s - k + 1.0
             yield (k - 1.0) * (0.0 if abs(t) < _SNAP else t), x + ((2.0 * k - 1.0) - s)
 
-    return CFSpec(a, b, "laguerre", levels)
+    return CFSpec(name="laguerre", levels=levels)
 
 
 def lower_spec(s):
@@ -147,20 +130,12 @@ def lower_spec(s):
     pass through zero; such points raise rather than return junk.
     """
 
-    def a(k, x):
-        if k == 1:
-            return x
-        return -(k - 2.0 + s) * x
-
-    def b(k, x):
-        return s if k == 1 else (k - 1.0) + s + x
-
     def levels(x):
         yield x, s
         for k in count(2.0):
             yield -(k - 2.0 + s) * x, (k - 1.0) + s + x
 
-    return CFSpec(a, b, "lower", levels)
+    return CFSpec(name="lower", levels=levels)
 
 
 def winitzki_spec(s):
@@ -171,16 +146,6 @@ def winitzki_spec(s):
     behaved when x is large and depth is fixed.
     """
 
-    def a(k, x):
-        if k == 1:
-            return 1.0
-        v = 1.0 / x
-        j, odd = divmod(k, 2)
-        return j * v if odd else _snap_zero(j - s) * v
-
-    def b(k, x):
-        return 1.0
-
     def levels(x):
         yield 1.0, 1.0
         v = 1.0 / x
@@ -189,49 +154,7 @@ def winitzki_spec(s):
             yield (0.0 if abs(t) < _SNAP else t) * v, 1.0
             yield j * v, 1.0
 
-    return CFSpec(a, b, "winitzki", levels)
-
-
-def _fold(levels, n, name):
-    """cf.eval_backward(spec, x, n, spec.b(n, x)) on a list of spec.levels(x).
-
-    levels[k-1] is (a_k, b_k); n >= 1 of them are folded, innermost first,
-    with the tail b_n.  The checks, their order and their texts are
-    eval_backward's, so the outcome is the same bits or the same error.
-    The list is built first, so a level the stream cannot compute raises
-    before any check; only laguerre's x**s can, and laguerre() tests it
-    before it folds.
-    """
-    isfinite = math.isfinite
-    am, t = levels[n - 1]
-    if not isfinite(t):
-        raise CFEvaluationError(f"non-finite tail {t!r}")
-    t = float(t)
-    for m in range(n, 1, -1):
-        a_next, lead = levels[m - 2]
-        if not isfinite(am):
-            raise CFEvaluationError(
-                f"non-finite coefficient a({m}) = {am!r} in spec {name!r}")
-        if not isfinite(lead):
-            raise CFEvaluationError(
-                f"non-finite coefficient b({m - 1}) = {lead!r} in spec {name!r}")
-        if am == 0.0:
-            t = lead
-        elif t == 0.0:
-            raise CFEvaluationError(
-                f"zero denominator while folding level {m} of spec {name!r}")
-        else:
-            t = lead + am / t
-        am = a_next
-    if not isfinite(am):
-        raise CFEvaluationError(
-            f"non-finite coefficient a(1) = {am!r} in spec {name!r}")
-    if am == 0.0:
-        return 0.0
-    if t == 0.0:
-        raise CFEvaluationError(
-            f"zero denominator while folding level 1 of spec {name!r}")
-    return 0.0 + am / t   # b_0 = 0 turns a -0.0 into 0.0, as eval_backward
+    return CFSpec(name="winitzki", levels=levels)
 
 
 # Up to this x every l1 level has a_k + b_k <= 2^201, so a product b_k A or
@@ -285,15 +208,14 @@ def _l1_adaptive(s, x):
 
 
 def _l1_fold(s, x, m):
-    """_fold(list(islice(l1_spec(s).levels(x), m)), m, "l1") from l1's
-    closed-form coefficients, with no list, for 0 < s <= 1, 0 < x < inf
-    and m >= 1.
+    """_evaluate(l1_spec(s), x, m) from l1's closed-form coefficients,
+    with no list, for 0 < s <= 1, 0 < x < inf and m >= 1.
 
-    t = b_k + a_{k+1}/t innermost first, as _fold.  Every a_k is finite
+    t = b_k + a_{k+1}/t innermost first, as cf's fold.  Every a_k is finite
     and at least 0 and every b_k is x or 1, so each t is at least
-    min(x, 1) > 0 or is inf, which folds on as in _fold, and none of
-    _fold's checks can fire; where a_2 snaps to 0, x + 0/t is _fold's x.
-    x/t >= +0, so _fold's 0.0 + for a quotient of -0.0 is not needed.
+    min(x, 1) > 0 or is inf, which folds on as in that fold, and none of
+    its checks can fire; where a_2 snaps to 0, x + 0/t is the fold's x.
+    x/t >= +0, so the fold's 0.0 + for a quotient of -0.0 is not needed.
     """
     a2 = _snap_zero(1.0 - s)
     half, odd = divmod(m, 2)
@@ -310,10 +232,17 @@ def _l1_fold(s, x, m):
 
 
 def _evaluate(spec, x, n):
-    """The depth-n convergent of spec's fraction at x; 0 at n = 0."""
+    """The depth-n convergent of spec's fraction at x; 0 at n = 0.
+
+    The stream's first n levels are listed, so a level the stream cannot
+    compute raises before the fold's checks (only laguerre's x**s can, and
+    laguerre() tests it first), then folded innermost first from the tail
+    b_n: eval_backward(spec, x, n, b_n)'s bits or error.
+    """
     if n == 0:
         return 0.0
-    return _fold(list(islice(spec.levels(x), n)), n, spec.name)
+    levels = list(islice(spec.levels(x), n))
+    return _fold(reversed(levels), n, levels[-1][1], spec.name)
 
 
 def cf_l1(s, x, n=None):
@@ -346,12 +275,6 @@ def laguerre(s, x, n=None):
     n = _check("laguerre", s, x, n)
     if n is None:
         return _mills(s, x)
-    return _raw_laguerre(s, x, n)
-
-
-def _raw_laguerre(s, x, n):
-    """The contracted fraction at depth n divided by x^(s-1), with
-    laguerre's power checks; the caller has checked s, x and n."""
     try:
         power, first = x ** (s - 1.0), x ** s
     except OverflowError:

@@ -17,8 +17,8 @@ import random
 from fractions import Fraction
 
 from . import gamma, gauss, reference
-from .cf import (CFEvaluationError, CFSpec, _check_depth, _check_x, _coeff,
-                 eval_backward, forward_recurrence)
+from .cf import (CFEvaluationError, CFSpec, _check_depth, _check_x,
+                 _non_finite, eval_backward, forward_recurrence)
 from .tails import FAMILIES, beta0, get_family, mod_constants
 
 _X_GRID = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
@@ -44,6 +44,15 @@ def _lcf_spec():
         b=lambda k, v: 1.0,
         name="lcf",
     )
+
+
+def _coeff(spec, which, k, x):
+    """a(k, x) or b(k, x) of a callable spec, refused as forward_recurrence
+    refuses it where it is not finite."""
+    v = (spec.a if which == "a" else spec.b)(k, x)
+    if not math.isfinite(v):
+        raise _non_finite(which, k, v, spec.name)
+    return v
 
 
 def _convergents(spec, x, n):

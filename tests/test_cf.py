@@ -3,6 +3,7 @@ verify's toolkit."""
 
 import dataclasses
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -92,6 +93,22 @@ def test_backward_error_paths():
         eval_backward(LAP, 1.0, -1, 1.0)
 
 
+def test_forward_recurrence_names_a_non_finite_level():
+    # a_k is checked before b_k, on a callable spec and a stream spec alike
+    for level, text in (((1.0, math.inf), "b(2) = inf"),
+                        ((math.nan, 1.0), "a(2) = nan"),
+                        ((-math.inf, math.nan), "a(2) = -inf")):
+        rows = [(1.0, 1.0), level, (1.0, 1.0)]
+        calls = CFSpec(a=lambda k, x: rows[k - 1][0],
+                       b=lambda k, x: rows[k - 1][1], name="t")
+        stream = CFSpec(name="t", levels=lambda x: iter(rows))
+        for spec in (calls, stream):
+            forward_recurrence(spec, 1.0, 1)
+            with pytest.raises(CFEvaluationError) as err:
+                forward_recurrence(spec, 1.0, 3)
+            assert str(err.value) == f"non-finite coefficient {text} in spec 't'"
+
+
 def test_domain_rejection():
     with pytest.raises(ValueError):
         forward_recurrence(LAP, -1.0, 5)
@@ -156,9 +173,9 @@ _BAD_DEPTHS = st.one_of(
 def test_every_depth_taker_refuses_a_bad_depth_by_name(name, n):
     if n is None and name in _NONE_IS_VALID:
         return
-    # bounds_s01 folds through gamma._fold, the Gamma forms through _evaluate
+    # bounds_s01 folds through gamma._l1_fold, the Gamma forms through _evaluate
     with mock.patch.object(gamma, "_evaluate", _untouchable), \
-            mock.patch.object(gamma, "_fold", _untouchable), \
+            mock.patch.object(gamma, "_l1_fold", _untouchable), \
             pytest.raises(ValueError) as err:
         _DEPTH_TAKERS[name](n)
     text = str(err.value)
@@ -324,3 +341,33 @@ def test_cfspec_is_a_frozen_slotted_record():
     swapped = dataclasses.replace(kw, a=f)
     assert type(swapped) is CFSpec and swapped.a is f
     assert (swapped.b, swapped.name, swapped.levels) == (b, "n", stream)
+
+
+def test_a_stream_spec_has_no_callables():
+    # the Gamma specs give only a level stream; the tracer's replace of a
+    # still builds a spec from one
+    stream = lambda x: iter(((1.0, x), (1.0, x)))
+    spec = CFSpec(name="s", levels=stream)
+    assert spec.a is spec.b is None and spec.levels is stream
+    for factory in (gamma.l1_spec, gamma.laguerre_spec, gamma.lower_spec,
+                    gamma.winitzki_spec):
+        assert factory(0.5).a is factory(0.5).b is None
+    f = lambda k, x: 2.0
+    swapped = dataclasses.replace(spec, a=f)
+    assert type(swapped) is CFSpec and swapped.a is f
+    assert (swapped.b, swapped.name, swapped.levels) == (None, "s", stream)
+    # both routes read the stream, not a
+    assert eval_backward(swapped, 2.0, 2, 2.0) == 1.0 / (2.0 + 1.0 / 2.0)
+    assert forward_recurrence(swapped, 2.0, 2).value() == 1.0 / (2.0 + 1.0 / 2.0)
+
+
+def test_backward_fold_of_callables_runs_in_constant_memory():
+    # levels are computed one at a time, innermost first: a list of them
+    # would take about 11 MB at this depth
+    tracemalloc.start()
+    try:
+        eval_backward(LAP, 1.0, 2**17, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024 * 1024, peak

@@ -283,6 +283,57 @@ def test_reduce_s_refuses_shapes_past_the_step_ceiling():
     assert reduce_s(2.0**20 + 0.5, 1e300) == 1.0   # 2^20 steps: at the ceiling
 
 
+# The Gamma forms' coefficients as a/b callables, k by k, as the specs
+# carried them before the level streams became their only source: the
+# tests pin the streams, the folds and the closed-form l1 routes to them.
+def _l1_callables(s):
+    def a(k, x):
+        if k == 1:
+            return x
+        j, odd = divmod(k, 2)
+        return float(j) if odd else gamma._snap_zero(j - s)
+
+    return a, lambda k, x: x if k % 2 == 1 else 1.0
+
+
+def _laguerre_callables(s):
+    def a(k, x):
+        if k == 1:
+            return x ** s
+        return (k - 1) * gamma._snap_zero(s - k + 1.0)
+
+    return a, lambda k, x: x + ((2.0 * k - 1.0) - s)
+
+
+def _lower_callables(s):
+    def a(k, x):
+        if k == 1:
+            return x
+        return -(k - 2.0 + s) * x
+
+    return a, lambda k, x: s if k == 1 else (k - 1.0) + s + x
+
+
+def _winitzki_callables(s):
+    def a(k, x):
+        if k == 1:
+            return 1.0
+        v = 1.0 / x
+        j, odd = divmod(k, 2)
+        return j * v if odd else gamma._snap_zero(j - s) * v
+
+    return a, lambda k, x: 1.0
+
+
+_CALLABLES = {"l1": _l1_callables, "laguerre": _laguerre_callables,
+              "lower": _lower_callables, "winitzki": _winitzki_callables}
+
+
+def _callable_spec(spec, s):
+    """spec, a Gamma spec of shape s, with the callables in place of its stream."""
+    return CFSpec(*_CALLABLES[spec.name](s), name=spec.name)
+
+
 def _reference_adaptive(spec, s, x, rel_tol=gamma.ADAPTIVE_REL_TOL,
                         max_depth=gamma.ADAPTIVE_MAX_DEPTH):
     """The adaptive loop on the a/b callables, rescaling after the multiply."""
@@ -337,10 +388,11 @@ def test_level_streams_match_the_coefficient_callables():
     for factory in SPECS:
         for s in SHAPES + NEAR_INTEGER_SHAPES:
             spec = factory(s)
+            a, b = _CALLABLES[spec.name](s)
             for x in XS + EDGE_XS:
                 stream = _levels_or_error(lambda: list(islice(spec.levels(x), 500)))
                 want = _levels_or_error(
-                    lambda: [(spec.a(k, x), spec.b(k, x)) for k in range(1, 501)])
+                    lambda: [(a(k, x), b(k, x)) for k in range(1, 501)])
                 assert stream == want, (spec.name, s, x)
 
 
@@ -358,9 +410,9 @@ def _same_closed_form_l1(s, x, depths):
     spec = gamma.l1_spec(s)
     if s < 1.0 and 2.5 <= x <= 2.0**200:
         assert _outcome(gamma._l1_adaptive, s, x) == \
-            _outcome(_reference_adaptive, spec, s, x), (s, x)
+            _outcome(_reference_adaptive, _callable_spec(spec, s), s, x), (s, x)
     for m in depths:
-        want = _outcome(gamma._fold, list(islice(spec.levels(x), m)), m, "l1")
+        want = _outcome(gamma._evaluate, spec, x, m)
         assert _outcome(gamma._l1_fold, s, x, m) == want, (s, x, m)
 
 
@@ -389,7 +441,7 @@ def _callable_fold(spec, x, n):
 
 def _two_call_bounds(s, x, n):
     """bounds_s01 as it was: each end folded on its own from the callables."""
-    spec = gamma.l1_spec(s)
+    spec = CFSpec(*_l1_callables(s), name="l1")
     hi = _callable_fold(spec, x, n + 1)
     lo = _callable_fold(spec, x, n) if n else 0.0
     if lo > hi:
@@ -406,7 +458,7 @@ def _pair_outcome(fn, *args):
 
 def _same_fold(spec, s, x, n):
     assert _outcome(gamma._evaluate, spec, x, n) == \
-        _outcome(_callable_fold, spec, x, n), (spec.name, s, x, n)
+        _outcome(_callable_fold, _callable_spec(spec, s), x, n), (spec.name, s, x, n)
 
 
 def _same_bounds(s, x, n):
@@ -436,21 +488,83 @@ def test_fixed_depth_folds_the_bits_of_eval_backward():
                 _same_bounds(s, x, n)
 
 
+def _checked(v, which, k, name):
+    if not math.isfinite(v):
+        raise CFEvaluationError(
+            f"non-finite coefficient {which}({k}) = {v!r} in spec {name!r}")
+    return v
+
+
+def _two_read_backward(rows, n, tail, name):
+    """eval_backward's loop before the one fold: a_m, then b_{m-1}, read
+    and checked one coefficient at a time, m = n, ..., 1."""
+    if not math.isfinite(tail):
+        raise CFEvaluationError(f"non-finite tail {tail!r}")
+    t = float(tail)
+    for m in range(n, 0, -1):
+        am = _checked(rows[m - 1][0], "a", m, name)
+        lead = _checked(rows[m - 2][1], "b", m - 1, name) if m > 1 else 0.0
+        if am == 0.0:
+            t = lead
+            continue
+        if t == 0.0:
+            raise CFEvaluationError(
+                f"zero denominator while folding level {m} of spec {name!r}")
+        t = lead + am / t
+    return t
+
+
 def test_fold_checks_levels_in_the_order_of_eval_backward():
     # levels no Gamma spec yields at valid (s, x): non-finite tails and b_k,
-    # zero numerators and denominators, and a level 1 quotient of -0.0
+    # zero numerators and denominators, and a level 1 quotient of -0.0; the
+    # one fold gives the old loop's bits or error on a stream spec, a
+    # callable spec and the Gamma fixed-depth route
     values = (1.0, -1.0, 2.0, 0.0, -0.0, 5e-324, -5e-324, 1e308, math.inf,
               -math.inf, math.nan)
     rng = np.random.default_rng(19)
     for _ in range(4000):
         n = int(rng.integers(1, 7))
         rows = [tuple(float(v) for v in rng.choice(values, 2)) for _ in range(n)]
-        spec = CFSpec(a=lambda k, x: rows[k - 1][0], b=lambda k, x: rows[k - 1][1],
-                      name="table")
-        assert _outcome(gamma._fold, rows, n, "table") == \
-            _outcome(_callable_fold, spec, 1.0, n), rows
-    assert _outcome(gamma._fold, [(-5e-324, 1e10)], 1, "table") == \
-        struct.pack("<d", 0.0)
+        want = _outcome(_two_read_backward, rows, n, rows[-1][1], "table")
+        stream = CFSpec(name="table", levels=lambda x: iter(rows))
+        calls = CFSpec(a=lambda k, x: rows[k - 1][0], b=lambda k, x: rows[k - 1][1],
+                       name="table")
+        for spec in (stream, calls):
+            assert _outcome(eval_backward, spec, 1.0, n, rows[-1][1]) == want, rows
+        assert _outcome(gamma._evaluate, stream, 1.0, n) == want, rows
+    tiny = CFSpec(name="table", levels=lambda x: iter([(-5e-324, 1e10)]))
+    assert _outcome(gamma._evaluate, tiny, 1.0, 1) == struct.pack("<d", 0.0)
+
+
+_FORM_OF_SPEC = {"l1": cf_l1, "laguerre": laguerre, "lower": lower_cf,
+          "winitzki": winitzki_cf}
+
+
+def test_eval_backward_on_a_gamma_spec_is_the_form_at_fixed_depth():
+    # eval_backward reads a stream spec too: from the tail b_n it gives the
+    # fixed-depth form's bits or error (laguerre's divided by x^(s-1))
+    raised = 0
+    for factory in SPECS:
+        for s in SHAPES + NEAR_INTEGER_SHAPES:
+            spec = factory(s)
+            form = _FORM_OF_SPEC[spec.name]
+            for x in XS + EDGE_XS:
+                for n in (1, 2, 3, 17, 40, 41):
+                    want = _outcome(form, s, x, n)
+                    if spec.name == "laguerre":
+                        if isinstance(want, tuple) and want[1].startswith("laguerre"):
+                            continue   # its power checks, made before the fold
+                        power = x ** (s - 1.0)
+                    else:
+                        power = 1.0
+
+                    def backward():
+                        tail = list(islice(spec.levels(x), n))[-1][1]
+                        return eval_backward(spec, x, n, tail) / power
+
+                    assert _outcome(backward) == want, (spec.name, s, x, n)
+                    raised += isinstance(want, tuple)
+    assert raised > 0   # the error paths are compared too
 
 
 @settings(max_examples=300, deadline=None)

@@ -234,13 +234,13 @@ def test_reduce_s_and_the_oracle_keep_the_raw_fraction(monkeypatch):
 
 def test_the_l1_routes_need_neither_raw_loop(monkeypatch):
     # gamma_mills' s < 1 fraction, reduce_s's base step from base + 7/2 on
-    # and bounds_s01 fold l1's closed form, not the contracted fraction; the
-    # oracle has its own series and fraction, so it answers with every
-    # function of gamma refusing
+    # and bounds_s01 fold l1's closed form, and no fixed-depth fraction of a
+    # level stream; the oracle has its own series and fraction, so it
+    # answers with every function of gamma refusing
     def refuse(*args):
         raise AssertionError("raw loop called")
 
-    monkeypatch.setattr(gamma, "_raw_laguerre", refuse)
+    monkeypatch.setattr(gamma, "_evaluate", refuse)
     for s in (1e-9, 1e-3, 0.3, 0.5, 0.99, 1.0 - 1e-15):
         for x in (s + gamma._SERIES_REACH, 10.0, 1e3, 2.0**200, 1e300, DOUBLE_MAX):
             _assert_front_door(s, x)

@@ -250,6 +250,14 @@ def test_gamma_oracle_against_mpmath():
     assert worst[0] <= 1e-12, worst
 
 
+def test_gamma_oracle_refuses_where_its_series_cancels():
+    # at tiny shapes the series' first term passes 2^10 times the value;
+    # these points came out 2.0e-7, 8.1e-10 and 9.6e-12 off against mpmath
+    for s, x in ((1.7e-8, 0.66), (1e-6, 0.2), (1e-4, 0.5)):
+        with pytest.raises(OracleError, match="the series cancels"):
+            reference_gamma_mills(s, x)
+
+
 def test_gamma_oracle_is_exactly_one_at_shape_one():
     # the fraction's first numerator 1(s - 1) is 0 at s = 1: x/x, no series
     for x in (5e-324, 0.5, 2.0, 49.0, 1e300, sys.float_info.max):
