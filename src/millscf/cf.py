@@ -43,8 +43,9 @@ def _frozen_slots(cls):
 
     The __setattr__/__delattr__ that dataclass(frozen=True) writes call
     super() on the class that slots=True replaced, so a name that is not a
-    field raised TypeError.  Constructors store fields through the slot
-    descriptors, which never call __setattr__, so building costs the same.
+    field raised TypeError.  Constructors, the generated one through
+    object.__setattr__, store fields through the slot descriptors, which
+    never call the class's __setattr__, so building costs the same.
     """
 
     frozen = f"of a frozen {cls.__name__}"
@@ -61,7 +62,7 @@ def _frozen_slots(cls):
 
 
 @_frozen_slots
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class CFSpec:
     """Coefficients of K(a_k/b_k), claimed for 0 < x < inf.
 
@@ -75,27 +76,14 @@ class CFSpec:
     before; when `levels` is set, eval_backward and forward_recurrence read
     only it.  Every Gamma spec is a stream, with a and b None.
 
-    Frozen and slotted, built like gauss.Approximation (every Gamma call
-    builds one): no __dict__, and dataclasses.replace works.
+    Frozen and slotted, with the constructor dataclass generates (no timed
+    path builds a spec): no __dict__, and dataclasses.replace works.
     """
 
-    a: Optional[Callable[[int, float], float]]
-    b: Optional[Callable[[int, float], float]]
-    name: str
-    levels: Optional[Callable[[float], Iterator[tuple]]]
-
-    def __init__(self, a=None, b=None, name="", levels=None):
-        _set_a(self, a)
-        _set_b(self, b)
-        _set_name(self, name)
-        _set_levels(self, levels)
-
-
-# the slot descriptors' setters, bound once; they bypass __setattr__
-_set_a = CFSpec.a.__set__
-_set_b = CFSpec.b.__set__
-_set_name = CFSpec.name.__set__
-_set_levels = CFSpec.levels.__set__
+    a: Optional[Callable[[int, float], float]] = None
+    b: Optional[Callable[[int, float], float]] = None
+    name: str = ""
+    levels: Optional[Callable[[float], Iterator[tuple]]] = None
 
 
 def _check_x(spec, x):

@@ -22,7 +22,6 @@ from .tails import FAMILIES, custom, get_family
 
 import numpy as np
 
-_FAMILY_CHOICES = sorted(FAMILIES) + ["custom"]
 _FIGURE_DEPTH = {1: 0, 2: 1, 3: 4}
 _FIGURE_FAMILIES = ("improved-expo", "linear", "sqrt")
 
@@ -43,21 +42,27 @@ def _fmt(v):
 
 
 def _load_custom_tail(path):
-    """Two-column x, beta(x) file -> tail, by monotone cubic interpolation."""
+    """Two-column x, beta(x) file -> tail, by monotone cubic interpolation.
+
+    Blank lines are skipped and the first other line may be a header; every
+    later line must be two numbers, split by a comma or whitespace, else
+    ValueError names the file and the line.
+    """
     from scipy.interpolate import PchipInterpolator
 
-    xs, bs = [], []
     with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            parts = line.replace(",", " ").split()
-            if len(parts) != 2:
-                continue
-            try:
-                xv, bv = float(parts[0]), float(parts[1])
-            except ValueError:
-                continue  # header line
-            xs.append(xv)
-            bs.append(bv)
+        lines = [(i, line) for i, line in enumerate(fh, 1) if line.strip()]
+    xs, bs = [], []
+    for k, (i, line) in enumerate(lines):
+        try:
+            xv, bv = map(float, line.replace(",", " ").split())
+        except ValueError:
+            if k == 0:
+                continue   # the header
+            raise ValueError(f"tail file {path!r} line {i} is not two numbers "
+                             f"x, beta: {line.strip()!r}") from None
+        xs.append(xv)
+        bs.append(bv)
     if len(xs) < 2:
         raise ValueError(f"tail file {path!r} needs at least two x,beta rows")
     # slopes between rows near the largest double overflow inside the fit;
@@ -75,9 +80,7 @@ def _load_custom_tail(path):
 
 
 def _resolve_family(args):
-    if args.family == "custom":
-        if getattr(args, "tail_file", None) is None:
-            raise ValueError("--family custom requires --tail-file")
+    if args.tail_file is not None:
         return _load_custom_tail(args.tail_file)
     return get_family(args.family)
 
@@ -197,10 +200,12 @@ def build_parser():
                     "continued fractions.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def family_flags(p, default="improved-expo"):
-        p.add_argument("--family", choices=_FAMILY_CHOICES, default=default)
-        p.add_argument("--tail-file",
-                       help="two-column x,beta CSV for --family custom")
+    def family_flags(p):
+        group = p.add_mutually_exclusive_group()
+        group.add_argument("--family", choices=sorted(FAMILIES),
+                           default="improved-expo")
+        group.add_argument("--tail-file",
+                           help="two-column x,beta CSV: a custom tail")
 
     p = sub.add_parser("eval", help="evaluate one point")
     p.add_argument("--x", type=float, required=True)

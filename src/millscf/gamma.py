@@ -72,12 +72,15 @@ class ConvergenceError(ArithmeticError):
 
 
 def _check(form, s, x, n=None):
-    """Check 0 < s, x < inf and, unless None, n by the depth rule; return n."""
+    """s and x as Python floats (numpy's would compute in numpy), checked
+    for 0 < s, x < inf, and n, unless None, checked by the depth rule."""
+    if type(s) is not float or type(x) is not float:
+        s, x = float(s), float(x)
     if not 0.0 < s < math.inf:
         raise ValueError(f"{form} needs a shape 0 < s < inf, got s={s!r}")
     if not 0.0 < x < math.inf:
         raise ValueError(f"{form} needs 0 < x < inf, got x={x!r}")
-    return n if n is None else _check_depth(n, form)
+    return s, x, (n if n is None else _check_depth(n, form))
 
 
 def _snap_zero(v):
@@ -175,7 +178,6 @@ def _l1_adaptive(s, x):
     """
     if x > _L1_FRACTION_TOP:
         return 1.0 + (s - 1.0) / x
-    x = float(x)   # the stream's A_1 = x * 1.0 is a float for an int x too
     limit, factor, tol = _RESCALE_LIMIT, _RESCALE_FACTOR, ADAPTIVE_REL_TOL
     # levels 1 and 2 are (x, x) and (1 - s, 1): convergents 1 and x/(x + a_2)
     A_prev, A = x, x
@@ -220,7 +222,7 @@ def _l1_fold(s, x, m):
     a2 = _snap_zero(1.0 - s)
     half, odd = divmod(m, 2)
     if odd:
-        t = float(x)   # the tail b_m = x
+        t = x          # the tail b_m = x
     else:              # the tail b_m = 1, folded into level m - 1
         half -= 1
         t = x + ((half + 1.0) - s if half else a2)
@@ -248,7 +250,7 @@ def _evaluate(spec, x, n):
 def cf_l1(s, x, n=None):
     """M_s(x) through the alternating-denominator form at depth n; without
     n, gamma_mills(s, x)."""
-    n = _check("cf_l1", s, x, n)
+    s, x, n = _check("cf_l1", s, x, n)
     if n is None:
         return _mills(s, x)
     return _evaluate(l1_spec(s), x, n)
@@ -272,7 +274,7 @@ def laguerre(s, x, n=None):
     which the contracted form cannot carry.  Without n none of these apply:
     the front door evaluates M_s(x) wherever it is a double.
     """
-    n = _check("laguerre", s, x, n)
+    s, x, n = _check("laguerre", s, x, n)
     if n is None:
         return _mills(s, x)
     try:
@@ -306,9 +308,10 @@ def lower_cf(s, x, n=None):
     gamma_mills's ValueError for s > 2**20 + 1.  A fixed depth n folds the
     raw fraction.
     """
-    n = _check("lower_cf", s, x or 1.0, n)   # x = 0 is in this form's domain
-    if x == 0.0:
+    if x == 0.0:   # in this form's domain, unlike the others'
+        _check("lower_cf", s, 1.0, n)
         return 0.0
+    s, x, n = _check("lower_cf", s, x, n)
     if n is not None:
         return _evaluate(lower_spec(s), x, n)
     if x < s + 1.0:
@@ -328,7 +331,7 @@ def lower_cf(s, x, n=None):
 def winitzki_cf(s, x, n=None):
     """M_s(x) through the unit-denominator form in v = 1/x at depth n;
     without n, gamma_mills(s, x)."""
-    n = _check("winitzki_cf", s, x, n)
+    s, x, n = _check("winitzki_cf", s, x, n)
     if n is None:
         return _mills(s, x)
     return _evaluate(winitzki_spec(s), x, n)
@@ -455,7 +458,7 @@ def gamma_mills(s, x):
     M_s(x) is below 2^-1022 the error is at most 1e-12 * 2^-1022 absolute.
     It never raises ConvergenceError.
     """
-    _check("gamma_mills", s, x)
+    s, x, _ = _check("gamma_mills", s, x)
     return _mills(s, x)
 
 
@@ -496,7 +499,7 @@ def reduce_s(s, x):
     small x), and ValueError for shapes that need more than 2**20 steps
     (s > 2**20 + 1).
     """
-    _check("reduce_s", s, x)
+    s, x, _ = _check("reduce_s", s, x)
     if s <= 1.0:
         raise ValueError("reduce_s handles s > 1; use gamma_mills for s <= 1")
     steps = math.ceil(s) - 1
@@ -535,7 +538,7 @@ def bounds_s01(s, x, n):
     closed-form coefficients (_l1_fold), in constant memory and with the
     bits of the fixed-depth cf_l1.
     """
-    _check("bounds_s01", s, x)
+    s, x, _ = _check("bounds_s01", s, x)
     n = _check_depth(n, "bounds_s01", top=_MAX_DEPTH - 1)
     if s > 1.0:
         raise ValueError("bounds_s01 is stated for s in (0, 1]")

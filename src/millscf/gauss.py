@@ -51,6 +51,7 @@ _TINY = math.ulp(0.0)
 def phi(x):
     """Standard normal density; x may be a numpy array."""
     if isinstance(x, float) or not _is_array(x):
+        x = float(x)
         return math.exp(-0.5 * x * x) / SQRT_TWO_PI
     import numpy as np
 
@@ -225,8 +226,10 @@ def mills(x, n, family="improved-expo"):
     linear): even n from above, odd n from below.
     """
     fam = get_family(family)
-    if not isinstance(x, float) and _is_array(x):
-        raise TypeError("mills takes one x; call mills_grid for an array")
+    if type(x) is not float:
+        if _is_array(x):
+            raise TypeError("mills takes one x; call mills_grid for an array")
+        x = float(x)
     if not (type(n) is int and 0 <= n <= _MAX_DEPTH):   # _check_depth, inlined
         n = _check_depth(n, "mills")
     value = _fold(x, n, fam)
@@ -249,6 +252,7 @@ def hazard(x):
     the oracle's R = 1/x is subnormal.  hazard(inf) is inf, the limit of the
     bracket.  Raises ValueError for x < 0 and nan, as the oracle does.
     """
+    x = float(x)
     if x >= _HAZARD_FLAT:
         return x + 1.0 / x
     return 1.0 / reference.reference_mills(x)
@@ -277,6 +281,7 @@ def truncation_bound(x, n):
     recurrence runs on the float levels of _LEVELS with no per-level test;
     outside that box every level is checked.  Both give the same bits.
     """
+    x = float(x)
     if not 0.0 < x < math.inf:
         raise ValueError(f"truncation bound needs 0 < x < inf, got x={x!r}")
     n = _check_depth(n, "truncation_bound")
@@ -319,6 +324,7 @@ def delta(x, n, family="improved-expo"):
         pdf = phi(x)
         ref = reference.reference_mills_grid(x)
         return pdf * ref - pdf * mills_grid(x, n, fam)
+    x = float(x)
     return reference.reference_tail(x) - phi(x) * _fold(x, n, fam)
 
 
@@ -356,6 +362,7 @@ def scan_max_delta(family, n, xmin=0.0):
     import numpy as np
 
     n = _check_depth(n, "scan_max_delta")
+    xmin = float(xmin)
     if not 0.0 <= xmin <= _SCAN_XMAX:
         raise ValueError(f"scan_max_delta needs 0 <= xmin <= 20, got xmin={xmin!r}")
     fam = get_family(family)
@@ -407,6 +414,7 @@ def asymptotic_series(x, m):
     x^2 underflows to 0 (x below about 1e-162) no term after the first is
     a double.
     """
+    x = float(x)
     if not x > 0.0:
         raise ValueError("asymptotic series needs x > 0")
     m = _check_depth(m, "asymptotic_series")
@@ -459,6 +467,7 @@ def taylor_mills(x, m=None):
     series terms; by default terms are taken until they fall below the
     absolute floor of taylor_sum.
     """
+    x = float(x)
     if not abs(x) <= 4.0:
         raise ValueError(f"taylor_mills is restricted to |x| <= 4, got x={x!r}")
     if m is None:
@@ -485,6 +494,7 @@ def pade_r2(x, origin_terms=1):
     """
     if origin_terms not in (1, 3):
         raise ValueError("origin_terms must be 1 or 3")
+    x = float(x)
     if not x >= 0.0:
         raise ValueError(f"pade_r2 needs x >= 0, got x={x!r}")
     xx = x * x

@@ -47,11 +47,12 @@ def _is_array(x):
     return np is not None and isinstance(x, np.ndarray)
 
 
-@lru_cache(maxsize=_CONSTANTS_CACHE)
+@lru_cache(maxsize=_CONSTANTS_CACHE, typed=True)
 def beta0(n):
     """Exactness value beta_n(0), by log-gamma to stay finite for large n.
 
-    The depth rule (cf._check_depth) checks n on a cache miss only.
+    The depth rule (cf._check_depth) checks n on a cache miss only; the
+    cache is typed, so a float never hits the entry of an equal integer.
     """
     half = _check_depth(n, "beta0") / 2.0
     return math.exp(0.5 * math.log(2.0)
@@ -75,7 +76,7 @@ class ModConstants:
     c: float        # improved-expo's slope lambda_n + sqrt(r_n) beta_n(0)
 
 
-@lru_cache(maxsize=_CONSTANTS_CACHE)
+@lru_cache(maxsize=_CONSTANTS_CACHE, typed=True)
 def mod_constants(n):
     """The ModConstants record of depth n, checked by the depth rule.
 

@@ -7,8 +7,8 @@ import sys
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from millscf import verify
-from millscf.cli import _FAMILY_CHOICES, main
+from millscf import FAMILIES, verify
+from millscf.cli import main
 from millscf.verify import SUITES
 
 
@@ -174,7 +174,7 @@ def test_table_custom_tail(tmp_path, capsys):
     tail.write_text("x,beta\n0.0,1.0\n1.0,1.6\n2.0,2.4\n4.0,4.2\n")
     out = tmp_path / "t.csv"
     rc, _, _ = run_cli(["table", "--xmin", "0", "--xmax", "3", "--step", "0.5",
-                        "--family", "custom", "--tail-file", str(tail),
+                        "--tail-file", str(tail),
                         "--n", "2", "--out", str(out)], capsys)
     assert rc == 0
     rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
@@ -189,11 +189,86 @@ def test_figure_unknown_id(tmp_path, capsys):
     assert rc == 2
 
 
-def test_eval_custom_needs_tail_file(capsys):
-    rc, _, err = run_cli(["eval", "--x", "1", "--family", "custom",
-                          "--n", "1"], capsys)
-    assert rc == 2
-    assert "tail-file" in err
+def test_family_and_tail_file_together_exit_2(tmp_path, capsys):
+    # --tail-file alone selects the custom tail; with --family as well it
+    # was silently ignored (eval printed "family: improved-expo", exit 0)
+    tail = tmp_path / "tail.csv"
+    tail.write_text("x,beta\n0.0,1.0\n1.0,1.6\n")
+    for argv in (["eval", "--x", "1", "--n", "2"],
+                 ["table", "--xmin", "0", "--xmax", "1", "--step", "0.5",
+                  "--out", str(tmp_path / "t.csv")],
+                 ["maxerr", "--nmin", "0", "--nmax", "0"]):
+        rc, out, err = run_cli(argv + ["--family", "linear",
+                                       "--tail-file", str(tail)], capsys)
+        assert (rc, out) == (2, ""), argv
+        assert "not allowed with argument --family" in err, argv
+    rc, _, err = run_cli(["eval", "--x", "1", "--family", "custom"], capsys)
+    assert rc == 2 and "invalid choice: 'custom'" in err
+
+
+# the output of --family custom --tail-file before --family lost its custom
+# value, which --tail-file alone now reproduces byte for byte; eval and table
+# read the tail at its knots only, where the interpolant is the knot's value
+_TAIL = "x,beta\n0.0,1.0\n1.0,1.6\n2.0,2.4\n4.0,4.2\n20.0,20.5\n"
+_TAIL_EVAL = """\
+x: 2.0
+family: custom
+n: 2
+value: 0.425
+bound_side: unknown
+reference: 0.42136922928805426
+error: 0.00363077071194573
+"""
+_TAIL_TABLE = """\
+x,approx,reference,error
+0.0,2.0,1.2533141373155001,0.7466858626844999
+2.0,0.425,0.42136922928805426,0.00363077071194573
+4.0,0.23677581863979846,0.23665238291356078,0.00012343572623768617
+"""
+_TAIL_MAXERR = """\
+family: custom  scan [0.0, 20.0] step 0.001
+n=0  max|error|=1.010577e-01  at x=0.0000  decays beyond scan: yes
+n=1  max|error|=1.010577e-01  at x=0.0000  decays beyond scan: yes
+"""
+
+
+def test_tail_file_alone_selects_the_custom_tail(tmp_path, capsys):
+    tail = tmp_path / "tail.csv"
+    tail.write_text(_TAIL)
+    out_csv = tmp_path / "t.csv"
+    rc, out, _ = run_cli(["eval", "--x", "2", "--n", "2",
+                          "--tail-file", str(tail)], capsys)
+    assert (rc, out) == (0, _TAIL_EVAL)
+    rc, out, _ = run_cli(["table", "--xmin", "0", "--xmax", "4", "--step",
+                          "2", "--n", "2", "--tail-file", str(tail),
+                          "--out", str(out_csv)], capsys)
+    assert rc == 0 and out_csv.read_bytes() == _TAIL_TABLE.encode()
+    rc, out, _ = run_cli(["maxerr", "--nmin", "0", "--nmax", "1",
+                          "--tail-file", str(tail)], capsys)
+    assert (rc, out) == (0, _TAIL_MAXERR)
+
+
+def test_a_tail_file_row_that_is_not_two_numbers_exits_2(tmp_path, capsys):
+    # the first non-blank line may be a header; past it every non-blank line
+    # is two numbers.  eval skipped the bad rows and fit the two good ones
+    # (value 0.6667, exit 0)
+    tail = tmp_path / "tail.csv"
+    good = "\nx,beta\n0,1\n\n20 21\n"
+    for body, line in (("x,beta\n0,1\n5,oops\n10,11,12\n20,21\n", 3),
+                       ("0,1\n10,11,12\n20,21\n", 2),
+                       ("x,beta\nx,beta\n0,1\n20,21\n", 2),
+                       ("0,1\n20,21\n7\n", 3)):
+        tail.write_text(body)
+        for argv in (["eval", "--x", "1", "--n", "2"],
+                     ["figure", "--id", "1", "--out", str(tmp_path / "f.csv")]):
+            rc, out, err = run_cli(argv + ["--tail-file", str(tail)], capsys)
+            assert (rc, out) == (2, ""), (body, argv)
+            assert err.count("error:") == 1 and err.startswith("error: ")
+            assert f"line {line} is not two numbers" in err, (body, argv)
+    tail.write_text(good)
+    rc, out, _ = run_cli(["eval", "--x", "1", "--n", "2",
+                          "--tail-file", str(tail)], capsys)
+    assert rc == 0 and "family: custom" in out
 
 
 def test_maxerr_report(capsys):
@@ -225,14 +300,14 @@ def test_maxerr_reads_undefined_depths_off_the_tail(tmp_path, capsys):
     # is refused by the fold
     tail = tmp_path / "tail.csv"
     tail.write_text("x,beta\n0.0,0.0\n1.0,1.6\n20.0,20.5\n")
-    rc, out, _ = run_cli(["maxerr", "--family", "custom", "--tail-file",
+    rc, out, _ = run_cli(["maxerr", "--tail-file",
                           str(tail), "--nmin", "0", "--nmax", "1"], capsys)
     assert rc == 0
     assert out.strip().splitlines()[1:] == [
         f"n={n}  undefined: custom with n = {n} vanishes at x = 0"
         for n in (0, 1)]
     tail.write_text("x,beta\n0.0,-1.0\n1.0,1.6\n20.0,20.5\n")
-    rc, _, err = run_cli(["maxerr", "--family", "custom", "--tail-file",
+    rc, _, err = run_cli(["maxerr", "--tail-file",
                           str(tail), "--nmin", "0", "--nmax", "0"], capsys)
     assert rc == 2
     assert "custom tail beta_0(0.0) = -1.0 is not positive" in err
@@ -328,7 +403,8 @@ def test_figure_csv_bytes_match_the_old_writer(tmp_path, monkeypatch, capsys):
 _FLOATS = st.sampled_from(["0", "5e-324", "1e300", "inf", "-inf", "nan",
                            "-1", "2.5"])
 _DEPTHS = st.integers(min_value=-1, max_value=3).map(str)
-_FAMILIES = st.sampled_from(_FAMILY_CHOICES)
+# "custom" is no longer a --family value: an invalid choice, exit 2
+_FAMILIES = st.sampled_from(sorted(FAMILIES) + ["custom"])
 
 
 @st.composite

@@ -7,7 +7,7 @@ import sys
 
 import mpmath
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import millscf
 from millscf import FAMILIES, CFEvaluationError, custom, delta, mills, mills_grid
@@ -151,3 +151,65 @@ def test_scalar_and_array_routes_agree(x, n, family):
     assert _agree(_outcome(lambda: delta(x, n, family)),
                   _outcome(lambda: delta(xs, n, family)[0]),
                   _EXP_ULPS, scale), (x, n, family)
+
+
+# one call per scalar entry of gauss and gamma at a point (s, x)
+_SCALAR_ENTRIES = {
+    "phi": lambda s, x: millscf.phi(x),
+    "mills": lambda s, x: mills(x, 3).value,
+    "mills classic bound": lambda s, x: mills(x, 3, "classic").trunc_bound,
+    "delta": lambda s, x: delta(x, 3),
+    "hazard": lambda s, x: millscf.hazard(x),
+    "truncation_bound": lambda s, x: millscf.truncation_bound(x, 3),
+    "taylor_mills": lambda s, x: millscf.taylor_mills(x),
+    "taylor_mills m": lambda s, x: millscf.taylor_mills(x, 5),
+    "asymptotic_series": lambda s, x: millscf.asymptotic_series(x, 3).value,
+    "pade_r2": lambda s, x: millscf.pade_r2(x),
+    "pade_r2 3": lambda s, x: millscf.pade_r2(x, 3),
+    "gamma_mills": millscf.gamma_mills,
+    "reduce_s": millscf.reduce_s,
+    "bounds_s01": lambda s, x: millscf.bounds_s01(s, x, 3),
+}
+for _form in (millscf.cf_l1, millscf.laguerre, millscf.winitzki_cf,
+              millscf.lower_cf):
+    _SCALAR_ENTRIES[_form.__name__] = _form
+    _SCALAR_ENTRIES[_form.__name__ + " n"] = (
+        lambda s, x, form=_form: form(s, x, 5))
+
+
+def _floats_or_error(f, s, x):
+    """f(s, x)'s floats as a tuple, or the type and text of its error."""
+    try:
+        value = f(s, x)
+    except (ValueError, ArithmeticError, OracleError) as exc:
+        return type(exc), str(exc)
+    return value if isinstance(value, tuple) else (value,)
+
+
+# the floats of test_exit_codes_for_any_float_argument
+_CLI_FLOATS = st.sampled_from(["0", "5e-324", "1e300", "inf", "-inf", "nan",
+                               "-1", "2.5"]).map(float)
+
+
+@settings(max_examples=100, deadline=None)
+@given(s=_CLI_FLOATS, x=_CLI_FLOATS)
+# numpy's overflow warning came before the result or the documented error
+# at delta(1e308, 3), pade_r2(1e200), gamma_mills(400.6, 1.0) and
+# cf_l1(0.5, 1e-320, 5)
+@example(s=0.5, x=1e308)
+@example(s=0.5, x=1e200)
+@example(s=400.6, x=1.0)
+@example(s=0.5, x=1e-320)
+def test_numpy_floats_take_the_python_float_route(s, x):
+    # np.float64 is a float, so the contract covers it: each entry gives
+    # Python floats with the bits of the Python-float call, or raises its
+    # error with the same text
+    for name, f in _SCALAR_ENTRIES.items():
+        want = _floats_or_error(f, s, x)
+        got = _floats_or_error(f, np.float64(s), np.float64(x))
+        if isinstance(want[0], type):
+            assert got == want, (name, s, x)
+            continue
+        assert all(type(v) is float for v in got), (name, s, x, got)
+        assert [v if v == v else "nan" for v in got] == [
+            v if v == v else "nan" for v in want], (name, s, x)

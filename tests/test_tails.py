@@ -53,6 +53,17 @@ def test_bad_depths_raise_value_error_naming_n():
         mod_constants(31301)
 
 
+def test_a_float_depth_never_hits_an_integer_cache_entry():
+    # np.int64(5) == 5.0 and both hash alike, so an untyped cache served the
+    # depth-5 record to 5.0 instead of refusing it
+    for f in (beta0, mod_constants):
+        assert f(np.int64(5)) == f(5)
+        with pytest.raises(ValueError, match=r"got 5\.0$"):
+            f(5.0)
+        with pytest.raises(ValueError, match="needs a depth"):
+            f(np.float64(5.0))
+
+
 def test_beta0_recursion_and_bracket():
     prev = beta0(0)
     for n in range(1, 51):
