@@ -71,15 +71,17 @@ class ConvergenceError(ArithmeticError):
     """Adaptive evaluation hit the depth cap before successive convergents met."""
 
 
-def _check(form, s, x, n=None):
+def _check(form, s, x, n=None, domain="0 < x < inf"):
     """s and x as Python floats (numpy's would compute in numpy), checked
-    for 0 < s, x < inf, and n, unless None, checked by the depth rule."""
+    for 0 < s, x < inf, and n, unless None, checked by the depth rule.
+    domain is the x interval the error names: lower_cf, which takes x = 0
+    before it checks, names 0 <= x < inf."""
     if type(s) is not float or type(x) is not float:
         s, x = float(s), float(x)
     if not 0.0 < s < math.inf:
         raise ValueError(f"{form} needs a shape 0 < s < inf, got s={s!r}")
     if not 0.0 < x < math.inf:
-        raise ValueError(f"{form} needs 0 < x < inf, got x={x!r}")
+        raise ValueError(f"{form} needs {domain}, got x={x!r}")
     return s, x, (n if n is None else _check_depth(n, form))
 
 
@@ -311,7 +313,7 @@ def lower_cf(s, x, n=None):
     if x == 0.0:   # in this form's domain, unlike the others'
         _check("lower_cf", s, 1.0, n)
         return 0.0
-    s, x, n = _check("lower_cf", s, x, n)
+    s, x, n = _check("lower_cf", s, x, n, "0 <= x < inf")
     if n is not None:
         return _evaluate(lower_spec(s), x, n)
     if x < s + 1.0:
@@ -465,16 +467,16 @@ def gamma_mills(s, x):
 def _mills(s, x):
     """gamma_mills(s, x) with s and x already checked."""
     if s % 1.0 == 0.0:   # M_1 = 1, and reduce_s steps up from it
-        return 1.0 if s == 1.0 else reduce_s(s, x)
+        return 1.0 if s == 1.0 else _reduce_s(s, x)
     if s < 1.0:
         if x >= s + _SERIES_REACH:
             return _l1_adaptive(s, x)
     elif x >= s + 1.0:
-        return reduce_s(s, x)
+        return _reduce_s(s, x)
     if s <= _SMALL_SHAPE:
         return _small_shape(s, x)
     if s > _SERIES_SHAPE:
-        return reduce_s(s, x)
+        return _reduce_s(s, x)
     try:
         return _lower_series(s, x)
     except OverflowError:
@@ -502,6 +504,11 @@ def reduce_s(s, x):
     s, x, _ = _check("reduce_s", s, x)
     if s <= 1.0:
         raise ValueError("reduce_s handles s > 1; use gamma_mills for s <= 1")
+    return _reduce_s(s, x)
+
+
+def _reduce_s(s, x):
+    """reduce_s(s, x) with s > 1 and x already checked."""
     steps = math.ceil(s) - 1
     if steps > _MAX_DEPTH:
         raise ValueError(f"reduce_s at s={s!r} needs more than {_MAX_DEPTH} steps")

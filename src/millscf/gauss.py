@@ -62,14 +62,16 @@ def phi(x):
 
 
 @_frozen_slots
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class Approximation:
     """One evaluated Mills approximation with its bound metadata.
 
-    A frozen, slotted record: no __dict__, so no attributes beyond the five
-    fields.  Its one constructor stores each field through the field's slot
-    descriptor, which costs about half of the generated keyword __init__
-    (five object.__setattr__ calls) on a call that is mostly construction.
+    A frozen, slotted record with the constructor dataclass generates: no
+    __dict__, so no attributes beyond the five fields.  mills() does not
+    call that constructor; it builds its record with object.__new__ and
+    stores each field through the field's slot descriptor, which costs a
+    fraction of the generated keyword __init__ (five object.__setattr__
+    calls) on a call that is mostly construction.
     """
 
     value: float
@@ -78,15 +80,10 @@ class Approximation:
     bound_side: str               # "upper" | "lower" | "unknown"
     trunc_bound: Optional[float]  # classic only
 
-    def __init__(self, value, n, family, bound_side, trunc_bound):
-        _set_value(self, value)
-        _set_n(self, n)
-        _set_family(self, family)
-        _set_bound_side(self, bound_side)
-        _set_trunc_bound(self, trunc_bound)
 
-
-# the slot descriptors' setters, bound once; they bypass __setattr__
+# mills()'s constructor: the bare instance and the slot descriptors'
+# setters, bound once; they bypass __setattr__
+_new = object.__new__
 _set_value = Approximation.value.__set__
 _set_n = Approximation.n.__set__
 _set_family = Approximation.family.__set__
@@ -104,8 +101,11 @@ _FOLD_HI = 2.0 ** 1000
 # k * B and k / t then take CPython's float-float paths instead of the mixed
 # int-float one.  A double holds every integer below 2^53 exactly, so each
 # product and quotient is the same double as with an int k.  Past the tuple
-# the loops fall back to range.
+# the loops fall back to range.  _DOWN[n] is the fold's run n, ..., 1, sliced
+# once here instead of on every call.
 _LEVELS = tuple(map(float, range(128)))
+_FAST_DEPTHS = len(_LEVELS)
+_DOWN = tuple(_LEVELS[n:0:-1] for n in range(_FAST_DEPTHS))
 
 
 def _not_positive(fam, n, x, t):
@@ -136,13 +136,23 @@ def _fold(x, n, fam):
     an ulp of x there, so every tail above 2^1000 folds to the same double
     as an infinite one; R_0 = 1/t is read off the tail at x/2 (_huge_r0).
 
-    Inside the box the level numbers come from the float tuple _LEVELS up
-    to its length, so the loop does float/float divisions; the quotients
-    are the same doubles as with int levels.
+    An x and a tail inside the box (x in [2^-1000, 2^1000], t finite and at
+    least 2^-1000) pass every check at once, so one test sends them to the
+    unchecked loop; x = 0 is outside it, since the no-overflow proof needs
+    x > 0.  That loop takes the level numbers from the float runs of _DOWN
+    up to its length, so it does float/float divisions; the quotients are
+    the same doubles as with int levels.  Everything else runs the checks
+    above, in that order, and the checked loop.
     """
     if x < 0.0:
         raise ValueError(f"R_n needs x >= 0, got x={x!r}")
-    t = float(fam.value(n, x))
+    t = fam.value(n, x)
+    if type(t) is not float:
+        t = float(t)
+    if _FOLD_LO <= x <= _FOLD_HI and _FOLD_LO <= t < math.inf:
+        for k in _DOWN[n] if n < _FAST_DEPTHS else range(n, 0, -1):
+            t = x + k / t
+        return 1.0 / t
     if not (math.isfinite(x) and math.isfinite(t)):
         if not (t == math.inf and _FOLD_HI < x < math.inf):
             raise CFEvaluationError("non-finite x or tail")
@@ -150,10 +160,6 @@ def _fold(x, n, fam):
             return _huge_r0(fam, x)
     if not t > 0.0:
         raise _not_positive(fam, n, x, t)
-    if _FOLD_LO <= x <= _FOLD_HI and t >= _FOLD_LO:
-        for k in _LEVELS[n:0:-1] if n < len(_LEVELS) else range(n, 0, -1):
-            t = x + k / t
-        return 1.0 / t
     for k in range(n, 0, -1):
         t = x + k / t
         if t == math.inf:
@@ -181,6 +187,10 @@ def mills_grid(x, n, family="improved-expo"):
     _fold's checks and arithmetic on every element, with every level checked.
     Equal to mills() point by point, except where numpy's exp in a tail
     differs from math.exp by an ulp.  An empty array gives an empty array.
+
+    Rounding, as for mills(): each value is within
+    ((2n + 1)u + O(n^2 u^2)) R_n(t) of R_n(t), the exact fold of its tail t
+    as computed, with u = 2^-53.
     """
     import numpy as np
 
@@ -212,18 +222,21 @@ def mills_grid(x, n, family="improved-expo"):
     return t
 
 
-def _bound_side(fam, n):
-    if fam.bound_side == "alternating":
-        return "upper" if n % 2 == 0 else "lower"
-    return "unknown"
-
-
 def mills(x, n, family="improved-expo"):
     """R_n at one x for the given tail family, with bound side and classic bound.
 
     An array of x raises TypeError (mills_grid takes those).  bound_side is
     only claimed for families with proven alternation (classic, sqrt,
     linear): even n from above, odd n from below.
+
+    Rounding: the value is the fold of the tail t = beta_n(x) as computed,
+    and |value - R_n(t)| <= ((2n + 1)u + O(n^2 u^2)) R_n(t), with u = 2^-53
+    and R_n(t) the exact fold of that double tail.  Each level t -> x + k/t
+    rounds twice and has relative condition number k/(tx + k) <= 1 for
+    x >= 0, t > 0, so no level amplifies the error it inherits; 1/t rounds
+    once more.  In full the factor is (2n + 1)u / (1 - (2n + 1)u), wherever
+    no step leaves the normal range, as none does in _fold's box.  The error
+    of t itself, and R_n's distance to R (trunc_bound), are not in it.
     """
     fam = get_family(family)
     if type(x) is not float:
@@ -233,8 +246,18 @@ def mills(x, n, family="improved-expo"):
     if not (type(n) is int and 0 <= n <= _MAX_DEPTH):   # _check_depth, inlined
         n = _check_depth(n, "mills")
     value = _fold(x, n, fam)
-    bound = truncation_bound(x, n) if fam.kind == "classic" else None
-    return Approximation(value, n, fam.kind, _bound_side(fam, n), bound)
+    kind = fam.kind
+    bound = _bound(x, n) if kind == "classic" else None   # x, n checked above
+    a = _new(Approximation)
+    _set_value(a, value)
+    _set_n(a, n)
+    _set_family(a, kind)
+    if fam.bound_side == "alternating":
+        _set_bound_side(a, "lower" if n % 2 else "upper")
+    else:
+        _set_bound_side(a, "unknown")
+    _set_trunc_bound(a, bound)
+    return a
 
 
 # from here on the bracket (x, x + 1/x) of the hazard is at most an ulp wide
@@ -268,6 +291,11 @@ def hazard(x):
 _BOUND_BOX = 64
 
 
+# the box's level runs 0, ..., n and its log(n!), tabled once
+_UP = tuple(_LEVELS[:n + 1] for n in range(_BOUND_BOX + 1))
+_LOG_FACT = tuple(math.lgamma(n + 1.0) for n in range(_BOUND_BOX + 1))
+
+
 def truncation_bound(x, n):
     """n! / (B_n B_{n+1}) for the classic fraction, in log space.
 
@@ -278,22 +306,30 @@ def truncation_bound(x, n):
     returned as inf, one below the smallest positive double as that double.
 
     For x <= 64 and n <= 64 no rescale can fire (see _BOUND_BOX), and the
-    recurrence runs on the float levels of _LEVELS with no per-level test;
-    outside that box every level is checked.  Both give the same bits.
+    recurrence runs on the float levels of _UP, with log n! from _LOG_FACT
+    and no per-level test; outside that box every level is checked.  Both
+    give the same bits.
     """
     x = float(x)
+    if 0.0 < x < math.inf:   # else _bound raises for x before n is read
+        n = _check_depth(n, "truncation_bound")
+    return _bound(x, n)
+
+
+def _bound(x, n):
+    """truncation_bound for a float x and a depth n that passed the rule."""
     if not 0.0 < x < math.inf:
         raise ValueError(f"truncation bound needs 0 < x < inf, got x={x!r}")
-    n = _check_depth(n, "truncation_bound")
     # Level k + 1 has numerator k; level 1's numerator 1 meets B_prev = 0.
     B_prev, B = 0.0, 1.0
-    scale = 0
     if x <= _BOUND_BOX and n <= _BOUND_BOX:
-        for k in _LEVELS[:n + 1]:
+        for k in _UP[n]:
             B, B_prev = x * B + k * B_prev, B
+        log_bound = _LOG_FACT[n] - math.log(B) - math.log(B_prev)
     else:
         # cf.forward_recurrence's rescaling of the B pair (B_{2j} >= 1
         # never underflows, so it is only ever scaled down)
+        scale = 0
         for k in range(n + 1):
             if x + k > _LEVEL_HEADROOM:
                 B, B_prev = B * _RESCALE_FACTOR, B_prev * _RESCALE_FACTOR
@@ -302,12 +338,13 @@ def truncation_bound(x, n):
             if B > _RESCALE_LIMIT:
                 B, B_prev = B * _RESCALE_FACTOR, B_prev * _RESCALE_FACTOR
                 scale += _RESCALE_SHIFT
-    log_bound = (math.lgamma(n + 1.0) - math.log(B) - math.log(B_prev)
-                 - 2.0 * scale * _LOG2)
+        log_bound = (math.lgamma(n + 1.0) - math.log(B) - math.log(B_prev)
+                     - 2.0 * scale * _LOG2)
     try:
-        return max(math.exp(log_bound), _TINY)
+        bound = math.exp(log_bound)
     except OverflowError:
         return math.inf
+    return bound if bound > _TINY else _TINY
 
 
 def delta(x, n, family="improved-expo"):

@@ -274,9 +274,14 @@ def get_family(family):
 
     A name is built once and rebuilt only when FAMILIES maps it to another
     factory; families are frozen and their closures hold no state, so one
-    instance is safely shared.
+    instance is safely shared.  A str is looked up among the built ones
+    first, and its factory still compared with FAMILIES[name] by identity.
     """
-    if isinstance(family, TailFamily):
+    if type(family) is str:
+        hit = _RESOLVED.get(family)
+        if hit is not None and hit[0] is FAMILIES.get(family):
+            return hit[1]
+    elif isinstance(family, TailFamily):
         return family
     try:
         factory = FAMILIES[family]

@@ -680,3 +680,35 @@ def test_lower_cf_overflow_only_where_the_value_is_past_a_double():
                 assert log_value > math.log(1.7976931348623157e308), (s, x)
             except ConvergenceError:
                 pass
+
+
+def test_lower_cf_names_the_interval_it_accepts():
+    # x = 0 is in lower_cf's domain, so its error names 0 <= x < inf
+    assert lower_cf(0.5, 0.0) == 0.0
+    for x in (math.nan, -1.0, math.inf):
+        for n in (None, 5):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"lower_cf needs 0 <= x < inf, got x={x!r}")):
+                lower_cf(0.5, x, n)
+
+
+def test_front_doors_check_s_and_x_once(monkeypatch):
+    # the reduction behind gamma_mills and the adaptive forms is the
+    # unchecked _reduce_s; the public reduce_s checks, then runs the same body
+    calls = []
+    check = gamma._check
+
+    def counted(form, *args):
+        calls.append(form)
+        return check(form, *args)
+
+    monkeypatch.setattr(gamma, "_check", counted)
+    for front, s in ((gamma.gamma_mills, 3.5), (cf_l1, 3.5), (laguerre, 2.0),
+                     (winitzki_cf, 7.25)):
+        calls.clear()
+        assert front(s, 20.0) == reduce_s(s, 20.0)
+        assert calls == [front.__name__, "reduce_s"], calls
+    with pytest.raises(ValueError, match=r"^reduce_s handles s > 1"):
+        reduce_s(1.0, 2.0)
+    with pytest.raises(ValueError, match=r"^reduce_s at s=.* needs more than"):
+        gamma.gamma_mills(2.0 ** 20 + 2.5, 1.0)

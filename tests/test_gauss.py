@@ -5,11 +5,12 @@ import dataclasses
 import math
 import pickle
 import re
+from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from millscf import cf, gauss, tails
 from millscf.gauss import (
@@ -229,6 +230,86 @@ def test_truncation_bound_on_both_sides_of_its_box():
        n=st.integers(min_value=0, max_value=150))
 def test_truncation_bound_is_the_engine_formula_anywhere(x, n):
     assert truncation_bound(x, n).hex() == _engine_bound_or_inf(x, n).hex()
+
+
+def test_mills_classic_bound_is_truncation_bound():
+    # mills reads the bound through the unchecked _bound, on both sides of
+    # the 64/64 box
+    for x in (1e-3, 1.0, 64.0, math.nextafter(64.0, math.inf), 100.0, 1e300):
+        for n in (0, 1, 63, 64, 65, 200):
+            got = mills(x, n, "classic").trunc_bound
+            assert got.hex() == truncation_bound(x, n).hex(), (x, n)
+
+
+def test_a_classic_kind_family_at_zero_raises_the_bound_error():
+    # the fold of this tail succeeds at x = 0; the classic bound refuses it
+    fam = TailFamily(kind="classic", value=lambda n, x: 1.0)
+    for n in (0, 2, 70):
+        with pytest.raises(ValueError, match=r"^truncation bound needs 0 < x < inf, got x=0\.0$"):
+            mills(0.0, n, fam)
+
+
+def test_fold_is_the_engine_fold_at_the_box_edges():
+    # the unchecked loop runs for x in [2^-1000, 2^1000] with a finite tail
+    # of at least 2^-1000; on either side of each edge it is the engine fold
+    lap = laplace_spec()
+    lo, hi = gauss._FOLD_LO, gauss._FOLD_HI
+    assert (lo, hi) == (2.0 ** -1000, 2.0 ** 1000)
+    xs = (math.nextafter(lo, 0.0), lo, hi, math.nextafter(hi, math.inf))
+    fams = [tails.get_family(name) for name in tails.FAMILIES]
+    fams += [tails.custom(lambda n, x, t=t: t)
+             for t in (math.nextafter(lo, 0.0), lo)]
+    for fam in fams:
+        for n in (0, 1, 5, 127, 128, 300):
+            for x in xs + (1.0, 30.0):
+                want = _bits(lambda: cf.eval_backward(lap, x, n + 1, fam.value(n, x)))
+                assert _bits(lambda: mills(x, n, fam).value) == want, (fam.kind, n, x)
+
+
+_U = Fraction(1, 2 ** 53)
+
+
+def _exact_fold(x, n, t):
+    """R_n from the double tail t in exact rationals: t <- x + k/t, then 1/t."""
+    xp, xq = x.as_integer_ratio()
+    p, q = t.as_integer_ratio()            # t = p/q
+    for k in range(n, 0, -1):
+        p, q = xp * p + xq * k * q, xq * p   # x + k q/p
+    return Fraction(q, p)
+
+
+def _check_rounding_bound(name, x, n):
+    """|mills - exact fold of the same tail| <= gamma_{2n+1} of the exact value."""
+    value = mills(x, n, name).value
+    exact = _exact_fold(x, n, float(get_family(name).value(n, x)))
+    m = (2 * n + 1) * _U
+    assert abs(Fraction(value) - exact) <= m / (1 - m) * exact, (name, n, x)
+    return float(abs(Fraction(value) - exact) / exact / ((n + 1) * _U))
+
+
+def test_rounding_bound_against_the_exact_fold():
+    # the documented (2n + 1)u bound, with its second-order term written as
+    # gamma_{2n+1} = (2n + 1)u / (1 - (2n + 1)u), on every family
+    worst = 0.0
+    for name in tails.FAMILIES:
+        for n in (0, 1, 2, 3, 7, 20, 60, 127, 128, 300):
+            xs = [1e-3, 0.1, 0.5, 1.0, 2.5, 7.0, 30.0]
+            if name != "classic" and not (name == "limit-ansatz" and n == 0):
+                xs.append(0.0)
+            for x in xs:
+                worst = max(worst, _check_rounding_bound(name, x, n))
+    assert worst > 0.0   # the check sees rounding at all
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(sorted(tails.FAMILIES)), n=st.integers(min_value=0, max_value=300),
+       x=st.floats(min_value=0.0, max_value=1e4))
+def test_rounding_bound_property(name, n, x):
+    try:
+        mills(x, n, name)
+    except (ValueError, OverflowError):
+        assume(False)   # outside R_n's domain (classic at 0) or past a double
+    _check_rounding_bound(name, x, n)
 
 
 def test_non_finite_x_raises_for_every_family():
