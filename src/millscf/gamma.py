@@ -162,21 +162,33 @@ def winitzki_spec(s):
     return CFSpec(name="winitzki", levels=levels)
 
 
-# Up to this x every l1 level has a_k + b_k <= 2^201, so a product b_k A or
-# a_k A of continuants at most 2^500 stays finite before the rescale; past
-# it M_s(x) is 1 + (s-1)/x, and the next term is below 2^-399 relative
+# Up to this x every l1 level has a_k + b_k <= 2^201, so two levels take
+# continuants of at most 2^500 to below 2^702, still finite; past it M_s(x)
+# is 1 + (s-1)/x, and the next term is below 2^-399 relative
 _L1_FRACTION_TOP = 2.0**200
+
+# The kernels' level and step numbers as floats, so each j * A, j - s or
+# base + j is a float-float operation; a double holds each exactly, so no
+# value moves.  Past the table the loops fall back to range.
+_FLOATS = tuple(map(float, range(256)))
+_L1_PASSES = _FLOATS[1:ADAPTIVE_MAX_DEPTH // 2]
 
 
 def _l1_adaptive(s, x):
     """The l1 fraction forward from its closed-form coefficients, for
     0 < s < 1 and x >= 5/2, until two successive convergents agree to
     ADAPTIVE_REL_TOL relative, within ADAPTIVE_MAX_DEPTH levels; two levels
-    a pass, no stream.
+    a pass, no stream.  Past _L1_FRACTION_TOP it returns 1 + (s-1)/x.
 
     Every a_k >= 0, b_k is x or 1, every B_k >= 1 and every convergent is
-    at least x/(x + 1), so only the rescale of A and B past 2^500 is
-    needed.  Past _L1_FRACTION_TOP it returns 1 + (s-1)/x.
+    at least x/(x + 1), so only the rescale of A and B by 2^-512 past 2^500
+    is needed, and it is tested once a pass, after the pass's second level.
+    Nothing overflows: entering a pass A and B are at most 2^500, and with
+    x <= 2^200 and j < 250 the pass's two levels keep them below 2^702.
+    The bits are those of a rescale tested at every level.  Scaling by
+    2^-512 is exact while every value stays normal, which B_k >= 1 and
+    A_k >= x/(x + 1) B_k ensure; it commutes with each level's multiplies
+    and adds, and leaves each quotient A/B as it is.
     """
     if x > _L1_FRACTION_TOP:
         return 1.0 + (s - 1.0) / x
@@ -188,12 +200,9 @@ def _l1_adaptive(s, x):
     if abs(prev - 1.0) <= tol * prev:
         return prev
     # pass j folds levels 2j + 1, (j, x), and 2j + 2, (j + 1 - s, 1)
-    for j in map(float, range(1, ADAPTIVE_MAX_DEPTH // 2)):
+    for j in _L1_PASSES:
         A, A_prev = x * A + j * A_prev, A
         B, B_prev = x * B + j * B_prev, B
-        if A > limit or B > limit:
-            A, B = A * factor, B * factor
-            A_prev, B_prev = A_prev * factor, B_prev * factor
         cur = A / B
         if abs(cur - prev) <= tol * cur:
             return cur
@@ -220,6 +229,7 @@ def _l1_fold(s, x, m):
     min(x, 1) > 0 or is inf, which folds on as in that fold, and none of
     its checks can fire; where a_2 snaps to 0, x + 0/t is the fold's x.
     x/t >= +0, so the fold's 0.0 + for a quotient of -0.0 is not needed.
+    The run half, ..., 2 is sliced from _FLOATS while half is in it.
     """
     a2 = _snap_zero(1.0 - s)
     half, odd = divmod(m, 2)
@@ -228,7 +238,9 @@ def _l1_fold(s, x, m):
     else:              # the tail b_m = 1, folded into level m - 1
         half -= 1
         t = x + ((half + 1.0) - s if half else a2)
-    for j in map(float, range(half, 1, -1)):
+    run = (_FLOATS[half:1:-1] if half < len(_FLOATS)
+           else map(float, range(half, 1, -1)))
+    for j in run:
         t = x + (j - s) / (1.0 + j / t)
     if half:
         t = x + a2 / (1.0 + 1.0 / t)
@@ -340,20 +352,35 @@ def winitzki_cf(s, x, n=None):
 
 
 def _lower_sum(s, x):
-    """sum_{k>=1} x^k/Q_k with Q_k = s(s+1)...(s+k-1), for s > 0 and x < s + 1.
+    """sum_{k>=1} x^k/Q_k with Q_k = s(s+1)...(s+k-1), for s > 0 and
+    0 < x < s + 5/2: lower_cf calls it below x = s + 1, and _lower_series
+    up to x = s + 5/2 where s < 2 (the s < 1 branch of gamma_mills and
+    reduce_s's base + 1 step), otherwise below s + 1.
 
-    Every term is positive and each is x/(s+k) < 1 times the one before; the
-    sum stops once a term no longer moves it (below half an ulp).  It is
-    +inf where x/s overflows, and raises ConvergenceError past 2**20 terms.
+    Every term is positive and each is x/(s+k) times the one before; below
+    x = s + 1 that ratio is below 1 from the start, and up to s + 5/2 it
+    is from the third ratio on.  The sum stops once a term no longer moves
+    it (below half an ulp).  The stop always falls where the terms are
+    falling: a term still growing is at least each one before it, so at
+    least 1/k of the running total, and it moves the sum.  Once the terms
+    fall they fall for good, as x/(s+k) falls with k, and rounding is
+    monotone, so if a term leaves the sum unmoved the next one does too.
+    The loop therefore adds two terms a pass and tests for the stop once,
+    with the bits of a test after every term, and still stops after the
+    same 2**20 terms past the first, where it raises ConvergenceError.  It
+    is +inf where x/s overflows.
     """
     term = total = x / s
     k = s
-    for _ in range(_MAX_DEPTH):
+    for _ in range(_MAX_DEPTH // 2):
         k += 1.0
         term *= x / k
-        new = total + term
-        if new == total:
-            return total
+        half = total + term
+        k += 1.0
+        term *= x / k
+        new = half + term
+        if new == half:   # the stop falls on this pass's first term or second
+            return half
         total = new
     raise ConvergenceError(f"lower series at s={s!r}, x={x!r}: still moving "
                            f"after {_MAX_DEPTH} terms")
@@ -376,18 +403,6 @@ def _lower_series(s, x):
     return first - _lower_sum(s, x)
 
 
-# lgamma(1 + s)/s = -euler_gamma + sum_{k>=2} (-1)^k zeta(k)/k s^(k-1), |s| < 1;
-# these terms reach 1e-17 relative up to s = 1/4
-_LGAMMA1P_OVER_S = (
-    -0.5772156649015329, 0.8224670334241132, -0.40068563438653143,
-    0.27058080842778454, -0.20738555102867398, 0.1695571769974082,
-    -0.1440498967688461, 0.12550966952474304, -0.11133426586956469,
-    0.1000994575127818, -0.09095401714582904, 0.083353840546109,
-    -0.0769325164113522, 0.07143294629536133, -0.06666870588242046,
-    0.06250095514121304, -0.058823978658684585, 0.055555767627403614,
-    -0.05263167937961666, 0.05000004769810169, -0.047619070330142226,
-    0.04545455629320467, -0.04347826605304026, 0.04166666915034121,
-    -0.04000000119214014, 0.03846153903467518)
 _SMALL_SHAPE = 0.25   # below it the lower series loses digits to cancellation
 _SERIES_SHAPE = 200.0   # above it the lower series's exponent rounds too coarsely
 # Below shape 2 the series answers up to x = shape + _SERIES_REACH (s < 1 in
@@ -420,9 +435,21 @@ def _small_shape(s, x):
     the bits of s) and no division by s, so a subnormal s keeps its value.
     M_s(x) = x (x^-s e^x Gamma(s, x)), with the multiply by x last.
     """
-    h = 0.0
-    for c in reversed(_LGAMMA1P_OVER_S):
-        h = h * s + c
+    # lgamma(1 + s)/s = -euler_gamma + sum_{k>=2} (-1)^k zeta(k)/k s^(k-1)
+    # for |s| < 1, by Horner; these 26 terms reach 1e-17 relative up to s = 1/4
+    h = (-0.5772156649015329 + s * (0.8224670334241132 + s * (
+         -0.40068563438653143 + s * (0.27058080842778454 + s * (
+         -0.20738555102867398 + s * (0.1695571769974082 + s * (
+         -0.1440498967688461 + s * (0.12550966952474304 + s * (
+         -0.11133426586956469 + s * (0.1000994575127818 + s * (
+         -0.09095401714582904 + s * (0.083353840546109 + s * (
+         -0.0769325164113522 + s * (0.07143294629536133 + s * (
+         -0.06666870588242046 + s * (0.06250095514121304 + s * (
+         -0.058823978658684585 + s * (0.055555767627403614 + s * (
+         -0.05263167937961666 + s * (0.05000004769810169 + s * (
+         -0.047619070330142226 + s * (0.04545455629320467 + s * (
+         -0.04347826605304026 + s * (0.04166666915034121 + s * (
+         -0.04000000119214014 + s * 0.03846153903467518)))))))))))))))))))))))))
     lx = math.log(x)
     term, total, k = 1.0, 0.0, 0.0
     while True:
@@ -496,10 +523,10 @@ def reduce_s(s, x):
     from its closed form (_l1_adaptive) gives M_base from there on, within
     5.8e-14 of mpmath after the steps.  Starting at base + 1 skips the step (base/x) M_base,
     which overflows at subnormal x, and Gamma(base), which overflows at a
-    tiny base.  Raises OverflowError as soon as the running value stops being
-    finite, which happens when M_s(x) exceeds the largest double (large s,
-    small x), and ValueError for shapes that need more than 2**20 steps
-    (s > 2**20 + 1).
+    tiny base.  Raises OverflowError, naming the step where the running
+    value stops being finite, which happens when M_s(x) exceeds the largest
+    double (large s, small x), and ValueError for shapes that need more
+    than 2**20 steps (s > 2**20 + 1).
     """
     s, x, _ = _check("reduce_s", s, x)
     if s <= 1.0:
@@ -526,6 +553,17 @@ def _reduce_s(s, x):
         done = 1
     else:
         value = _l1_adaptive(base, x)
+    # inside the float table the walk tests for finiteness once, after the
+    # loop: each c_j = (base + j - 1)/x is > 0, so once the value is inf it
+    # stays inf.  On that path, and past the table, where a walk that runs
+    # on after inf could take 2**20 steps, the checked walk names the step
+    if steps < len(_FLOATS):
+        start = value
+        for j in _FLOATS[done + 1:steps + 1]:
+            value = 1.0 + ((base + j - 1.0) / x) * value
+        if math.isfinite(value):
+            return value
+        value = start
     for j in range(done + 1, steps + 1):
         value = 1.0 + ((base + j - 1.0) / x) * value
         if not math.isfinite(value):

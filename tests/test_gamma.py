@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import gammainc, gammaln
 
 from millscf import gamma
-from millscf.cf import CFEvaluationError, CFSpec, eval_backward
+from millscf.cf import _MAX_DEPTH, CFEvaluationError, CFSpec, eval_backward
 from millscf.gamma import (
     ConvergenceError,
     bounds_s01,
@@ -432,6 +432,184 @@ def test_closed_form_l1_gives_the_bits_of_the_stream():
 def test_closed_form_l1_matches_the_stream_everywhere(s, x, y, m):
     _same_closed_form_l1(s, x, (1, 2, 3, 4, m))
     _same_closed_form_l1(s, y, ())
+
+
+# Reference loops for the Gamma kernels, with a test after every term or
+# step, level numbers from range and the polynomial as a loop over its
+# coefficients: the kernels must give their bits and errors.
+def _lower_sum_by_term(s, x):
+    """_lower_sum with a stop test after every term; also the number of
+    terms past the first when it stops."""
+    term = total = x / s
+    k = s
+    for i in range(1, _MAX_DEPTH + 1):
+        k += 1.0
+        term *= x / k
+        new = total + term
+        if new == total:
+            return total, i
+        total = new
+    raise ConvergenceError(f"lower series at s={s!r}, x={x!r}: still moving "
+                           f"after {_MAX_DEPTH} terms")
+
+
+def test_lower_sum_adds_two_terms_a_pass_with_the_bits_of_one():
+    halves = set()
+    for s in (5e-324, 1e-300, 1e-8, 0.01, 0.3, 0.5, 0.99, 1.0 + 2.0**-52, 1.5,
+              1.99, 2.5, 7.25, 50.0, 199.9):
+        tops = [s + 1.0, math.nextafter(s + 1.0, math.inf)]
+        if s < 2.0:   # _lower_series reaches s + 5/2 below shape 2
+            tops += [s + 1.25, s + 2.0, s + 2.5]
+        xs = [5e-324, 1e-300, 1e-5, 0.3, 1.0, 0.5 * s] + tops
+        for x in xs:
+            if 0.0 < x <= s + 2.5:
+                want = _outcome(lambda: _lower_sum_by_term(s, x)[0])
+                assert _outcome(gamma._lower_sum, s, x) == want, (s, x)
+                halves.add(_lower_sum_by_term(s, x)[1] % 2)
+    # the stop falls on the pass's first term (odd) and its second (even)
+    assert halves == {0, 1}
+    # x/s overflows: +inf, as the term-by-term sum gives
+    assert gamma._lower_sum(5e-324, 1.0) == math.inf
+    assert _lower_sum_by_term(5e-324, 1.0)[0] == math.inf
+
+
+def test_lower_sum_keeps_its_cap_at_2_to_the_20_terms():
+    # at s = 2^60, k += 1 leaves k as it is, so each term is x/s times the
+    # one before: at this x the sum stops on the last term the cap allows,
+    # and at the next double up it would need one more
+    s, x = 2.0**60, 1.1528925443095779e+18
+    assert _lower_sum_by_term(s, x)[1] == _MAX_DEPTH
+    assert gamma._lower_sum(s, x) == _lower_sum_by_term(s, x)[0]
+    above = math.nextafter(x, math.inf)
+    with pytest.raises(ConvergenceError, match=re.escape(
+            f"s={s!r}, x={above!r}: still moving after {_MAX_DEPTH} terms")):
+        gamma._lower_sum(s, above)
+
+
+# lgamma(1 + s)/s's Taylor coefficients, as _small_shape's loop read them
+_LGAMMA1P_OVER_S = (
+    -0.5772156649015329, 0.8224670334241132, -0.40068563438653143,
+    0.27058080842778454, -0.20738555102867398, 0.1695571769974082,
+    -0.1440498967688461, 0.12550966952474304, -0.11133426586956469,
+    0.1000994575127818, -0.09095401714582904, 0.083353840546109,
+    -0.0769325164113522, 0.07143294629536133, -0.06666870588242046,
+    0.06250095514121304, -0.058823978658684585, 0.055555767627403614,
+    -0.05263167937961666, 0.05000004769810169, -0.047619070330142226,
+    0.04545455629320467, -0.04347826605304026, 0.04166666915034121,
+    -0.04000000119214014, 0.03846153903467518)
+
+
+def _small_shape_by_loop(s, x):
+    """_small_shape with its polynomial as a loop over the coefficients."""
+    h = 0.0
+    for c in reversed(_LGAMMA1P_OVER_S):
+        h = h * s + c
+    lx = math.log(x)
+    term, total, k = 1.0, 0.0, 0.0
+    while True:
+        k += 1.0
+        term *= -x / k
+        new = total + term / (s + k)
+        if new == total:
+            break
+        total = new
+    upper = (h * gamma._expm1_over(s * h) - lx * gamma._expm1_over(s * lx)
+             - math.exp(s * lx) * total)
+    return x * (math.exp(x - s * lx) * upper)
+
+
+@settings(max_examples=300, deadline=None)
+@given(s=st.floats(min_value=0.0, max_value=0.25, exclude_min=True),
+       x=st.floats(min_value=5e-324, max_value=2.75))
+def test_small_shape_polynomial_is_the_coefficient_loop(s, x):
+    assert _outcome(gamma._small_shape, s, x) == \
+        _outcome(_small_shape_by_loop, s, x), (s, x)
+
+
+def test_small_shape_polynomial_at_its_edges():
+    for s in (5e-324, 1e-300, 2.0**-52, 1e-8, 0.01, 0.1, 0.2,
+              math.nextafter(0.25, 0.0), 0.25):
+        for x in (5e-324, 1e-300, 1e-5, 0.3, 1.0, s + 2.0, s + 2.5):
+            assert _outcome(gamma._small_shape, s, x) == \
+                _outcome(_small_shape_by_loop, s, x), (s, x)
+
+
+def _l1_fold_by_range(s, x, m):
+    """_l1_fold with its level numbers from map(float, range(...))."""
+    a2 = gamma._snap_zero(1.0 - s)
+    half, odd = divmod(m, 2)
+    if odd:
+        t = x
+    else:
+        half -= 1
+        t = x + ((half + 1.0) - s if half else a2)
+    for j in map(float, range(half, 1, -1)):
+        t = x + (j - s) / (1.0 + j / t)
+    if half:
+        t = x + a2 / (1.0 + 1.0 / t)
+    return x / t
+
+
+def test_l1_fold_at_the_edges_of_its_float_table():
+    top = len(gamma._FLOATS) - 1   # the table's last index
+    # depths whose run starts at half = top - 1, top and top + 1
+    depths = [1, 2, 3, 2 * top - 1, 2 * top, 2 * top + 1, 2 * top + 2, 2 * top + 3]
+    for s in (1e-300, 0.3, 0.5, 1.0 - 1e-15, 1.0):
+        for x in (2.0**-1000, 1e-3, 1.0, 10.0, 1e100):
+            for m in depths:
+                assert _outcome(gamma._l1_fold, s, x, m) == \
+                    _outcome(_l1_fold_by_range, s, x, m), (s, x, m)
+    n = _MAX_DEPTH - 2   # the deepest pair but one bounds_s01 takes
+    lo, hi = bounds_s01(0.5, 1.0, n)
+    ends = (_l1_fold_by_range(0.5, 1.0, n), _l1_fold_by_range(0.5, 1.0, n + 1))
+    assert [lo, hi] == sorted(ends)
+
+
+def _reduce_s_step_by_step(s, x):
+    """_reduce_s with a finiteness test after every step of its walk."""
+    steps = math.ceil(s) - 1
+    base = s - steps
+    done = 0
+    if base == 1.0:
+        value = 1.0
+    elif x < base + 1.0 + gamma._SERIES_REACH:
+        value = max(gamma._lower_series(base + 1.0, x), 1.0)
+        done = 1
+    else:
+        value = gamma._l1_adaptive(base, x)
+    for j in range(done + 1, steps + 1):
+        value = 1.0 + ((base + j - 1.0) / x) * value
+        if not math.isfinite(value):
+            raise OverflowError(
+                f"M_s(x) at s={s!r}, x={x!r} is not finite after {j} of "
+                f"{steps} reduction steps: it exceeds the largest double")
+    return value
+
+
+def test_reduce_s_walk_at_the_edges_of_its_float_table():
+    top = len(gamma._FLOATS) - 1   # the table's last index
+    # walks of top - 1, top and top + 1 steps (from M_1 = 1 at the integer
+    # shapes), and of 2^20 - 2 steps
+    shapes = [top - 0.5, top + 0.5, top + 1.0, top + 1.5, top + 2.0,
+              _MAX_DEPTH - 1.5, 3.0, 3.5, 7.25]
+    for s in shapes:
+        for x in (1e-3, 0.5, 3.0, 100.0, 1e4, 1e300):
+            assert _outcome(gamma._reduce_s, s, x) == \
+                _outcome(_reduce_s_step_by_step, s, x), (s, x)
+
+
+def test_reduce_s_names_the_step_where_a_tabled_walk_overflows():
+    # walks inside the float table test for finiteness once, then walk
+    # again to name the step; the step is the first one past the double
+    seen = set()
+    for s, x in ((40.5, 1e-300), (100.5, 1e-5), (200.25, 0.01), (250.5, 0.5),
+                 (255.5, 1.0), (180.0, 0.05)):
+        assert math.ceil(s) - 1 < len(gamma._FLOATS), s
+        want = _outcome(_reduce_s_step_by_step, s, x)
+        assert want[0] is OverflowError, (s, x, want)
+        assert _outcome(gamma._reduce_s, s, x) == want, (s, x)
+        seen.add(int(re.search(r"after (\d+) of", want[1]).group(1)))
+    assert len(seen) == 6, seen
 
 
 def _callable_fold(spec, x, n):
