@@ -28,17 +28,34 @@ runs the same two branches with the same stopping and certification rules
 over all of it at once, for the grid scans and tables.  numpy is imported
 by the array routes only, so a single point never loads it.
 
-Both fraction routes share one certification step, _certify, which runs
-the forward pass from any level's state.  The scalar route starts it at
-level 1.  The array route sorts its points by x once: a larger x certifies
-at a shallower depth, so the points still running stay a prefix of the
-sorted array, and each level updates that prefix in place.  Once at most
-_STRAGGLERS points are left, _certify finishes each of them from the level
-the array loop reached.  Every point meets the same IEEE operations on
-either route, so the two give the same bits.
+The depth the bound certifies depends on x alone.  Depth d is certified
+once q_d(x) = d!/(B_d A_{d+1}), the bound over the running convergent, is
+at most 1e-15.  B_d and A_{d+1} are polynomials in x with positive
+coefficients, so q_d falls as x grows and crosses 1e-15 at one point b_d.
+The crossings b_1 > b_2 > ... > b_343, at least 0.15 % apart, are committed
+in _BREAKS (b_1 = 1/sqrt(1e-15), b_343 ~ 0.99928), and the depth at x is
+one more than the number of b_d above x: one bisect on the scalar route,
+one searchsorted on the grid route, then the backward fold at that depth.
+Within a relative 1e-10 of a breakpoint, and below b_343, the forward pass
+_certify picks the depth instead.  Outside that margin the two pick the
+same depth, so every value has the bits of the forward pass:
+
+  - tests/test_reference.py checks at 30 digits, for every d, that
+    q_d > 1e-15 (1 + 1e-11) at the margin's lower edge b_d (1 - 1e-10) and
+    q_d < 1e-15 (1 - 1e-11) at its upper edge b_d (1 + 1e-10), and that
+    the b_d fall strictly; its _scan_breaks rebuilds the table;
+  - by monotonicity, at an x outside every margin q_d(x) is past 1e-15 by
+    a factor 1 +- 1e-11 for every d;
+  - the computed test bound <= 1e-15 (A/B) carries at most about (7d + 4)u
+    of rounding (2.7e-13 at d = 343), since every term of the recurrences
+    is positive and the rescales are exact, so it decides as q_d does.
+
+Every point meets the same IEEE operations on either route, so the two
+give the same bits.
 """
 
 import math
+from bisect import bisect_right
 from functools import lru_cache
 
 
@@ -99,27 +116,32 @@ def _mills_series_grid(x, tol=1e-18, cap=200):
     raise OracleError(f"series for R({x[0]}) still moving after {cap} terms")
 
 
-def _depth_one(x, rel_tol):
-    # the depth-1 bound 1/(x (x^2 + 1)) is under rel_tol times the depth-2
-    # convergent x/(x^2 + 1) exactly when rel_tol x^2 >= 1; there the value is
-    # 1/x with no recursion, which would overflow once x passes about 2^512
-    return x >= (1.0 / rel_tol) ** 0.5
+# the certified error relative to R(x) on the fraction branch
+_REL_TOL = 1e-15
 
 
-def _certify(x, A, B, A_prev, B_prev, bound, depth, rel_tol, max_depth):
-    """The forward pass of _mills_cf from level depth's state.
+def _depth_one(x):
+    # the depth-1 bound 1/(x (x^2 + 1)) is under _REL_TOL times the depth-2
+    # convergent x/(x^2 + 1) exactly when _REL_TOL x^2 >= 1; there the value
+    # is 1/x with no recursion, which would overflow once x passes about 2^512
+    return x >= (1.0 / _REL_TOL) ** 0.5
+
+
+def _certify(x, max_depth):
+    """The forward pass of the classic fraction at x from level 1.
 
     Returns the first depth (below max_depth) whose carried bound is at
-    most rel_tol times the running convergent A/B, as an int, or None.  The
-    scalar route starts it at level 1; the grid route resumes it at
-    whatever level its array loop handed an element over, so both do the
-    same operations.  The level is carried as a float, so every product
-    d A_{d-1} and d B_{d-1} is float-float; a double holds each level
-    exactly, so the products are the same doubles as with an int level.
+    most _REL_TOL times the running convergent A/B, as an int, or None.
+    The level is carried as a float, so every product d A_{d-1} and
+    d B_{d-1} is float-float; a double holds each level exactly, so the
+    products are the same doubles as with an int level.
     """
-    d, top = float(depth), float(max_depth)
+    B_prev, A, A_prev = x, x, 1.0     # B_1, A_2, A_1
+    B = x * x + 1.0                   # B_2
+    bound = 1.0 / (x * B)
+    d, top = 1.0, float(max_depth)
     while d < top:
-        if bound <= rel_tol * (A / B):
+        if bound <= _REL_TOL * (A / B):
             return int(d)
         d += 1.0
         A, A_prev = x * A + d * A_prev, A
@@ -139,111 +161,190 @@ def _certify(x, A, B, A_prev, B_prev, bound, depth, rel_tol, max_depth):
     return None
 
 
-def _mills_cf(x, rel_tol=1e-15, max_depth=2000):
+# b_d for d = 1 ... 343: where q_d(x) = d!/(B_d A_{d+1}) crosses _REL_TOL,
+# the nearest doubles to the crossings of a 40-digit scan.  The depth _certify
+# picks at x is one more than the number of b_d above x, wherever x is
+# outside every breakpoint's margin (see the module docstring)
+_BREAKS = (
+    31622776.60168379, 6687.402937613061, 426.2738469905997,
+    111.5477921561654, 50.99386569428328, 30.674119465764957,
+    21.513575402185413, 16.5680349530088, 13.556270838738802,
+    11.558158297335616, 10.145473897992353, 9.096758840861074,
+    8.287818662431137, 7.644379485446235, 7.11963521739181,
+    6.68277902456339, 6.312777138084056, 5.994811537464805,
+    5.718157114086897, 5.474866385293185, 5.258927405347724,
+    5.065708843870808, 4.891584815559485, 4.7336753677249295,
+    4.589663245876623, 4.457662097363008, 4.336120067922851,
+    4.223748201087285, 4.11946651208362, 4.0223628509376965,
+    3.9316611509399584, 3.8466966544838117, 3.7668963886572233,
+    3.6917636348523857, 3.6208654685431143, 3.55382268185254,
+    3.4903015720776382, 3.430007203733471, 3.3726778433826756,
+    3.318080334792732, 3.26600623327617, 3.216268556972869,
+    3.1686990425752075, 3.1231458159125998, 3.079471405599687,
+    3.0375510418567524, 2.997271193552131, 2.9585283051804,
+    2.9212277023922257, 2.8852826402215657, 2.8506134726106143,
+    2.8171469254399253, 2.784815458206508, 2.7535567018925886,
+    2.7233129625388957, 2.69403078166221, 2.665660546003728,
+    2.6381561402147233, 2.61147463702096, 2.585576020190603,
+    2.560422936289027, 2.5359804717595447, 2.5122159523393943,
+    2.4890987622196366, 2.4666001806976934, 2.4446932343617087,
+    2.4233525630947357, 2.402554298400404, 2.38227595273575,
+    2.3624963186957384, 2.343195377031477, 2.324354212603393,
+    2.305954937474347, 2.2879806204379878, 2.27041522235662,
+    2.2532435367518695, 2.2364511351520253, 2.220024316753134,
+    2.20395006199778, 2.188215989716786, 2.1728103175155846,
+    2.15772182511932, 2.1429398204193832, 2.128454107989532,
+    2.114254959862369, 2.100333088377126, 2.0866796209276863,
+    2.0732860764558514, 2.060144343549258, 2.0472466600162336,
+    2.0345855938214576, 2.022154025276694, 2.0099451303902147,
+    1.9979523652869677, 1.9861694516191486, 1.974590362893698,
+    1.9632093116494715, 1.9520207374224359, 1.9410192954423588,
+    1.9301998460090712, 1.919557444500592, 1.9090873319692223,
+    1.8987849262851901, 1.8886458137906021, 1.8786657414293466,
+    1.8688406093212284, 1.8591664637510341, 1.8496394905454236,
+    1.8402560088125783, 1.8310124650213664, 1.8219054273985085,
+    1.8129315806237616, 1.8040877208045922, 1.7953707507131083,
+    1.7867776752692488, 1.77830559725533, 1.7699517132480902,
+    1.7617133097553122, 1.7535877595449911, 1.7455725181558097,
+    1.7376651205784488, 1.729863178097938, 1.7221643752879017,
+    1.7145664671481466, 1.7070672763775883, 1.699664690775022,
+    1.692356660760724, 1.6851411970123025, 1.678016368208631,
+    1.6709802988760774, 1.6640311673315964, 1.6571672037175813,
+    1.6503866881236802, 1.6436879487910678, 1.6370693603949331,
+    1.630529342401188, 1.6240663574936425, 1.6176789100681022,
+    1.6113655447900523, 1.605124845212781, 1.5989554324529758,
+    1.5928559639209854, 1.5868251321031108, 1.580861663393417,
+    1.5749643169727114, 1.5691318837324526, 1.5633631852414789,
+    1.5576570727535588, 1.5520124262538721, 1.5464281535426314,
+    1.540903189354146, 1.5354364945097214, 1.5300270551028716,
+    1.5246738817153938, 1.5193760086629409, 1.5141324932687839,
+    1.5089424151645319, 1.5038048756166342, 1.4987189968775494,
+    1.4936839215605227, 1.4886988120369626, 1.4837628498554574,
+    1.478875235181521, 1.4740351862572023, 1.4692419388797242,
+    1.464494745898376, 1.4597928767289, 1.4551356168846645,
+    1.4505222675239389, 1.4459521450126223, 1.4414245805018073,
+    1.4369389195195883, 1.4324945215765472, 1.428090759784384,
+    1.4237270204871735, 1.419402702904758, 1.415117218787811,
+    1.4108699920841161, 1.4066604586156408, 1.4024880657659893,
+    1.3983522721778459, 1.3942525474600318, 1.3901883719038193,
+    1.3861592362081556, 1.3821646412134723, 1.3782040976437626,
+    1.3742771258566246, 1.3703832556009836, 1.366522025782214,
+    1.3626929842343964, 1.3588956874994573, 1.3551297006129417,
+    1.3513945968961902, 1.3476899577546935, 1.3440153724824064,
+    1.3403704380718198, 1.336754759029584, 1.333167947197501,
+    1.3296096215786948, 1.3260794081687892, 1.3225769397919198,
+    1.3191018559414196, 1.3156538026250215, 1.3122324322144263,
+    1.3088374032990915, 1.3054683805441036, 1.302125034551998,
+    1.2988070417283966, 1.295514084151344, 1.2922458494442155,
+    1.2890020306520897, 1.2857823261214671, 1.2825864393832354,
+    1.2794140790387731, 1.276264958649096, 1.273138796626948,
+    1.2700353161317477, 1.2669542449672977, 1.2638953154821768,
+    1.2608582644727258, 1.2578428330885532, 1.254848766740481,
+    1.2518758150108567, 1.2489237315661588, 1.245992274071833,
+    1.243081204109282, 1.2401902870949537, 1.2373192922014615,
+    1.234467992280677, 1.2316361637887365, 1.2288235867129091,
+    1.226030044500265, 1.2232553239881, 1.2204992153360583,
+    1.2177615119599106, 1.2150420104669342, 1.2123405105928564,
+    1.20965681514031, 1.2069907299187628, 1.204342063685877,
+    1.201710628090261, 1.1990962376155714, 1.1964987095259312,
+    1.1939178638126249, 1.1913535231420371, 1.1888055128048,
+    1.186273660666117, 1.1837577971172286, 1.1812577550279935,
+    1.1787733697005505, 1.1763044788240355, 1.173850922430324,
+    1.17141254285077, 1.1689891846739195, 1.166580694704168,
+    1.1641869219213394, 1.1618077174411634, 1.1594429344766246,
+    1.1570924283001636, 1.1547560562067063, 1.1524336774775017,
+    1.1501251533447447, 1.147830346956968, 1.1455491233451773,
+    1.143281349389719, 1.141026893787854, 1.1387856270220247,
+    1.1365574213287963, 1.134342150668456, 1.1321396906952514,
+    1.1299499187282578, 1.1277727137228513, 1.1256079562427788,
+    1.1234555284328083, 1.1213153139919438, 1.1191871981471941,
+    1.117071067627879, 1.1149668106404618, 1.112874316843895,
+    1.1107934773254666, 1.1087241845771356, 1.1066663324723436,
+    1.104619816243294, 1.1025845324586847, 1.100560379001885,
+    1.0985472550495463, 1.096545061050638, 1.0945536987058935,
+    1.0925730709476638, 1.0906030819201638, 1.0886436369601056,
+    1.0866946425777064, 1.084756006438067, 1.0828276373429084,
+    1.0809094452126609, 1.0790013410688952, 1.0771032370170925,
+    1.0752150462297385, 1.0733366829297424, 1.0714680623741666,
+    1.0696091008382653, 1.067759715599822, 1.0659198249237796,
+    1.064089348047159, 1.0622682051642571, 1.0604563174121195,
+    1.058653606856282, 1.056859996476773, 1.0550754101543753,
+    1.0532997726571374, 1.051533009627131, 1.0497750475674494,
+    1.0480258138294423, 1.0462852366001782, 1.0445532448901362,
+    1.042829768521115, 1.0411147381143606, 1.0394080850789045,
+    1.0377097416001089, 1.0360196406284143, 1.0343377158682885,
+    1.0326639017673644, 1.0309981335057752, 1.0293403469856695,
+    1.0276904788209145, 1.0260484663269736, 1.0244142475109634,
+    1.022787761061878, 1.021168946340986, 1.019557743372388,
+    1.017954092833739, 1.0163579360471262, 1.014769214970105,
+    1.0131878721868832, 1.0116138508996566, 1.0100470949200904,
+    1.008487548660942, 1.0069351571278256, 1.0053898659111142,
+    1.0038516211779749, 1.0023203696645375, 1.0007960586681925,
+    0.999278636040016,
+)
+_MARGIN = 1e-10
+# each breakpoint's margin b_d (1 - _MARGIN), b_d (1 + _MARGIN), the lowest
+# first: an even number of edges at or below x puts x between margins, an
+# odd number inside one
+_EDGES = tuple(e for b in reversed(_BREAKS)
+               for e in (b * (1.0 - _MARGIN), b * (1.0 + _MARGIN)))
+
+
+def _uncertified(x, max_depth):
+    return OracleError(
+        f"classic fraction for R({x}) not certified within {max_depth} levels")
+
+
+def _mills_cf(x, max_depth=2000):
     """Deep classic fraction with certified depth selection.
 
-    Forward pass: consecutive convergents bracket R, so
-    |R - R_d| <= bound_d = d!/(B_d B_{d+1}).  The bound is carried, not
-    recomputed: bound_1 = 1/(B_1 B_2) = 1/(x (x^2 + 1)) and
-    bound_d = bound_{d-1} d B_{d-1}/B_{d+1}.  The ratio is taken before the
-    level's 2^-512 rescale, when both B share one scale, so the scale
-    cancels and no logarithm is needed.  The first depth d (checked at
-    levels 2 ... max_depth, i.e. d < max_depth) whose bound drops under
-    rel_tol times the running value is kept, then re-evaluated backward
-    (the numerically benign direction) at exactly that depth.
+    Consecutive convergents bracket R, so |R - R_d| <= d!/(B_d B_{d+1}).
+    The first depth d (d < max_depth) where that bound is at most _REL_TOL
+    times the running value is kept, then evaluated backward (the
+    numerically benign direction) at exactly that depth.  Outside the
+    breakpoints' margins the depth is read from _BREAKS by one bisect;
+    inside one, or below the last breakpoint, the forward pass _certify
+    finds it.  Both give the same depth outside the margins (see the module
+    docstring).
     """
-    if _depth_one(x, rel_tol):
+    if _depth_one(x):
         return 1.0 / x
-    B = x * x + 1.0                   # B_2; A_1, B_1 = 1, x and A_2 = x
-    depth = _certify(x, x, B, 1.0, x, 1.0 / (x * B), 1, rel_tol, max_depth)
-    if depth is None:
-        raise OracleError(
-            f"classic fraction for R({x}) not certified within {max_depth} levels")
+    i = bisect_right(_EDGES, x)
+    if i & 1 or not i:
+        depth = _certify(x, max_depth)
+    else:
+        depth = len(_BREAKS) + 1 - (i >> 1)
+    if depth is None or depth >= max_depth:
+        raise _uncertified(x, max_depth)
     t = x
     for k in range(depth, 1, -1):
         t = x + (k - 1.0) / t
     return 1.0 / t
 
 
-# the array loop hands its last elements to _certify once no more than this
-# many are left.  On a 2-vCPU x86 host a level of the array loop makes about
-# 15 numpy calls of 0.5-1 us each on a short array, while _certify takes a
-# point through a level in about 0.25 us.  Median of 40 interleaved runs
-# with the handoff at 0, 16, 32, 48, 64, 96 and 128 points: 8.6, 7.5, 7.1,
-# 6.9, 6.9, 7.1 and 7.6 ms on the figure grid (601 points on [0, 6]), and
-# 15.7-16.3 ms on the table grid (20001 points on [0, 20]) for each
-_STRAGGLERS = 48
-
-
-def _mills_cf_grid(x, rel_tol=1e-15, max_depth=2000):
+def _mills_cf_grid(x, max_depth=2000):
     """_mills_cf on an array, with the same arithmetic per element.
 
-    The fraction's elements are sorted once by x.  A larger x certifies at
-    a shallower depth, so the certified elements leave the sorted array as
-    a suffix and the elements still running are a prefix: each level works
-    in place on views of that prefix, with d B_{d-1} formed once.  An
-    element certified while a larger one is still running keeps its first
-    depth and is carried along, its later levels unused.  Once no more than
-    _STRAGGLERS elements are left, each is finished by _certify, the scalar
-    route's own loop, from the level the array loop reached.  The backward
-    fold then runs level by level over the elements at least that deep,
-    deepest first, with every level's prefix length from one searchsorted.
+    One searchsorted of the elements in _EDGES gives each its depth; the
+    few inside a breakpoint's margin or below the last breakpoint go
+    through _certify one by one.  An error names the first uncertified
+    element in input order.  The backward fold then runs level by level
+    over the elements at least that deep, deepest first, with every
+    level's prefix length from one searchsorted.
     """
     import numpy as np
 
-    idx = np.flatnonzero(~_depth_one(x, rel_tol))
-    idx = idx[np.argsort(x[idx], kind="stable")]
+    idx = np.flatnonzero(~_depth_one(x))
     xa = x[idx]
-    # views of the running prefix: x, A_prev, B_prev, A, B and the bound of
-    # _certify; each level swaps a with ap and b with bp
-    xv, ap, bp = xa, np.ones_like(xa), xa.copy()     # x, A_1, B_1
-    a, b = xa.copy(), xa * xa + 1.0                  # A_2, B_2
-    bnd = 1.0 / (xa * b)
-    w = np.empty_like(xa)                            # scratch
-    dn = np.empty(xa.shape, dtype=bool)
-    # certified depth per sorted element; max_depth while it is running
-    got = g = np.full(xa.shape, max_depth, dtype=np.intp)
-    m, d = xa.size, 1
-    while m > _STRAGGLERS and d < max_depth:
-        np.divide(a, b, out=w)
-        w *= rel_tol
-        np.less_equal(bnd, w, out=dn)
-        np.minimum(g, d, out=g, where=dn)
-        if dn[-1]:
-            # cut the certified suffix: argmin finds its last running element
-            r = int(dn[::-1].argmin())
-            m = 0 if dn[-1 - r] else m - r
-            if m <= _STRAGGLERS:
-                break
-            xv, a, b, ap, bp, bnd, w, dn, g = (
-                v[:m] for v in (xv, a, b, ap, bp, bnd, w, dn, g))
-        d += 1
-        ap *= d
-        np.multiply(xv, a, out=w)
-        ap += w                       # A_{d+1} = x A_d + d A_{d-1}
-        np.multiply(bp, d, out=w)     # d B_{d-1}
-        np.multiply(xv, b, out=bp)
-        bp += w                       # B_{d+1}
-        w /= bp
-        bnd *= w
-        a, ap = ap, a
-        b, bp = bp, b
-        if b.max() > _BIG:   # B only, as in _certify
-            big = b > _BIG
-            for v in (a, b, ap, bp):
-                np.multiply(v, _SHRINK, out=v, where=big)
-    failed = []
-    for i in np.flatnonzero(got[:m] == max_depth).tolist():
-        depth = _certify(xv[i].item(), a[i].item(), b[i].item(), ap[i].item(),
-                         bp[i].item(), bnd[i].item(), d, rel_tol, max_depth)
-        if depth is None:
-            failed.append(i)
-        else:
-            got[i] = depth
-    if failed:
-        first = idx[failed].min()   # in input order
-        raise OracleError(f"classic fraction for R({x[first]}) not certified "
-                          f"within {max_depth} levels")
+    i = np.searchsorted(_EDGES, xa, side="right")
+    got = len(_BREAKS) + 1 - (i >> 1)
+    for j in np.flatnonzero((i & 1) | (i == 0)).tolist():
+        depth = _certify(xa[j].item(), max_depth)
+        got[j] = max_depth if depth is None else depth
+    failed = got >= max_depth
+    if failed.any():
+        first = idx[failed.argmax()]   # in input order
+        raise _uncertified(x[first], max_depth)
     order = np.argsort(-got, kind="stable")   # deepest first
     xs, got = xa[order], got[order]
     t, q = xs.copy(), np.empty_like(xs)

@@ -18,7 +18,8 @@ from scipy.special import gamma as gamma_fn
 
 from millscf import reference
 from millscf.reference import (
-    _STRAGGLERS,
+    _BREAKS,
+    _EDGES,
     OracleError,
     _mills_cf,
     _mills_cf_grid,
@@ -122,9 +123,8 @@ def _oracle_grids(draw):
     """Unsorted 1-D grids: both branches, dense near 1, duplicates, huge x."""
     kind = draw(st.sampled_from(["mixed", "dense", "repeats", "stragglers"]))
     if kind == "stragglers":
-        # all on the fraction branch, around the array loop's handoff size
-        size = draw(st.sampled_from([0, 1, _STRAGGLERS - 1, _STRAGGLERS,
-                                     _STRAGGLERS + 1]))
+        # all on the fraction branch, at 0, 1 and 47-49 points
+        size = draw(st.sampled_from([0, 1, 47, 48, 49]))
         return draw(st.lists(st.floats(1.0, 30.0), min_size=size,
                              max_size=size))
     if kind == "dense":   # 300 and more levels
@@ -140,35 +140,101 @@ def _oracle_grids(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(xs=_oracle_grids())
-@example(xs=[1.0] * (_STRAGGLERS + 1) + [20.0, 0.5, 1e300])
+@example(xs=[1.0] * 49 + [20.0, 0.5, 1e300])
 def test_grid_oracle_matches_the_scalar_one_bit_for_bit(xs):
     want = np.array([reference_mills(x) for x in xs], dtype=float)
     assert reference_mills_grid(xs).tobytes() == want.tobytes()
+
+
+def _uncertified_text(x, cap):
+    return f"classic fraction for R({x}) not certified within {cap} levels"
+
+
+def _fold(x, depth):
+    t = x
+    for k in range(depth, 1, -1):
+        t = x + (k - 1.0) / t
+    return 1.0 / t
+
+
+def _certified_fold(x, cap=2000):
+    """The fold at the depth the forward pass _certify picks, or None."""
+    depth = reference._certify(x, cap)
+    return None if depth is None else _fold(x, depth)
+
+
+def _near_a_break(xs):
+    """Where x is within a relative 1e-10 of a breakpoint b_d.
+
+    Within about 1e-14 of one the log-space loops below and _certify can
+    pick different depths: they do at 461 of the 1026 doubles b_d >= 1 and
+    their neighbours one ulp either side.  There the depth _certify picks
+    is the reference.
+    """
+    xs = np.asarray(xs, dtype=float)
+    b = np.array(_BREAKS)
+    return (np.abs(xs[:, None] - b) <= 1e-10 * b).any(axis=1)
+
+
+def _neighbours(xs, ulps=1):
+    """Each x and the doubles up to ulps either side of it."""
+    out = []
+    for x in xs:
+        below = above = x
+        out.append(x)
+        for _ in range(ulps):
+            below, above = math.nextafter(below, 0.0), math.nextafter(above, math.inf)
+            out += [below, above]
+    return out
+
+
+_BREAK_DOUBLES = _neighbours([b for b in _BREAKS if b >= 1.0])
 
 
 @settings(max_examples=150, deadline=None)
 @given(xs=st.lists(st.one_of(st.floats(1.0, 40.0), st.sampled_from(_HUGE)),
                    min_size=1, max_size=120),
        cap=st.integers(1, 400))
+@example(xs=_BREAK_DOUBLES, cap=400)
+@example(xs=_BREAK_DOUBLES[::-1], cap=150)
+@example(xs=[3.0, _BREAKS[101], 1e300], cap=102)
 def test_grid_oracle_names_the_same_uncertified_point(xs, cap):
-    # at a small cap the error names the first uncertified x in input order
+    # at a small cap the error names the first uncertified x in input order.
+    # The reference is the log-space loop, except near a breakpoint, where
+    # it is the depth _certify picks (below _depth_one's threshold, from
+    # which on both give 1/x)
     xs = np.array(xs)
+    near = _near_a_break(xs) & (xs < _BREAKS[0])
+    want = np.empty_like(xs)
+    bad = []
+    for i in np.flatnonzero(near).tolist():
+        value = _certified_fold(xs[i], cap)
+        if value is None:
+            bad.append(i)
+        else:
+            want[i] = value
+    far = np.flatnonzero(~near)
     try:
-        want = _old_mills_cf_grid(xs, max_depth=cap).tobytes()
+        want[far] = _old_mills_cf_grid(xs[far], max_depth=cap)
     except OracleError as exc:
+        # certification depends on x alone, so the first place of the x it
+        # names is the first uncertified place among the far points
+        named = float(str(exc).split("R(")[1].split(")")[0])
+        bad.append(int(far[xs[far] == named][0]))
+    if bad:
         with pytest.raises(OracleError) as new:
             _mills_cf_grid(xs, max_depth=cap)
-        assert str(new.value) == str(exc)
+        assert str(new.value) == _uncertified_text(xs[min(bad)], cap)
     else:
-        assert _mills_cf_grid(xs, max_depth=cap).tobytes() == want
+        assert _mills_cf_grid(xs, max_depth=cap).tobytes() == want.tobytes()
 
 
 def test_grid_oracle_does_not_depend_on_its_sort(monkeypatch):
-    # sorted by x, the elements certify as a suffix, and on every grid tried
-    # depth never rises with x; shuffled instead, most certify while a
-    # larger x still runs, and each must keep its first depth
+    # the depths come from the table, not from a pass over x sorted; each
+    # element keeps its depth whatever the order of the input, and a sort
+    # by x put back in would have to keep the bits while shuffled
     xs = np.concatenate([1.0 + np.arange(1001) * 1e-3, [1.5, 3.0, 1e8]])
-    want = _mills_cf_grid(xs).tobytes()
+    want = _mills_cf_grid(xs)
     rng = np.random.default_rng(7)
     argsort = np.argsort
 
@@ -179,17 +245,17 @@ def test_grid_oracle_does_not_depend_on_its_sort(monkeypatch):
 
     monkeypatch.setattr(np, "argsort", shuffled)
     for _ in range(3):
-        assert _mills_cf_grid(xs).tobytes() == want
+        assert _mills_cf_grid(xs).tobytes() == want.tobytes()
+        perm = rng.permutation(xs.size)
+        assert _mills_cf_grid(xs[perm]).tobytes() == want[perm].tobytes()
 
 
 def test_grid_oracle_at_the_deepest_table_point():
-    # x = 1 certifies at depth 343, the deepest of the [0, 20] grids: through
-    # the array loop alone, through _certify from level 1, and handed over
-    # to _certify once the larger x have certified
+    # x = 1 certifies at depth 343, the deepest of the [0, 20] grids, read
+    # from the table alone, beside a shallower point, and beside many
     want = reference_mills(1.0)
     assert want == _old_mills_cf(1.0)
-    for xs in ([1.0] * (_STRAGGLERS + 2), [1.0, 2.0],
-               [1.0] + [30.0] * (2 * _STRAGGLERS)):
+    for xs in ([1.0] * 50, [1.0, 2.0], [1.0] + [30.0] * 96):
         got = reference_mills_grid(xs)
         assert got[0].hex() == want.hex(), len(xs)
         assert got.tobytes() == np.array([reference_mills(x) for x in xs]).tobytes()
@@ -484,3 +550,168 @@ def test_oracle_cache():
             with pytest.raises(ValueError):
                 reference_mills(bad)
     assert info().currsize == size
+
+
+# The breakpoint table.  q_d(x) = d!/(B_d A_{d+1}) is the certified bound
+# d!/(B_d B_{d+1}) over the convergent A_{d+1}/B_{d+1}; _certify keeps the
+# first d with q_d(x) <= 1e-15 and q_d falls as x grows, so its depth at x is
+# one more than the number of crossings b_d of 1e-15 above x.
+
+_TOL = mpmath.mpf(1e-15)   # the double 1e-15, exactly
+
+
+def _q(x, d):
+    """q_d(x) at the working precision, from the exact double x."""
+    x = mpmath.mpf(x)
+    a_prev, a, b_prev, b = mpmath.mpf(0), mpmath.mpf(1), mpmath.mpf(1), x
+    for k in range(1, d):   # X_{k+1} = x X_k + k X_{k-1}, from A_1 = 1, B_1 = x
+        a_prev, a = a, x * a + k * a_prev
+        b_prev, b = b, x * b + k * b_prev
+    return mpmath.factorial(d) / (b * (x * a + d * a_prev))
+
+
+def _scan_breaks(top=len(_BREAKS)):
+    """b_1 ... b_top, each the nearest double to a 40-digit root of
+    ln q_d(e^t) = ln 1e-15 in t, started from the previous one.  All 343
+    take about 10 s; run this file as a script to rebuild the table."""
+    breaks = []
+    with mpmath.workdps(40):
+        log_tol = mpmath.log(_TOL)
+        guess = 1 / mpmath.sqrt(_TOL)   # b_1, where q_1(x) = 1/x^2
+        for d in range(1, top + 1):
+            t0 = mpmath.log(guess)
+            root = mpmath.findroot(
+                lambda t: mpmath.log(_q(mpmath.exp(t), d)) - log_tol,
+                (t0, t0 - mpmath.mpf("1e-3")), solver="secant",
+                tol=mpmath.mpf(10) ** -70)
+            guess = mpmath.exp(root)
+            breaks.append(float(guess))
+    return tuple(breaks)
+
+
+def test_the_scan_rebuilds_the_table():
+    assert _scan_breaks(40) == _BREAKS[:40]
+
+
+def test_breakpoint_table_certificate():
+    # at 30 digits: q_d is past 1e-15 by a factor 1 + 1e-11 at the lower
+    # edge of b_d's margin and short of it by 1 - 1e-11 at the upper edge,
+    # both as the oracle computes them, b_d (1 -+ 1e-10) in doubles.  The
+    # loop's test carries at most about 2.7e-13 of rounding, so outside the
+    # margins it decides as q_d does
+    assert len(_BREAKS) == 343
+    assert all(a > b for a, b in zip(_BREAKS, _BREAKS[1:]))
+    assert all(a < b for a, b in zip(_EDGES, _EDGES[1:]))
+    assert _BREAKS[0] == (1.0 / 1e-15) ** 0.5   # _depth_one's threshold
+    assert _BREAKS[-1] < 1.0 <= _BREAKS[-2]
+    lower, upper = _EDGES[-2::-2], _EDGES[::-1][::2]
+    with mpmath.workdps(30):
+        for d, (b, lo, hi) in enumerate(zip(_BREAKS, lower, upper), 1):
+            assert lo == b * (1.0 - 1e-10) and hi == b * (1.0 + 1e-10), d
+            assert _q(lo, d) > _TOL * (1 + mpmath.mpf("1e-11")), d
+            assert _q(hi, d) < _TOL * (1 - mpmath.mpf("1e-11")), d
+
+
+def _table_depths(xs):
+    """1 + the number of b_d above x, and where the table applies: outside
+    every margin and above the last breakpoint's."""
+    xs = np.asarray(xs, dtype=float)
+    above = len(_BREAKS) - np.searchsorted(_BREAKS[::-1], xs, side="right")
+    applies = ~_near_a_break(xs) & (xs > _BREAKS[-1])
+    return above + 1, applies
+
+
+def test_table_depth_is_the_forward_pass_depth():
+    # on the table grid, the figure grid and 120,000 random x the depth
+    # read from the table is the depth _certify picks
+    rng = np.random.default_rng(30)
+    grids = [np.arange(20001) * 1e-3, np.arange(601) / 100.0,
+             rng.uniform(1.0, 50.0, 60000),
+             np.exp(rng.uniform(0.0, math.log(3.16e7), 60000))]
+    for xs in grids:
+        depths, applies = _table_depths(xs)
+        assert applies[xs >= 1.0].all()
+        for x, d in zip(xs[applies].tolist(), depths[applies].tolist()):
+            assert reference._certify(x, 2000) == d, x
+
+
+def test_lookup_at_its_edges(monkeypatch):
+    calls = []
+    certify = reference._certify
+
+    def counted(x, max_depth):
+        calls.append(x)
+        return certify(x, max_depth)
+
+    monkeypatch.setattr(reference, "_certify", counted)
+    last = _BREAKS[-1]
+    # below the last breakpoint's margin, and inside it, the forward pass
+    # decides: depth 344 and more on [0.5, 1) would be a wrong depth there
+    below = [x for x in np.linspace(0.5, 1.0, 500).tolist() if x < last]
+    below += _neighbours([last], 3)
+    for x in below:
+        assert certify(x, 2000) >= 343, x
+        want = _certified_fold(x)
+        calls.clear()
+        assert _mills_cf(x) == want, x
+        assert calls == [x], x
+    assert _mills_cf(0.5) == _old_mills_cf(0.5)
+    # just past the last margin, the table alone: depth 343
+    x = math.nextafter(_EDGES[1], math.inf)
+    want = _certified_fold(x)
+    calls.clear()
+    assert _mills_cf(x) == _fold(x, 343) == want
+    assert calls == []
+    # inside every other margin the forward pass decides, and outside the
+    # table does; from b_1 = _depth_one's threshold on the value is 1/x
+    for b in _BREAKS:
+        for x in (b * (1.0 - 0.9e-10), b, b * (1.0 + 0.9e-10)):
+            calls.clear()
+            _mills_cf(x)
+            assert calls == ([] if x >= _BREAKS[0] else [x]), x
+        for x in (b * (1.0 - 1.1e-10), b * (1.0 + 1.1e-10)):
+            calls.clear()
+            _mills_cf(x)
+            assert calls == [] or x < _EDGES[1], x
+    # at and past _depth_one's threshold the value is 1/x on both routes
+    edge = (1.0 / 1e-15) ** 0.5
+    for x in (edge, math.nextafter(edge, math.inf), 1e300, math.inf):
+        calls.clear()
+        assert _mills_cf(x) == 1.0 / x
+        assert _mills_cf_grid(np.array([x]))[0] == 1.0 / x
+        assert calls == []
+    below_edge = math.nextafter(edge, 0.0)
+    assert _mills_cf(below_edge) == _certified_fold(below_edge)
+
+
+def test_uncertified_depths_at_caps_1_to_400():
+    # a depth at or past the cap raises the forward pass's error, on the
+    # table, inside a margin and below the last breakpoint; the grid names
+    # the first uncertified x in input order
+    xs = [3.0, 1.5, 10.0, _BREAKS[150], 1.0, 0.9995, 1e300, 50.0]
+    for cap in range(1, 401):
+        first = None
+        for i, x in enumerate(xs):
+            want = _certified_fold(x, cap) if x < 1e300 else 1.0 / x
+            if want is None:
+                first = i if first is None else first
+                with pytest.raises(OracleError) as new:
+                    _mills_cf(x, max_depth=cap)
+                assert str(new.value) == _uncertified_text(x, cap)
+            else:
+                assert _mills_cf(x, max_depth=cap) == want, (x, cap)
+        if first is None:
+            want = [_mills_cf(x) for x in xs]
+            assert _mills_cf_grid(np.array(xs), max_depth=cap).tolist() == want
+        else:
+            with pytest.raises(OracleError) as new:
+                _mills_cf_grid(np.array(xs), max_depth=cap)
+            assert str(new.value) == _uncertified_text(xs[first], cap), cap
+
+
+if __name__ == "__main__":
+    # rebuild the breakpoint table and compare it with the committed one
+    table = _scan_breaks()
+    print("same as _BREAKS" if table == _BREAKS else "differs from _BREAKS")
+    for i in range(0, len(table), 3):
+        print("    " + ", ".join(repr(b) for b in table[i:i + 3]) + ",")
