@@ -3,7 +3,7 @@
 Subcommands: eval (one point), table (CSV error table), maxerr (per-depth
 maximum error report), figure (error-curve CSVs on a fixed grid), verify
 (the invariant suites).  Exit codes: 0 success, 1 verification failure,
-2 usage, domain or evaluation error, 3 I/O error.
+2 usage, domain, evaluation or allocation error, 3 I/O error.
 
 table and figure evaluate their x-grids as numpy arrays in one call per
 column; eval and the refinement inside maxerr work point by point.
@@ -248,8 +248,9 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    # CFEvaluationError and ConvergenceError are ArithmeticErrors
-    except (ValueError, ArithmeticError, OracleError) as exc:
+    # CFEvaluationError and ConvergenceError are ArithmeticErrors; a table
+    # too large to allocate is numpy's MemoryError
+    except (ValueError, ArithmeticError, OracleError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -323,6 +323,17 @@ def test_depths_past_the_rule_exit_2_with_one_error_line(capsys):
         assert err.count("error:") == 1 and err.startswith("error: "), argv
 
 
+def test_a_table_too_large_to_allocate_exits_2(tmp_path, capsys):
+    # 10^15 + 1 rows is a 7 PiB array, refused at once: numpy's MemoryError
+    # came out as a traceback and exit 1
+    out = tmp_path / "t.csv"
+    rc, stdout, err = run_cli(["table", "--xmin", "0", "--xmax", "1e15",
+                               "--step", "1", "--out", str(out)], capsys)
+    assert (rc, stdout) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_verify_subcommand(capsys, monkeypatch):
     rc, out, _ = run_cli(["verify", "--suite", "alternating"], capsys)
     assert rc == 0

@@ -19,7 +19,6 @@ from scipy.special import gamma as gamma_fn
 from millscf import reference
 from millscf.reference import (
     _BREAKS,
-    _EDGES,
     OracleError,
     _mills_cf,
     _mills_cf_grid,
@@ -146,8 +145,8 @@ def test_grid_oracle_matches_the_scalar_one_bit_for_bit(xs):
     assert reference_mills_grid(xs).tobytes() == want.tobytes()
 
 
-def _uncertified_text(x, cap):
-    return f"classic fraction for R({x}) not certified within {cap} levels"
+def _uncertified_text(x):
+    return f"classic fraction for R({x}) not certified within 2000 levels"
 
 
 def _fold(x, depth):
@@ -157,19 +156,20 @@ def _fold(x, depth):
     return 1.0 / t
 
 
-def _certified_fold(x, cap=2000):
+def _certified_fold(x):
     """The fold at the depth the forward pass _certify picks, or None."""
-    depth = reference._certify(x, cap)
-    return None if depth is None else _fold(x, depth)
+    try:
+        return _fold(x, reference._certify(x))
+    except OracleError:
+        return None
 
 
 def _near_a_break(xs):
     """Where x is within a relative 1e-10 of a breakpoint b_d.
 
-    Within about 1e-14 of one the log-space loops below and _certify can
-    pick different depths: they do at 461 of the 1026 doubles b_d >= 1 and
-    their neighbours one ulp either side.  There the depth _certify picks
-    is the reference.
+    Within about 1e-14 of one the log-space loops below can pick a depth
+    other than the smallest certified one.  There the depth read from the
+    certified table (_table_depths) is the reference.
     """
     xs = np.asarray(xs, dtype=float)
     b = np.array(_BREAKS)
@@ -188,45 +188,48 @@ def _neighbours(xs, ulps=1):
     return out
 
 
-_BREAK_DOUBLES = _neighbours([b for b in _BREAKS if b >= 1.0])
+_BREAK_DOUBLES = _neighbours(_BREAKS)
 
 
 @settings(max_examples=150, deadline=None)
 @given(xs=st.lists(st.one_of(st.floats(1.0, 40.0), st.sampled_from(_HUGE)),
                    min_size=1, max_size=120),
-       cap=st.integers(1, 400))
-@example(xs=_BREAK_DOUBLES, cap=400)
-@example(xs=_BREAK_DOUBLES[::-1], cap=150)
-@example(xs=[3.0, _BREAKS[101], 1e300], cap=102)
-def test_grid_oracle_names_the_same_uncertified_point(xs, cap):
-    # at a small cap the error names the first uncertified x in input order.
-    # The reference is the log-space loop, except near a breakpoint, where
-    # it is the depth _certify picks (below _depth_one's threshold, from
-    # which on both give 1/x)
+       low=st.lists(st.tuples(st.integers(0, 120), st.floats(0.1, 0.41)),
+                    max_size=3))
+@example(xs=_BREAK_DOUBLES, low=[])
+@example(xs=_BREAK_DOUBLES[::-1], low=[(700, 0.4), (5, 0.405)])
+@example(xs=[3.0, _BREAKS[101], 1e300], low=[(0, 0.41), (2, 0.3)])
+@example(xs=[1.0, 40.0], low=[(1, 0.4058859846047252)])
+def test_grid_oracle_names_the_same_uncertified_point(xs, low):
+    # the low x, put in at the drawn places, go through the forward pass,
+    # which gives up below x ~ 0.40589 (2000 levels); the error names the
+    # first of those in input order.  From b_343 on the reference is the
+    # log-space loop, except near a breakpoint, where it is the depth read
+    # from the certified table
+    xs = list(xs)
+    for place, x in low:
+        xs.insert(place, x)
     xs = np.array(xs)
-    near = _near_a_break(xs) & (xs < _BREAKS[0])
+    below = xs < _BREAKS[-1]
+    near = _near_a_break(xs) & ~below
+    far = ~below & ~near
     want = np.empty_like(xs)
     bad = []
-    for i in np.flatnonzero(near).tolist():
-        value = _certified_fold(xs[i], cap)
+    for i in np.flatnonzero(below).tolist():
+        value = _certified_fold(xs[i])
         if value is None:
             bad.append(i)
         else:
             want[i] = value
-    far = np.flatnonzero(~near)
-    try:
-        want[far] = _old_mills_cf_grid(xs[far], max_depth=cap)
-    except OracleError as exc:
-        # certification depends on x alone, so the first place of the x it
-        # names is the first uncertified place among the far points
-        named = float(str(exc).split("R(")[1].split(")")[0])
-        bad.append(int(far[xs[far] == named][0]))
+    depths = _table_depths(xs[near])
+    want[near] = [_fold(x, d) for x, d in zip(xs[near].tolist(), depths.tolist())]
+    want[far] = _old_mills_cf_grid(xs[far])
     if bad:
         with pytest.raises(OracleError) as new:
-            _mills_cf_grid(xs, max_depth=cap)
-        assert str(new.value) == _uncertified_text(xs[min(bad)], cap)
+            _mills_cf_grid(xs)
+        assert str(new.value) == _uncertified_text(xs[bad[0]])
     else:
-        assert _mills_cf_grid(xs, max_depth=cap).tobytes() == want.tobytes()
+        assert _mills_cf_grid(xs).tobytes() == want.tobytes()
 
 
 def test_grid_oracle_does_not_depend_on_its_sort(monkeypatch):
@@ -484,49 +487,34 @@ def test_certification_loops_match_the_previous_ones():
         assert _mills_cf(x) == _old_mills_cf(x), x
 
 
-def test_certification_cap_matches_the_previous_one():
-    xs = np.array([1.0, 1.5, 3.0])
-    for cap in (1, 2, 5, 40):
-        with pytest.raises(OracleError) as new:
-            _mills_cf_grid(xs, max_depth=cap)
-        with pytest.raises(OracleError) as old:
-            _old_mills_cf_grid(xs, max_depth=cap)
-        assert str(new.value) == str(old.value)
-        for x in xs.tolist():
-            with pytest.raises(OracleError) as new:
-                _mills_cf(x, max_depth=cap)
-            with pytest.raises(OracleError) as old:
-                _old_mills_cf(x, max_depth=cap)
-            assert str(new.value) == str(old.value)
-
-
 # (x, certified depth): depth d is certified at level d + 1
 _CERTIFIED_DEPTHS = ((1.0, 343), (1.5, 159), (3.0, 47), (10.0, 12))
 
 
 def test_certification_cap_boundary():
-    # max_depth = d + 1 is the smallest cap that returns, on both routes and
-    # for the previous loops too; max_depth = d raises the same error
+    # the table's depths at four points are the forward pass's and the
+    # log-space loop's
     for x, d in _CERTIFIED_DEPTHS:
-        want = _old_mills_cf(x)
-        assert _old_mills_cf(x, max_depth=d + 1) == want
-        assert _mills_cf(x, max_depth=d + 1) == want
-        xs = np.array([x])
-        assert _mills_cf_grid(xs, max_depth=d + 1).tolist() == [want]
-        for route, old_route, arg in ((_mills_cf, _old_mills_cf, x),
-                                      (_mills_cf_grid, _old_mills_cf_grid, xs)):
-            with pytest.raises(OracleError) as new:
-                route(arg, max_depth=d)
-            with pytest.raises(OracleError) as old:
-                old_route(arg, max_depth=d)
-            assert str(new.value) == str(old.value)
-            assert f"within {d} levels" in str(new.value)
-    # on one array the deepest point sets the cap
-    xs = np.array([x for x, _ in _CERTIFIED_DEPTHS])
-    assert (_mills_cf_grid(xs, max_depth=344).tobytes()
-            == _old_mills_cf_grid(xs).tobytes())
-    with pytest.raises(OracleError, match=r"R\(1\.0\) not certified within 343"):
-        _mills_cf_grid(xs, max_depth=343)
+        assert reference._depth(x) == reference._certify(x) == d, x
+        assert _mills_cf(x) == _fold(x, d) == _old_mills_cf(x), x
+    # below b_343 the forward pass stops at 2000 levels: 0.4058859846047252
+    # certifies at depth 1999, the deepest it returns, on both routes and
+    # in the log-space loop too; below it both routes raise, and a little
+    # lower the log-space loop raises the same error
+    deepest = 0.4058859846047252
+    assert reference._certify(deepest) == 1999
+    want = _old_mills_cf(deepest)
+    assert _mills_cf(deepest) == want == _fold(deepest, 1999)
+    assert _mills_cf_grid(np.array([deepest, 1.0]))[0] == want
+    # (at the double below 0.4058859846047252 the log-space test, rounded
+    # otherwise, still passes at depth 1999)
+    for x in (math.nextafter(deepest, 0.0), 0.405885984, 0.4):
+        routes = [(_mills_cf, x), (_mills_cf_grid, np.array([1.0, x]))]
+        routes += [(_old_mills_cf, x)] if x <= 0.405885984 else []
+        for route, arg in routes:
+            with pytest.raises(OracleError) as exc:
+                route(arg)
+            assert str(exc.value) == _uncertified_text(x), (route, x)
 
 
 def test_oracle_cache():
@@ -553,11 +541,31 @@ def test_oracle_cache():
 
 
 # The breakpoint table.  q_d(x) = d!/(B_d A_{d+1}) is the certified bound
-# d!/(B_d B_{d+1}) over the convergent A_{d+1}/B_{d+1}; _certify keeps the
-# first d with q_d(x) <= 1e-15 and q_d falls as x grows, so its depth at x is
-# one more than the number of crossings b_d of 1e-15 above x.
+# d!/(B_d B_{d+1}) over the convergent A_{d+1}/B_{d+1}.  It falls as x grows,
+# so from b_343 on the smallest certified depth at x, the first d with
+# q_d(x) <= 1e-15, is one more than the number of entries b_d above x.
 
 _TOL = mpmath.mpf(1e-15)   # the double 1e-15, exactly
+
+# where the forward pass _certify, run from b_343 on, stops one level off
+# the smallest certified depth: its computed test rounds the other way
+# within an ulp of an entry.  The oracle reads its depth from the table
+# there, as everywhere from b_343 on
+_ROUNDED_OFF = (
+    31622776.60168379, 50.99386569428328, 13.556270838738802,
+    3.6917636348523857, 3.55382268185254, 3.318080334792732,
+    2.402554298400404, 2.188215989716786, 2.0732860764558514,
+    1.974590362893698, 1.7376651205784488, 1.7221643752879017,
+    1.6640311673315964, 1.6176789100681022, 1.464494745898376,
+    1.4597928767289, 1.3901883719038193, 1.3551297006129417,
+    1.2890020306520897, 1.2401902870949537, 1.2373192922014615,
+    1.234467992280677, 1.2204992153360583, 1.204342063685877,
+    1.1990962376155714, 1.1964987095259312, 1.186273660666117,
+    1.166580694704168, 1.1618077174411634, 1.1547560562067063,
+    1.1107934773254666, 1.1025845324586847, 1.096545061050638,
+    1.0790013410688952, 1.0752150462297385, 1.058653606856282,
+    1.0293403469856695, 0.999278636040016,
+)
 
 
 def _q(x, d):
@@ -571,9 +579,11 @@ def _q(x, d):
 
 
 def _scan_breaks(top=len(_BREAKS)):
-    """b_1 ... b_top, each the nearest double to a 40-digit root of
-    ln q_d(e^t) = ln 1e-15 in t, started from the previous one.  All 343
-    take about 10 s; run this file as a script to rebuild the table."""
+    """b_1 ... b_top, each the smallest double x with q_d(x) <= 1e-15 at 40
+    digits: the double nearest a root of ln q_d(e^t) = ln 1e-15 in t,
+    started from the previous root, moved up or down by ulps until it is
+    that double.  All 343 take about 15 s; run this file as a script to
+    rebuild the table."""
     breaks = []
     with mpmath.workdps(40):
         log_tol = mpmath.log(_TOL)
@@ -585,7 +595,12 @@ def _scan_breaks(top=len(_BREAKS)):
                 (t0, t0 - mpmath.mpf("1e-3")), solver="secant",
                 tol=mpmath.mpf(10) ** -70)
             guess = mpmath.exp(root)
-            breaks.append(float(guess))
+            b = float(guess)
+            while not _q(b, d) <= _TOL:
+                b = math.nextafter(b, math.inf)
+            while _q(math.nextafter(b, 0.0), d) <= _TOL:
+                b = math.nextafter(b, 0.0)
+            breaks.append(b)
     return tuple(breaks)
 
 
@@ -594,119 +609,90 @@ def test_the_scan_rebuilds_the_table():
 
 
 def test_breakpoint_table_certificate():
-    # at 30 digits: q_d is past 1e-15 by a factor 1 + 1e-11 at the lower
-    # edge of b_d's margin and short of it by 1 - 1e-11 at the upper edge,
-    # both as the oracle computes them, b_d (1 -+ 1e-10) in doubles.  The
-    # loop's test carries at most about 2.7e-13 of rounding, so outside the
-    # margins it decides as q_d does
+    # at 40 digits every entry is the smallest double at which its depth is
+    # certified, q_d(b_d) <= 1e-15 < q_d at the double below, and the
+    # entries fall strictly
     assert len(_BREAKS) == 343
     assert all(a > b for a, b in zip(_BREAKS, _BREAKS[1:]))
-    assert all(a < b for a, b in zip(_EDGES, _EDGES[1:]))
-    assert _BREAKS[0] == (1.0 / 1e-15) ** 0.5   # _depth_one's threshold
     assert _BREAKS[-1] < 1.0 <= _BREAKS[-2]
-    lower, upper = _EDGES[-2::-2], _EDGES[::-1][::2]
-    with mpmath.workdps(30):
-        for d, (b, lo, hi) in enumerate(zip(_BREAKS, lower, upper), 1):
-            assert lo == b * (1.0 - 1e-10) and hi == b * (1.0 + 1e-10), d
-            assert _q(lo, d) > _TOL * (1 + mpmath.mpf("1e-11")), d
-            assert _q(hi, d) < _TOL * (1 - mpmath.mpf("1e-11")), d
+    with mpmath.workdps(40):
+        for d, b in enumerate(_BREAKS, 1):
+            assert _q(b, d) <= _TOL < _q(math.nextafter(b, 0.0), d), d
 
 
 def _table_depths(xs):
-    """1 + the number of b_d above x, and where the table applies: outside
-    every margin and above the last breakpoint's."""
+    """1 + the number of b_d above each x: from b_343 on, the smallest
+    certified depth."""
     xs = np.asarray(xs, dtype=float)
-    above = len(_BREAKS) - np.searchsorted(_BREAKS[::-1], xs, side="right")
-    applies = ~_near_a_break(xs) & (xs > _BREAKS[-1])
-    return above + 1, applies
+    return len(_BREAKS) + 1 - np.searchsorted(_BREAKS[::-1], xs, side="right")
 
 
 def test_table_depth_is_the_forward_pass_depth():
-    # on the table grid, the figure grid and 120,000 random x the depth
-    # read from the table is the depth _certify picks
+    # from b_343 on, over the table grid, the figure grid, 120,000 random x
+    # and every entry with the doubles either side, the table's depth is
+    # the one _certify picks, except at _ROUNDED_OFF, where it is one off
     rng = np.random.default_rng(30)
-    grids = [np.arange(20001) * 1e-3, np.arange(601) / 100.0,
-             rng.uniform(1.0, 50.0, 60000),
-             np.exp(rng.uniform(0.0, math.log(3.16e7), 60000))]
-    for xs in grids:
-        depths, applies = _table_depths(xs)
-        assert applies[xs >= 1.0].all()
-        for x, d in zip(xs[applies].tolist(), depths[applies].tolist()):
-            assert reference._certify(x, 2000) == d, x
+    xs = np.concatenate([np.arange(20001) * 1e-3, np.arange(601) / 100.0,
+                         rng.uniform(1.0, 50.0, 60000),
+                         np.exp(rng.uniform(0.0, math.log(3.16e7), 60000)),
+                         _BREAK_DOUBLES])
+    xs = xs[xs >= _BREAKS[-1]]
+    off = set()
+    for x, d in zip(xs.tolist(), _table_depths(xs).tolist()):
+        got = reference._certify(x)
+        if got != d:
+            assert abs(got - d) == 1, x
+            off.add(x)
+    assert off == set(_ROUNDED_OFF)
 
 
 def test_lookup_at_its_edges(monkeypatch):
+    # the forward pass runs below b_343 only, on both routes; from b_343 on
+    # the table alone gives the depth, and from b_1 on the value is 1/x
     calls = []
     certify = reference._certify
 
-    def counted(x, max_depth):
+    def counted(x):
         calls.append(x)
-        return certify(x, max_depth)
+        return certify(x)
 
     monkeypatch.setattr(reference, "_certify", counted)
-    last = _BREAKS[-1]
-    # below the last breakpoint's margin, and inside it, the forward pass
-    # decides: depth 344 and more on [0.5, 1) would be a wrong depth there
+    last, first = _BREAKS[-1], _BREAKS[0]
     below = [x for x in np.linspace(0.5, 1.0, 500).tolist() if x < last]
-    below += _neighbours([last], 3)
+    below.append(math.nextafter(last, 0.0))
     for x in below:
-        assert certify(x, 2000) >= 343, x
-        want = _certified_fold(x)
+        depth = certify(x)
+        assert depth >= 344, x
         calls.clear()
-        assert _mills_cf(x) == want, x
+        assert _mills_cf(x) == _fold(x, depth), x
         assert calls == [x], x
-    assert _mills_cf(0.5) == _old_mills_cf(0.5)
-    # just past the last margin, the table alone: depth 343
-    x = math.nextafter(_EDGES[1], math.inf)
-    want = _certified_fold(x)
+    # at b_343 the table gives depth 343, where the forward pass's rounded
+    # test would give 344
+    assert certify(last) == 344
+    assert _mills_cf(last) == _fold(last, 343)
+    # the grid runs the forward pass on exactly the x below b_343, in input
+    # order
+    xs = [1.0, below[3], last, below[0], below[-1], 1e300]
+    want = np.array([_mills_cf(x) for x in xs])
     calls.clear()
-    assert _mills_cf(x) == _fold(x, 343) == want
+    assert _mills_cf_grid(np.array(xs)).tobytes() == want.tobytes()
+    assert calls == [below[3], below[0], below[-1]]
+    # every entry and the doubles either side of it, on both routes
+    calls.clear()
+    table = [x for x in _BREAK_DOUBLES if x >= last]
+    for x in table:
+        _mills_cf(x)
+    _mills_cf_grid(np.array(table))
     assert calls == []
-    # inside every other margin the forward pass decides, and outside the
-    # table does; from b_1 = _depth_one's threshold on the value is 1/x
-    for b in _BREAKS:
-        for x in (b * (1.0 - 0.9e-10), b, b * (1.0 + 0.9e-10)):
-            calls.clear()
-            _mills_cf(x)
-            assert calls == ([] if x >= _BREAKS[0] else [x]), x
-        for x in (b * (1.0 - 1.1e-10), b * (1.0 + 1.1e-10)):
-            calls.clear()
-            _mills_cf(x)
-            assert calls == [] or x < _EDGES[1], x
-    # at and past _depth_one's threshold the value is 1/x on both routes
-    edge = (1.0 / 1e-15) ** 0.5
-    for x in (edge, math.nextafter(edge, math.inf), 1e300, math.inf):
-        calls.clear()
-        assert _mills_cf(x) == 1.0 / x
-        assert _mills_cf_grid(np.array([x]))[0] == 1.0 / x
-        assert calls == []
-    below_edge = math.nextafter(edge, 0.0)
-    assert _mills_cf(below_edge) == _certified_fold(below_edge)
-
-
-def test_uncertified_depths_at_caps_1_to_400():
-    # a depth at or past the cap raises the forward pass's error, on the
-    # table, inside a margin and below the last breakpoint; the grid names
-    # the first uncertified x in input order
-    xs = [3.0, 1.5, 10.0, _BREAKS[150], 1.0, 0.9995, 1e300, 50.0]
-    for cap in range(1, 401):
-        first = None
-        for i, x in enumerate(xs):
-            want = _certified_fold(x, cap) if x < 1e300 else 1.0 / x
-            if want is None:
-                first = i if first is None else first
-                with pytest.raises(OracleError) as new:
-                    _mills_cf(x, max_depth=cap)
-                assert str(new.value) == _uncertified_text(x, cap)
-            else:
-                assert _mills_cf(x, max_depth=cap) == want, (x, cap)
-        if first is None:
-            want = [_mills_cf(x) for x in xs]
-            assert _mills_cf_grid(np.array(xs), max_depth=cap).tolist() == want
-        else:
-            with pytest.raises(OracleError) as new:
-                _mills_cf_grid(np.array(xs), max_depth=cap)
-            assert str(new.value) == _uncertified_text(xs[first], cap), cap
+    # from b_1 on the value is 1/x on both routes; at the double below b_1,
+    # 1/sqrt(1e-15) rounded, the depth is 2
+    for x in (first, math.nextafter(first, math.inf), 1e300,
+              sys.float_info.max, math.inf):
+        assert _mills_cf(x) == _mills_cf_grid(np.array([x]))[0] == 1.0 / x, x
+    edge = math.nextafter(first, 0.0)
+    assert edge == (1.0 / 1e-15) ** 0.5
+    assert _mills_cf(edge) == _fold(edge, 2) != 1.0 / edge
+    assert calls == []
 
 
 if __name__ == "__main__":
